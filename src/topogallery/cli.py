@@ -7,7 +7,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .compiler import CompileError, compile_gallery, compile_surface, vertex_count
+from .compiler import CompileError, _assemble, compile_surface, vertex_count
 from .complexes import ComplexError, complex_to_dnf, validate_complex
 from .files import (
     CNF_HEADER,
@@ -70,8 +70,9 @@ def _load_formula(path: str):
 
 
 def cmd_compile(args) -> int:
-    formula = _load_formula(args.input)
-    gallery = compile_gallery(formula, args.epsilon)
+    # _assemble is compile_gallery without its band-free restriction: a
+    # banded CNF file (a surface formula) compiles like compile_surface
+    gallery = _assemble(_load_formula(args.input), args.epsilon)
     _write_text(args.output, write_gallery(gallery))
     return EXIT_OK
 
@@ -200,7 +201,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except CompileError as exc:
         print(f"compilation infeasible: {exc}", file=sys.stderr)
-        print("hint: retry with a smaller --epsilon", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (VerifyError, GadgetError, GeometryError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

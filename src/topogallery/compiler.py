@@ -31,6 +31,7 @@ from .formulas import (
     VarEq,
     cnf_of_dnf_pruned,
     eval_formula,
+    grid_axes,
 )
 from .gadgets import (
     ClauseGadget,
@@ -178,13 +179,7 @@ def _used_vars(f: CnfFormula) -> list[int]:
 
 
 def _sat_screen(f: CnfFormula) -> tuple[bool | None, str]:
-    axes = []
-    for i in range(f.n):
-        if i == 0 and f.band_constants:
-            ks = list(f.band_constants)
-            axes.append(sorted(set(ks + [(a + b) / 2 for a, b in zip(ks, ks[1:])])))
-        else:
-            axes.append([Fraction(0), Fraction(1, 2), Fraction(1)])
+    axes = grid_axes(f)
     total = 1
     for ax in axes:
         total *= len(ax)

@@ -2,19 +2,26 @@
 verification reports.
 
 Rationals are serialized as num/den (always with the denominator), face
-strings over {0,1,*}, one record per line, versioned header lines.  The
-gallery file stores the compiled polygon and tables verbatim; loading one
-deterministically recompiles from the embedded formula and epsilon and
-cross-checks every stored coordinate, so a stale or edited file fails
+strings over {0,1,*}, one record per line, versioned header lines.  A
+gallery file is a recipe: its epsilon record and its formula records (the
+CNF records behind a ``formula`` prefix) determine the gallery.  The
+polygon and table records that follow are the canonical serialization of
+that recipe's compilation.  Loading recompiles the recipe, re-serializes
+the result and compares every record, so a stale or edited file fails
 loudly instead of silently desynchronizing from the gadget metadata.
+A malformed token or record raises FileFormatError; well-formed records
+that describe an invalid object raise that object's error (FormulaError,
+ComplexError).  A gallery recipe that does not compile is a
+FileFormatError too: the file, not the compiler, is at fault.
 """
 
 from __future__ import annotations
 
 import io
 from fractions import Fraction
+from itertools import zip_longest
 
-from .compiler import Gallery, _assemble
+from .compiler import CompileError, Gallery, _assemble
 from .complexes import (
     CubicalComplex,
     complex_from_faces,
@@ -22,7 +29,6 @@ from .complexes import (
     validate_complex,
 )
 from .formulas import Band, CnfFormula, VarEq
-from .geom import Point
 
 
 class FileFormatError(ValueError):
@@ -33,6 +39,7 @@ COMPLEX_HEADER = "topogallery complex v1"
 CNF_HEADER = "topogallery cnf v1"
 GALLERY_HEADER = "topogallery gallery v1"
 REPORT_HEADER = "topogallery report v1"
+FORMULA_PREFIX = "formula "
 
 
 def frac_str(f: Fraction) -> str:
@@ -46,6 +53,13 @@ def parse_frac(s: str) -> Fraction:
         raise FileFormatError(f"bad rational {s!r}") from exc
 
 
+def parse_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise FileFormatError(f"bad integer {s!r}") from exc
+
+
 def _lit_str(lit) -> str:
     if isinstance(lit, Band):
         return f"band{lit.index}"
@@ -54,11 +68,11 @@ def _lit_str(lit) -> str:
 
 def _parse_lit(tok: str):
     if tok.startswith("band"):
-        return Band(int(tok[4:]))
+        return Band(parse_int(tok[4:]))
     if not tok.startswith("x") or "=" not in tok:
         raise FileFormatError(f"bad literal token {tok!r}")
-    var, const = tok[1:].split("=")
-    return VarEq(int(var), int(const))
+    var, _, const = tok[1:].partition("=")
+    return VarEq(parse_int(var), parse_int(const))
 
 
 # --- complexes ---------------------------------------------------------------
@@ -81,7 +95,7 @@ def read_complex(text: str) -> CubicalComplex:
     for line in lines[1:]:
         key, _, rest = line.partition(" ")
         if key == "dimension":
-            n = int(rest)
+            n = parse_int(rest)
         elif key == "face":
             faces.append(rest)
         else:
@@ -113,15 +127,15 @@ def read_cnf(text: str) -> CnfFormula:
     for line in lines[1:]:
         key, _, rest = line.partition(" ")
         if key == "nvars":
-            n = int(rest)
+            n = parse_int(rest)
         elif key == "bands":
             bands = tuple(parse_frac(t) for t in rest.split())
         elif key == "clause":
             clauses.append(tuple(_parse_lit(t) for t in rest.split()))
         else:
-            raise FileFormatError(f"unknown record {key!r} in cnf file")
+            raise FileFormatError(f"unknown cnf record {key!r}")
     if n is None:
-        raise FileFormatError("cnf file missing nvars")
+        raise FileFormatError("cnf records missing nvars")
     return CnfFormula(n, tuple(clauses), bands)
 
 
@@ -133,12 +147,8 @@ def write_gallery(g: Gallery) -> str:
     w = buf.write
     w(GALLERY_HEADER + "\n")
     w(f"epsilon {frac_str(g.epsilon)}\n")
-    w(f"formula nvars {g.formula.n}\n")
-    if g.formula.band_constants:
-        w("formula bands " +
-          " ".join(frac_str(k) for k in g.formula.band_constants) + "\n")
-    for cl in g.formula.clauses:
-        w("formula clause " + " ".join(_lit_str(l) for l in cl) + "\n")
+    for line in write_cnf(g.formula).splitlines()[1:]:
+        w(FORMULA_PREFIX + line + "\n")
     w(f"vertices {len(g.polygon.vertices)}\n")
     for v in g.polygon.vertices:
         w(f"v {frac_str(v.x)} {frac_str(v.y)}\n")
@@ -159,46 +169,38 @@ def write_gallery(g: Gallery) -> str:
     return buf.getvalue()
 
 
+def _clip(line: str | None, width: int = 80) -> str:
+    if line is None:
+        return "end of file"
+    return repr(line if len(line) <= width else line[:width - 3] + "...")
+
+
 def read_gallery(text: str) -> Gallery:
-    lines = [l.rstrip("\n") for l in text.splitlines() if l.strip()]
+    """Recompile a gallery file's recipe and accept the file only if its
+    records are exactly the canonical serialization of the result."""
+    lines = [l for l in text.splitlines() if l.strip()]
     if not lines or lines[0] != GALLERY_HEADER:
         raise FileFormatError("not a gallery file")
     epsilon = None
-    nvars = None
-    bands: tuple = ()
-    clauses = []
-    verts = []
-    seg_lines = []
+    cnf_lines = [CNF_HEADER]
     for line in lines[1:]:
-        key, _, rest = line.partition(" ")
-        if key == "epsilon":
-            epsilon = parse_frac(rest)
-        elif key == "formula":
-            sub, _, frest = rest.partition(" ")
-            if sub == "nvars":
-                nvars = int(frest)
-            elif sub == "bands":
-                bands = tuple(parse_frac(t) for t in frest.split())
-            elif sub == "clause":
-                clauses.append(tuple(_parse_lit(t) for t in frest.split()))
-            else:
-                raise FileFormatError(f"unknown formula record {sub!r}")
-        elif key == "v":
-            a, b = rest.split()
-            verts.append(Point(parse_frac(a), parse_frac(b)))
-        elif key == "segment":
-            seg_lines.append(rest)
-        elif key in ("vertices", "column", "clause-witness", "metadata"):
-            continue
-        else:
-            raise FileFormatError(f"unknown record {key!r} in gallery file")
-    if epsilon is None or nvars is None:
-        raise FileFormatError("gallery file missing epsilon or formula")
-    formula = CnfFormula(nvars, tuple(clauses), bands)
-    rebuilt = _assemble(formula, epsilon)
-    if list(rebuilt.polygon.vertices) != verts:
-        raise FileFormatError(
-            "gallery file does not match its deterministic recompilation")
+        if line.startswith("epsilon "):
+            epsilon = parse_frac(line[len("epsilon "):])
+        elif line.startswith(FORMULA_PREFIX):
+            cnf_lines.append(line[len(FORMULA_PREFIX):])
+    if epsilon is None:
+        raise FileFormatError("gallery file missing epsilon")
+    formula = read_cnf("\n".join(cnf_lines))
+    try:
+        rebuilt = _assemble(formula, epsilon)
+    except CompileError as exc:
+        raise FileFormatError(f"gallery recipe does not compile: {exc}") from exc
+    expected = write_gallery(rebuilt).splitlines()
+    for number, (want, found) in enumerate(zip_longest(expected, lines), 1):
+        if want != found:
+            raise FileFormatError(
+                f"gallery record {number} does not match the recompilation: "
+                f"expected {_clip(want)}, found {_clip(found)}")
     return rebuilt
 
 

@@ -214,18 +214,15 @@ def _prune_supersets(sets: set[frozenset]) -> set[frozenset]:
     return set(kept)
 
 
-def _grid_axis_values(f: CnfFormula | DnfFormula, axis: int) -> list[Fraction]:
-    """Representative values for one axis such that every literal's truth
-    value is constant between consecutive representatives."""
-    half = Fraction(1, 2)
-    ks: tuple[Fraction, ...] = ()
-    if isinstance(f, CnfFormula):
-        ks = f.band_constants
-    if axis == 0 and ks:
-        vals = list(ks)
-        vals += [(a + b) / 2 for a, b in zip(ks, ks[1:])]
-        return sorted(set(vals))
-    return [Fraction(0), half, Fraction(1)]
+def grid_axes(f: CnfFormula | DnfFormula) -> list[list[Fraction]]:
+    """Representative values per axis such that every literal's truth
+    value is constant between consecutive representatives: corners and
+    midpoints, and on x_0 the band constants and their midpoints."""
+    axes = [[Fraction(0), Fraction(1, 2), Fraction(1)] for _ in range(f.n)]
+    ks = f.band_constants if isinstance(f, CnfFormula) else ()
+    if ks and f.n:
+        axes[0] = sorted(set(ks) | {(a + b) / 2 for a, b in zip(ks, ks[1:])})
+    return axes
 
 
 def cell_equivalent(f: CnfFormula | DnfFormula, g: CnfFormula | DnfFormula) -> bool:
@@ -241,13 +238,7 @@ def cell_equivalent(f: CnfFormula | DnfFormula, g: CnfFormula | DnfFormula) -> b
     kg = g.band_constants if isinstance(g, CnfFormula) else ()
     if kf and kg and kf != kg:
         raise FormulaError("band constant mismatch")
-    ref = f if kf else g
-    axes = [_grid_axis_values(ref if isinstance(ref, CnfFormula) else f, i)
-            for i in range(f.n)]
-    for xs in product(*axes):
-        if eval_formula(f, xs) != eval_formula(g, xs):
-            return False
-    return True
+    return separating_point(f, g) is None
 
 
 def separating_point(f, g):
@@ -255,9 +246,7 @@ def separating_point(f, g):
     if f.n != g.n:
         raise FormulaError("dimension mismatch")
     ref = f if (isinstance(f, CnfFormula) and f.band_constants) else g
-    axes = [_grid_axis_values(ref if isinstance(ref, CnfFormula) else f, i)
-            for i in range(f.n)]
-    for xs in product(*axes):
+    for xs in product(*grid_axes(ref)):
         if eval_formula(f, xs) != eval_formula(g, xs):
             return xs
     return None

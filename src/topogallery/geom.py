@@ -287,18 +287,7 @@ class SimplePolygon:
         # pairwise edge disjointness; candidate pairs found by bucketing the
         # edges' y-intervals so large polygons stay near-linear in practice
         boxes = self.edge_bboxes()
-        y0 = self._bbox[1]
-        y1 = self._bbox[3]
-        span = y1 - y0
-        nbuckets = max(1, min(4 * n, 4096))
-        buckets: list[list[int]] = [[] for _ in range(nbuckets)]
-        for i in range(n):
-            lo = int((boxes[i][1] - y0) * nbuckets / span) if span else 0
-            hi = int((boxes[i][3] - y0) * nbuckets / span) if span else 0
-            lo = max(0, min(nbuckets - 1, lo))
-            hi = max(0, min(nbuckets - 1, hi))
-            for b in range(lo, hi + 1):
-                buckets[b].append(i)
+        buckets = self._ybucket_index()[3]
         checked = set()
         for bucket in buckets:
             for a in range(len(bucket)):

@@ -11,12 +11,13 @@ from itertools import combinations, product
 
 from .compiler import Gallery, GuardConfig, embed
 from .complexes import CubicalComplex, face_dim, validate_complex
-from .formulas import CnfFormula, eval_formula
+from .formulas import CnfFormula, eval_formula, grid_axes
 from .gadgets import CopyStrip
 from .geom import (
     GeometryError,
     Point,
     SimplePolygon,
+    _projection_param,
     convex_minus_triangle,
     hausdorff_distance_sq_max,
     midpoint,
@@ -64,13 +65,7 @@ def _witness_points(poly: SimplePolygon, gallery: Gallery | None,
         for k in range(1, edge_density + 1):
             t = Fraction(k, edge_density + 1)
             pts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    seen = set()
-    out = []
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(pts))
 
 
 def covers(poly_or_gallery, guards: GuardConfig, mode: str = "witness",
@@ -161,13 +156,12 @@ def _exact_boundary_cover(poly: SimplePolygon, gpts, fans=None) -> CoverageRepor
         for pc in fan:
             a = verts[pc.edge_index]
             b = verts[(pc.edge_index + 1) % n]
-            t1 = _edge_param(a, b, pc.start)
-            t2 = _edge_param(a, b, pc.end)
+            t1 = _projection_param(a, b, pc.start)
+            t2 = _projection_param(a, b, pc.end)
             lo, hi = min(t1, t2), max(t1, t2)
             intervals[pc.edge_index].append((lo, hi))
     # collinear grazing runs (sight along the edge's own line)
     for g in gpts:
-        hg = None
         for i in range(n):
             a = verts[i]
             b = verts[(i + 1) % n]
@@ -191,18 +185,12 @@ def _exact_boundary_cover(poly: SimplePolygon, gpts, fans=None) -> CoverageRepor
     return CoverageReport(True, None, "exact-boundary", n)
 
 
-def _edge_param(a: Point, b: Point, p: Point) -> Fraction:
-    dx, dy = b.x - a.x, b.y - a.y
-    return ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)
-
-
 def _grazing_intervals(poly, g, a, b):
     """Sub-intervals of edge ab visible from a collinear guard g."""
     cuts = {Fraction(0), Fraction(1)}
-    tg = _edge_param(a, b, g)
     for v in poly.vertices:
         if orient(a, b, v) == 0:
-            t = _edge_param(a, b, v)
+            t = _projection_param(a, b, v)
             if 0 < t < 1:
                 cuts.add(t)
     ts = sorted(cuts)
@@ -233,6 +221,21 @@ def _interval_gap(ivs) -> Fraction | None:
 # --- copy gadget verification ------------------------------------------
 
 
+def _candidate_grid(poly: SimplePolygon, grid: tuple[int, int]) -> list[Point]:
+    """The polygon's vertices, then the points of a uniform nx-by-ny grid
+    over its bounding box that are not outside it (repeats kept)."""
+    x0, y0, x1, y1 = poly._bbox
+    nx, ny = grid
+    out = list(poly.vertices)
+    for i in range(nx + 1):
+        for j in range(ny + 1):
+            p = Point(x0 + (x1 - x0) * Fraction(i, nx),
+                      y0 + (y1 - y0) * Fraction(j, ny))
+            if poly.locate(p) != "out":
+                out.append(p)
+    return out
+
+
 @dataclass(frozen=True)
 class CopyGadgetReport:
     single_guard_candidates: int
@@ -255,15 +258,7 @@ def verify_copy_gadget(strip: CopyStrip, seed: int = 0, samples: int = 32,
     four = [apexes[k] for k in ("F", "I", "M", "P")]
     rng = random.Random(seed)
 
-    x0, y0, x1, y1 = poly._bbox
-    nx, ny = grid
-    candidates = list(poly.vertices)
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            p = Point(x0 + (x1 - x0) * Fraction(i, nx),
-                      y0 + (y1 - y0) * Fraction(j, ny))
-            if poly.locate(p) != "out":
-                candidates.append(p)
+    candidates = _candidate_grid(poly, grid)
     for p in candidates:
         if all(visible(poly, p, q) for q in four):
             raise VerifyError(f"single guard at {p} sees all four apexes")
@@ -305,13 +300,7 @@ def _strip_witnesses(strip: CopyStrip) -> list[Point]:
         t = Fraction(k, 16)
         pts.append(cg.ab_image(t))
         pts.append(cg.uv_image(t))
-    out = []
-    seen = set()
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(pts))
 
 
 # --- brute force minimal guards ------------------------------------------
@@ -327,25 +316,9 @@ def brute_force_min_guards(poly: SimplePolygon, k_max: int,
     extra candidates supplied (e.g. guard segment endpoints).  A witness
     screen discards most subsets before the exact check.
     """
-    candidates = list(poly.vertices)
-    x0, y0, x1, y1 = poly._bbox
-    nx, ny = grid
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            p = Point(x0 + (x1 - x0) * Fraction(i, nx),
-                      y0 + (y1 - y0) * Fraction(j, ny))
-            if poly.locate(p) != "out":
-                candidates.append(p)
-    for p in extra_candidates:
-        if poly.locate(p) != "out":
-            candidates.append(p)
-    dedup = []
-    seen = set()
-    for p in candidates:
-        if p not in seen:
-            seen.add(p)
-            dedup.append(p)
-    candidates = dedup
+    candidates = _candidate_grid(poly, grid)
+    candidates += [p for p in extra_candidates if poly.locate(p) != "out"]
+    candidates = list(dict.fromkeys(candidates))
 
     screen = _witness_points(poly, None, 2, 0)
     vis_table = []
@@ -408,14 +381,7 @@ def on_face_samples(k: CubicalComplex, count: int, rng: random.Random):
 
 def off_samples_for(f: CnfFormula, count: int, rng: random.Random):
     """Representatives of grid cells where the formula is false."""
-    axes = []
-    for i in range(f.n):
-        if i == 0 and f.band_constants:
-            ks = list(f.band_constants)
-            axes.append(sorted(set(ks + [(a + b) / 2 for a, b in zip(ks, ks[1:])])))
-        else:
-            axes.append([Fraction(0), Fraction(1, 2), Fraction(1)])
-    cells = [xs for xs in product(*axes) if not eval_formula(f, xs)]
+    cells = [xs for xs in product(*grid_axes(f)) if not eval_formula(f, xs)]
     if not cells:
         raise VerifyError("formula is a tautology on the cube; no off cells")
     return [list(cells[rng.randrange(len(cells))]) for _ in range(count)]
@@ -723,29 +689,22 @@ def _check_vertex_links(c: CellComplex2, inc):
 def _orientable(c: CellComplex2, inc) -> bool:
     # propagate 2-cell orientations; adjacent cells must induce opposite
     # directions on their shared edge
-    direction: dict = {}
-    for f in c.cells2:
-        cyc = c.bnd2[f]
-        dirs = {}
-        for pos, e in enumerate(cyc):
-            # the edge's direction within f is encoded by traversal order
-            dirs[e] = pos
-        direction[f] = cyc
-
     def edge_sense(f, e, flipped):
         cyc = c.bnd2[f]
-        # orientation sense: position parity of the edge in the traversal,
-        # combined with the endpoints order of the edge's boundary
-        pos = cyc.index(e)
-        ends = c.bnd1[e]
         # traversal of the 4-cycle visits vertices in order; edge at pos
         # runs from corner pos to corner pos+1.  We recover its sense by
-        # matching shared vertices of consecutive edges.
-        prev_e = cyc[pos - 1]
-        shared = set(c.bnd1[e]) & set(c.bnd1[prev_e])
+        # matching shared vertices of consecutive edges: the start corner
+        # is shared with the previous edge and, if that leaves two
+        # candidates, not with the next one.
+        pos = cyc.index(e)
+        shared = set(c.bnd1[e]) & set(c.bnd1[cyc[pos - 1]])
         if not shared:
             raise VerifyError("broken 2-cell boundary cycle")
-        start = next(iter(shared))
+        if len(shared) > 1:
+            shared -= set(c.bnd1[cyc[(pos + 1) % len(cyc)]])
+        if len(shared) != 1:
+            raise VerifyError(f"ambiguous corner of edge {e} in 2-cell {f}")
+        (start,) = shared
         sense = (c.bnd1[e][0] == start)
         return sense != flipped
 

@@ -24,6 +24,7 @@ from topogallery.formulas import cnf
 from topogallery.gadgets import build_copy_strip
 from topogallery.geom import Point, SimplePolygon, pt, visible
 from topogallery.verifier import (
+    CellComplex2,
     CoverageReport,
     VerifyError,
     brute_force_min_guards,
@@ -33,6 +34,7 @@ from topogallery.verifier import (
     covers,
     sample_solution_space,
     verify_copy_gadget,
+    _orientable,
 )
 
 
@@ -222,6 +224,17 @@ def test_cap_slice_classification():
     assert not st.closed
     assert st.boundary_circles == 1
     assert st.chi == -1
+
+
+def test_orientable_rejects_ambiguous_corner():
+    # corners a, b, a, b: every edge shares both endpoints with both
+    # neighbours, so no start corner can be read off the cycle
+    bnd1 = {"e0": ("a", "b"), "e1": ("b", "a"), "e2": ("a", "b"),
+            "e3": ("b", "a")}
+    bnd2 = {"f": ("e0", "e1", "e2", "e3"), "g": ("e3", "e2", "e1", "e0")}
+    c = CellComplex2(("a", "b"), tuple(bnd1), ("f", "g"), bnd1, bnd2)
+    with pytest.raises(VerifyError, match="ambiguous corner"):
+        _orientable(c, {e: ["f", "g"] for e in bnd1})
 
 
 def test_build_cell_complex_rejects_bandless():

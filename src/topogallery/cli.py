@@ -7,7 +7,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .compiler import CompileError, _assemble, compile_surface, vertex_count
+from .compiler import (
+    CompileError,
+    GenusError,
+    _assemble,
+    compile_surface,
+    vertex_count,
+)
 from .complexes import ComplexError, complex_to_dnf, validate_complex
 from .files import (
     CNF_HEADER,
@@ -95,6 +101,9 @@ def cmd_verify(args) -> int:
         ok = False
     if args.complex:
         k = validate_complex(read_complex(_read_text(args.complex)))
+        if k.n != gallery.formula.n:
+            raise FileFormatError(
+                "complex dimension does not match gallery formula")
         report = sample_solution_space(
             gallery, k, on_count=args.on_samples, off_count=args.off_samples,
             seed=args.seed, pair_count=args.pair_samples)
@@ -196,7 +205,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ComplexError, FormulaError, OSError) as exc:
+    except (FileFormatError, ComplexError, FormulaError, GenusError,
+            OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except CompileError as exc:

@@ -13,6 +13,7 @@ is computed and audited, never assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -57,6 +58,10 @@ from .geom import (
 
 class CompileError(ValueError):
     pass
+
+
+class GenusError(CompileError):
+    """No closed surface has the requested genus: an input error."""
 
 
 SAT_SCREEN_LIMIT = 250_000
@@ -408,6 +413,30 @@ def _strip_interval_on_row(cg: ClauseGadget, seg: Segment):
     return (x_low - seg.a.x) / w, (x_up - seg.a.x) / w
 
 
+def _strip_heights(g: Gallery) -> dict:
+    """Per variable, per clause gadget: the closed height range
+    [y_lo, y_hi] in which the clause strip meets the variable's column."""
+    slopes = []
+    for cg in g.clause_gadgets:
+        apex, mhi = cg.low_line()
+        apex2, mlo = cg.up_line()
+        r1 = (apex.x - mhi.x) / (apex.y - mhi.y)
+        r2 = (apex2.x - mlo.x) / (apex2.y - mlo.y)
+        if r1 <= 0 or r2 <= 0:
+            raise CompileError(
+                f"strip of clause {cg.index} does not rise to the right")
+        slopes.append((apex, r1, apex2, r2))
+    return {v: [(apex2.y + (lo - apex2.x) / r2, apex.y + (hi - apex.x) / r1)
+                for apex, r1, apex2, r2 in slopes]
+            for v, (lo, hi) in g.columns.items()}
+
+
+def _rows_by_height(records) -> tuple[list[int], list[Fraction]]:
+    """Positions into records sorted by row height, and those heights."""
+    rows = sorted(range(len(records)), key=lambda i: records[i].segment.a.y)
+    return rows, [records[i].segment.a.y for i in rows]
+
+
 def _audit(g: Gallery):
     records = g.segments
     # all guard segments strictly inside
@@ -417,31 +446,19 @@ def _audit(g: Gallery):
                 raise CompileError(
                     f"guard segment {rec.index} endpoint {p} not strictly inside")
 
-    # same-variable alignment and column spanning
+    # same-variable alignment and column spanning; the pruned checks below
+    # also rest on every row being horizontal and running left to right
     for rec in records:
         lo, hi = g.columns[rec.var]
         if rec.segment.a.x != lo or rec.segment.b.x != hi:
             raise CompileError(f"segment {rec.index} does not span its column")
+        if rec.segment.a.y != rec.segment.b.y or lo >= hi:
+            raise CompileError(
+                f"segment {rec.index} is not a horizontal left-to-right row")
 
-    # clause strips vs every segment: exactly the designated contact
-    for rec in records:
-        for cg in g.clause_gadgets:
-            t_lo, t_up = _strip_interval_on_row(cg, rec.segment)
-            designated = (cg.index == rec.clause)
-            if designated and rec.designation == "right":
-                ok = t_lo == 1 and t_up > 1
-            elif designated and rec.designation == "left":
-                ok = t_up == 0 and t_lo < 0
-            elif designated and rec.designation == "band":
-                ks = g.formula.band_constants
-                ok = (t_lo == ks[rec.band] and t_up == ks[rec.band + 1])
-            else:
-                ok = t_up < 0 or t_lo > 1
-            if not ok:
-                raise CompileError(
-                    f"strip of clause {cg.index} meets segment {rec.index} "
-                    f"at parameters [{t_lo}, {t_up}] (designation "
-                    f"{rec.designation if designated else 'foreign'})")
+    rows = _rows_by_height(records)
+    heights = _strip_heights(g)
+    _audit_strips(g, rows, heights)
 
     # clause regions pairwise disjoint: a region is the wedge clipped by
     # the floor, so disjointness need only hold until its upper boundary
@@ -456,19 +473,8 @@ def _audit(g: Gallery):
         raise CompileError("clause visibility regions overlap within the room")
 
     # per-variable y-extents of column-strip crossings must not overlap
-    extents = []
-    for v, (lo, hi) in g.columns.items():
-        lows, highs = [], []
-        for cg in g.clause_gadgets:
-            apex, mhi = cg.low_line()
-            r1 = (apex.x - mhi.x) / (apex.y - mhi.y)
-            apex2, mlo = cg.up_line()
-            r2 = (apex2.x - mlo.x) / (apex2.y - mlo.y)
-            # strip's vertical span over the column
-            highs.append(apex.y + (hi - apex.x) / r1)
-            lows.append(apex2.y + (lo - apex2.x) / r2)
-        extents.append((min(lows), max(highs), v))
-    extents.sort()
+    extents = sorted((min(lo for lo, _ in hs), max(hi for _, hi in hs), v)
+                     for v, hs in heights.items())
     for (l1, h1, v1), (l2, h2, v2) in zip(extents, extents[1:]):
         if l2 <= h1:
             raise CompileError(
@@ -485,58 +491,8 @@ def _audit(g: Gallery):
         if a2 <= b1:
             raise CompileError("forced slivers of two rows overlap in y")
 
-    # J wedges touch no foreign segment (the wedge opens downward from J)
-    for idx, vg in enumerate(g.variable_gadgets):
-        jj = vg.J
-        gseg = vg.guard_segment
-        for rec in records:
-            if rec.index == idx:
-                continue
-            s = rec.segment
-            y = s.a.y
-            if y >= jj.y:
-                continue
-            if vg.j_wedge_contains(s.a) or vg.j_wedge_contains(s.b):
-                raise CompileError(
-                    f"forcing wedge of row {idx} reaches segment {rec.index}")
-            # a horizontal segment could cross the wedge without its
-            # endpoints inside only if the wedge's rays cross its row
-            # between the endpoints
-            for target in (gseg.a, gseg.b):
-                r = (target.x - jj.x) / (target.y - jj.y)
-                xh = jj.x + r * (y - jj.y)
-                if s.a.x <= xh <= s.b.x:
-                    raise CompileError(
-                        f"forcing wedge boundary of row {idx} crosses "
-                        f"segment {rec.index}")
-
-    # chamber razor mouths: no foreign segment can sight the deep edges.
-    # Crossing height at the wall plane is monotone in both endpoints, so
-    # one extreme corner decides; a per-pair threshold skips far rows.
-    wall = g.polygon._bbox[0]
-    far_right = max(rec.segment.b.x for rec in records)
-    for pair in g.copy_pairs:
-        cg = pair.gadget
-        own = {pair.upper, pair.lower}
-        mu = wall - cg.B.x
-        psi_min = mu / (far_right - wall + mu)
-        y_ab = cg.A.y
-        # rows below this line overshoot the AB mouth bottom at every corner
-        ab_safe_below = y_ab - (y_ab - cg.D.y) / psi_min
-        y_uv = cg.U.y
-        uv_safe_above = y_uv + (cg.S.y - y_uv) / psi_min
-        for rec in records:
-            if rec.index in own:
-                continue
-            y = rec.segment.a.y
-            if y <= ab_safe_below or y >= y_ab:
-                pass  # blocked at the AB mouth
-            else:
-                _check_chamber_blocked(cg, rec, "AB")
-            if y >= uv_safe_above or y <= y_uv:
-                pass
-            else:
-                _check_chamber_blocked(cg, rec, "UV")
+    _audit_j_wedges(g, rows)
+    _audit_chambers(g, rows)
 
     # copy pair alignment sanity
     for pair in g.copy_pairs:
@@ -544,6 +500,120 @@ def _audit(g: Gallery):
         dn = g.segments[pair.lower].segment
         if up.a.x != dn.a.x or up.b.x != dn.b.x:
             raise CompileError("copy pair segments misaligned")
+
+
+# Each pruned check below tests exactly the (row, gadget) pairs that a
+# monotonicity bound cannot clear, in the order of the all-pairs loop it
+# replaces, so it reports the same first failure.
+
+
+def _audit_strips(g: Gallery, rows, heights):
+    """Clause strips vs every segment: exactly the designated contact."""
+    records = g.segments
+    order, ys = rows
+    # designated contacts are always tested
+    suspects = {(i, c) for i, rec in enumerate(records)
+                for c, cg in enumerate(g.clause_gadgets)
+                if cg.index == rec.clause}
+    for v, per_clause in heights.items():
+        for c, (y_lo, y_hi) in enumerate(per_clause):
+            # both strip boundaries rise to the right, so a row of column v
+            # meets the strip iff y_lo <= y <= y_hi
+            near = order[bisect_left(ys, y_lo):bisect_right(ys, y_hi)]
+            suspects.update((i, c) for i in near if records[i].var == v)
+    for i, c in sorted(suspects):
+        _check_strip(g, g.clause_gadgets[c], records[i])
+
+
+def _check_strip(g: Gallery, cg: ClauseGadget, rec: GuardSegmentRecord):
+    t_lo, t_up = _strip_interval_on_row(cg, rec.segment)
+    designated = (cg.index == rec.clause)
+    if designated and rec.designation == "right":
+        ok = t_lo == 1 and t_up > 1
+    elif designated and rec.designation == "left":
+        ok = t_up == 0 and t_lo < 0
+    elif designated and rec.designation == "band":
+        ks = g.formula.band_constants
+        ok = (t_lo == ks[rec.band] and t_up == ks[rec.band + 1])
+    else:
+        ok = t_up < 0 or t_lo > 1
+    if not ok:
+        raise CompileError(
+            f"strip of clause {cg.index} meets segment {rec.index} "
+            f"at parameters [{t_lo}, {t_up}] (designation "
+            f"{rec.designation if designated else 'foreign'})")
+
+
+def _audit_j_wedges(g: Gallery, rows):
+    """J wedges touch no foreign segment (the wedge opens downward from J)."""
+    records = g.segments
+    order, ys = rows
+    far_right = max(rec.segment.b.x for rec in records)
+    for idx, vg in enumerate(g.variable_gadgets):
+        jj = vg.J
+        ga, gb = vg.guard_segment.a, vg.guard_segment.b
+        start = 0
+        if jj.x < ga.x < gb.x and ga.y == gb.y < jj.y:
+            # at y < J.y the wedge is [xG(y), xH(y)] and xG grows as y
+            # falls: below y_clear, where xG = far_right, every row is clear
+            y_clear = jj.y + (far_right - jj.x) * (ga.y - jj.y) / (ga.x - jj.x)
+            start = bisect_left(ys, y_clear)
+        for i in sorted(order[start:bisect_left(ys, jj.y)]):
+            if records[i].index != idx:
+                _check_j_wedge(vg, idx, records[i])
+
+
+def _check_j_wedge(vg: VariableGadget, idx: int, rec: GuardSegmentRecord):
+    s = rec.segment
+    if vg.j_wedge_contains(s.a) or vg.j_wedge_contains(s.b):
+        raise CompileError(
+            f"forcing wedge of row {idx} reaches segment {rec.index}")
+    # a horizontal segment could cross the wedge without its endpoints
+    # inside only if the wedge's rays cross its row between the endpoints
+    jj = vg.J
+    for target in (vg.guard_segment.a, vg.guard_segment.b):
+        r = (target.x - jj.x) / (target.y - jj.y)
+        xh = jj.x + r * (s.a.y - jj.y)
+        if s.a.x <= xh <= s.b.x:
+            raise CompileError(
+                f"forcing wedge boundary of row {idx} crosses "
+                f"segment {rec.index}")
+
+
+def _audit_chambers(g: Gallery, rows):
+    """Chamber razor mouths: no foreign segment can sight the deep edges."""
+    records = g.segments
+    order, ys = rows
+    far_right = max(rec.segment.b.x for rec in records)
+    left_end = min(rec.segment.a.x for rec in records)
+    for pair in g.copy_pairs:
+        cg = pair.gadget
+        own = {pair.upper, pair.lower}
+        # open height intervals of the rows that can sight AB and UV
+        ab = uv = (ys[0] - 1, ys[-1] + 1)
+        wall = cg.C.x   # the mouth corners lie on the wall plane
+        mu = wall - max(cg.A.x, cg.B.x, cg.U.x, cg.V.x)
+        if mu > 0 and left_end > wall and \
+                cg.A.y == cg.B.y >= cg.C.y and cg.U.y == cg.V.y <= cg.T.y:
+            # at least the share psi_min of a sightline's width from a row
+            # to a deep edge lies beyond the wall, so its height there is
+            # monotone in the row's: rows outside these intervals pass
+            # below or above the mouth
+            psi_min = mu / (far_right - wall + mu)
+            ab = (cg.A.y - (cg.A.y - cg.D.y) / psi_min, cg.A.y)
+            uv = (cg.U.y, cg.U.y + (cg.S.y - cg.U.y) / psi_min)
+        near = set()
+        for lo, hi in (ab, uv):
+            near.update(order[bisect_right(ys, lo):bisect_left(ys, hi)])
+        for i in sorted(near):
+            rec = records[i]
+            if rec.index in own:
+                continue
+            y = rec.segment.a.y
+            if ab[0] < y < ab[1]:
+                _check_chamber_blocked(cg, rec, "AB")
+            if uv[0] < y < uv[1]:
+                _check_chamber_blocked(cg, rec, "UV")
 
 
 def _check_chamber_blocked(cg: CopyGadget, rec: GuardSegmentRecord, which: str):
@@ -658,10 +728,10 @@ def canonical_removed_faces(complex_: CubicalComplex):
 def compile_surface(n: int, orientable: bool, epsilon=Fraction(1, 4)) -> Gallery:
     """Gallery whose solution space is the closed surface of genus n."""
     if n < 0:
-        raise CompileError("genus must be nonnegative")
+        raise GenusError("genus must be nonnegative")
     if n == 0:
         if not orientable:
-            raise CompileError("there is no non-orientable surface of genus 0")
+            raise GenusError("there is no non-orientable surface of genus 0")
         return _assemble(cnf_of_dnf_pruned(complex_to_dnf(sphere_complex())),
                          rat(epsilon))
     if n == 1:

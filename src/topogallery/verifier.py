@@ -11,7 +11,14 @@ from itertools import combinations, product
 
 from .compiler import Gallery, GuardConfig, embed
 from .complexes import CubicalComplex, face_dim, validate_complex
-from .formulas import CnfFormula, eval_formula, grid_axes
+from .formulas import (
+    Band,
+    CnfFormula,
+    VarEq,
+    _lit_true,
+    eval_formula,
+    grid_axes,
+)
 from .gadgets import CopyStrip
 from .geom import (
     GeometryError,
@@ -539,12 +546,27 @@ def build_cell_complex(f: CnfFormula) -> CellComplex2:
     sub_n = f.n - 1
 
     def slice_complex(x0: Fraction) -> CubicalComplex:
+        # restrict to x0: drop the clauses an x0 literal satisfies and
+        # shift the rest, deduplicated, onto x1..xn; a clause left empty
+        # empties the slice
+        clauses = []
+        for cl in f.clauses:
+            if any(_on_x0(lit) and _lit_true(lit, (x0,), ks) for lit in cl):
+                continue
+            rest = tuple(VarEq(lit.var - 1, lit.const)
+                         for lit in cl if not _on_x0(lit))
+            if not rest:
+                clauses = None
+                break
+            clauses.append(rest)
         faces = set()
-        for face in _all_faces(sub_n, sub_n):
-            rep = [x0] + [Fraction(1, 2) if v is None else Fraction(v)
-                          for v in face]
-            if eval_formula(f, rep):
-                faces.add(face)
+        if clauses is not None:
+            reduced = CnfFormula(sub_n, tuple(dict.fromkeys(clauses)))
+            for face in _all_faces(sub_n, sub_n):
+                rep = [Fraction(1, 2) if v is None else Fraction(v)
+                       for v in face]
+                if eval_formula(reduced, rep):
+                    faces.add(face)
         k = CubicalComplex(sub_n, frozenset(faces))
         validate_complex(k)
         return k
@@ -586,6 +608,10 @@ def build_cell_complex(f: CnfFormula) -> CellComplex2:
                 bnd2[tag] = (("pt", b, face), ("band", b, subs[1]),
                              ("pt", b + 1, face), ("band", b, subs[0]))
     return CellComplex2(tuple(cells0), tuple(cells1), tuple(cells2), bnd1, bnd2)
+
+
+def _on_x0(lit) -> bool:
+    return isinstance(lit, Band) or lit.var == 0
 
 
 def _all_faces(n: int, max_dim: int):
@@ -659,13 +685,17 @@ def _check_vertex_links(c: CellComplex2, inc):
     for e in c.cells1:
         for v in c.bnd1[e]:
             edges_at[v].add(e)
+    # 2-cells at each 0-cell, in cells2 order
+    faces_at: dict = {v: {} for v in c.cells0}
+    for f in c.cells2:
+        for e in c.bnd2[f]:
+            for v in c.bnd1[e]:
+                faces_at[v][f] = None
     for v in c.cells0:
         link_adj: dict = {e: set() for e in edges_at[v]}
-        for f in c.cells2:
+        for f in faces_at[v]:
             cyc = c.bnd2[f]
             local = [e for e in cyc if v in c.bnd1[e]]
-            if len(local) == 0:
-                continue
             if len(local) != 2:
                 raise VerifyError(f"2-cell {f} touches vertex {v} oddly")
             a, b = local

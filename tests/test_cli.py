@@ -250,6 +250,26 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys, suffix, command,
     assert "input error" in capsys.readouterr().err
 
 
+def test_cli_verify_dimension_mismatch(tmp_path, capsys):
+    gpath = tmp_path / "one.gallery"
+    cpath = tmp_path / "mobius.complex"
+    gpath.write_text(_gallery_text())
+    cpath.write_text(write_complex(mobius_complex()))
+    assert main(["verify", str(gpath), "--complex", str(cpath)]) == 2
+    assert "input error: complex dimension does not match gallery formula" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--genus", "-1", "--orientable"], "genus must be nonnegative"),
+    (["--genus", "0", "--non-orientable"],
+     "there is no non-orientable surface of genus 0"),
+])
+def test_cli_compile_surface_impossible_genus(capsys, args, message):
+    assert main(["compile-surface"] + args) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
 def test_cli_compile_banded_cnf(tmp_path):
     torus = torus_complex()
     f1, f2 = canonical_removed_faces(torus)

@@ -3,6 +3,7 @@ solution-space sampling, and surface classification."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,7 @@ from topogallery.compiler import (
     embed,
     surface_formula,
 )
-from topogallery.formulas import cnf
+from topogallery.formulas import Band, CnfFormula, cnf, eval_formula
 from topogallery.gadgets import build_copy_strip
 from topogallery.geom import Point, SimplePolygon, pt, visible
 from topogallery.verifier import (
@@ -235,6 +236,55 @@ def test_orientable_rejects_ambiguous_corner():
     c = CellComplex2(("a", "b"), tuple(bnd1), ("f", "g"), bnd1, bnd2)
     with pytest.raises(VerifyError, match="ambiguous corner"):
         _orientable(c, {e: ["f", "g"] for e in bnd1})
+
+
+def _pinched_strip():
+    # three squares in a row, the first one's top-left corner glued to the
+    # last one's bottom-right corner p: connected through edges, but p's
+    # link is two separate arcs
+    bnd1 = {"a0": ("v0", "v1"), "a1": ("v1", "w1"), "a2": ("w1", "p"),
+            "a3": ("p", "v0"), "b0": ("v1", "v2"), "b1": ("v2", "w2"),
+            "b2": ("w2", "w1"), "c0": ("v2", "p"), "c1": ("p", "w3"),
+            "c2": ("w3", "w2")}
+    bnd2 = {"A": ("a0", "a1", "a2", "a3"), "B": ("b0", "b1", "b2", "a1"),
+            "C": ("c0", "c1", "c2", "b1")}
+    return CellComplex2(("v0", "v1", "v2", "w1", "w2", "w3", "p"),
+                        tuple(bnd1), tuple(bnd2), bnd1, bnd2)
+
+
+def test_classify_rejects_pinched_vertex():
+    with pytest.raises(VerifyError, match="pinched vertex p"):
+        classify_surface(_pinched_strip())
+
+
+def test_classify_rejects_isolated_vertex():
+    c = complex_to_cell_complex(torus_complex())
+    lonely = CellComplex2(c.cells0 + ("lonely",), c.cells1, c.cells2,
+                          c.bnd1, c.bnd2)
+    with pytest.raises(VerifyError, match="isolated vertex lonely"):
+        classify_surface(lonely)
+
+
+def test_build_cell_complex_empty_slice():
+    # an x0-only clause false above x0 = 1/2 empties the slice at x0 = 1
+    # and the band below it; every slice still equals the full formula's
+    torus = torus_complex()
+    f1, f2 = canonical_removed_faces(torus)
+    base = surface_formula(torus, f1, f2, 3)
+    f = CnfFormula(base.n, base.clauses + ((Band(0),),), base.band_constants)
+    c = build_cell_complex(f)
+    cells = c.cells0 + c.cells1 + c.cells2
+    ks = f.band_constants
+    slices = {("pt", b): k for b, k in enumerate(ks)}
+    slices.update({("band", b): (ks[b] + ks[b + 1]) / 2
+                   for b in range(len(ks) - 1)})
+    for key, x0 in slices.items():
+        found = {cell[2] for cell in cells if cell[:2] == key}
+        expected = {face for face in product((0, 1, None), repeat=f.n - 1)
+                    if eval_formula(f, [x0] + [Fraction(1, 2) if v is None
+                                               else v for v in face])}
+        assert found == expected, key
+        assert bool(found) == (key not in {("pt", 2), ("band", 1)}), key
 
 
 def test_build_cell_complex_rejects_bandless():

@@ -90,15 +90,12 @@ def cmd_compile_surface(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # read_gallery recompiles the recipe, and every compile runs the
+    # structural audit; a gallery that fails it never loads (exit 2)
     gallery = read_gallery(_read_text(args.gallery))
-    lines = [REPORT_HEADER, f"gallery {args.gallery}", f"seed {args.seed}"]
+    lines = [REPORT_HEADER, f"gallery {args.gallery}", f"seed {args.seed}",
+             "PASS structural audit"]
     ok = True
-    try:
-        gallery.audit()
-        lines.append("PASS structural audit")
-    except CompileError as exc:
-        lines.append(f"FAIL structural audit: {exc}")
-        ok = False
     if args.complex:
         k = validate_complex(read_complex(_read_text(args.complex)))
         if k.n != gallery.formula.n:

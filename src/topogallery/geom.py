@@ -604,7 +604,11 @@ def visibility_polygon(poly: SimplePolygon, p: Point) -> SimplePolygon:
     whiskers) are dropped: the result is the closure of the 2-dimensional
     visible region.
     """
-    raw = _sweep(poly, p)
+    return _star_polygon(p, _sweep(poly, p))
+
+
+def _star_polygon(p: Point, raw: list[FanPiece | None]) -> SimplePolygon:
+    """The visibility polygon traced by the sweep `raw` around p."""
     if all(pc is None for pc in raw):
         raise GeometryError("no visible area from viewpoint")
 
@@ -650,6 +654,58 @@ def visibility_polygon(poly: SimplePolygon, p: Point) -> SimplePolygon:
     return SimplePolygon(cleaned)
 
 
+def _visibility(poly: SimplePolygon, p: Point):
+    """One sweep around p, read three ways for exact coverage: the fan,
+    the visibility polygon, and that polygon's windows."""
+    raw = _sweep(poly, p)
+    fan = [pc for pc in raw if pc is not None]
+    return fan, _star_polygon(p, raw), _windows(poly, p, raw)
+
+
+def _windows(poly: SimplePolygon, p: Point,
+             raw: list[FanPiece | None]) -> list[tuple[Point, Point]]:
+    """The windows of the visibility polygon traced by `raw`: the parts of
+    its boundary inside poly's interior, each directed so that the visible
+    side is on its left.
+
+    Between two consecutive cones the boundary runs along the ray from p
+    through their shared vertex direction, from one cone's far end (or p,
+    at a gap) to the next cone's near end.  Each such run is split at the
+    polygon vertices on it; the parts whose midpoint is inside poly are
+    windows, the rest lie on poly's boundary.
+    """
+    hp = hpoint(p)
+    on_ray: dict[tuple[int, int], list[Point]] = {}
+    for v, h in zip(poly.vertices, poly._h):
+        dx = h[0] * hp[2] - hp[0] * h[2]
+        dy = h[1] * hp[2] - hp[1] * h[2]
+        if dx or dy:
+            on_ray.setdefault(_reduce_dir(dx, dy), []).append(v)
+    out = []
+    k = len(raw)
+    for i in range(k):
+        cur, nxt = raw[i], raw[(i + 1) % k]
+        a = p if cur is None else cur.end
+        b = p if nxt is None else nxt.start
+        if a == b:
+            continue
+        hf = hpoint(b if a == p else a)
+        d = _reduce_dir(hf[0] * hp[2] - hp[0] * hf[2],
+                        hf[1] * hp[2] - hp[1] * hf[2])
+
+        def along(q: Point) -> Fraction:
+            return (q.x - p.x) * d[0] + (q.y - p.y) * d[1]
+
+        lo, hi = sorted((along(a), along(b)))
+        cuts = sorted((q for q in on_ray.get(d, ()) if lo < along(q) < hi),
+                      key=along, reverse=along(b) < along(a))
+        stops = [a, *cuts, b]
+        for c0, c1 in zip(stops, stops[1:]):
+            if poly.locate(midpoint(c0, c1)) == "in":
+                out.append((c0, c1))
+    return out
+
+
 # --- triangulation and convex clipping ------------------------------------
 
 
@@ -662,7 +718,13 @@ def point_in_triangle(a: Point, b: Point, c: Point, p: Point) -> bool:
 
 
 def triangulate(poly: SimplePolygon) -> list[tuple[Point, Point, Point]]:
-    """Ear-clipping triangulation; handles straight-through vertices."""
+    """Ear-clipping triangulation; handles straight-through vertices.
+
+    Exact coverage no longer triangulates.  This stays because the
+    coverage tests' triangle-subtraction reference is built on it, and
+    the benchmark's per-layer tracer (perfbench/tracing.py) wraps it by
+    name.
+    """
     idx = list(range(len(poly.vertices)))
     verts = poly.vertices
     tris = []
@@ -733,7 +795,13 @@ def clip_convex(piece: Sequence[Point], a: Point, b: Point, keep_left: bool) -> 
 
 
 def convex_minus_triangle(piece: Sequence[Point], tri: tuple[Point, Point, Point]) -> list[list[Point]]:
-    """Convex piece minus a ccw triangle, as a list of convex pieces."""
+    """Convex piece minus a ccw triangle, as a list of convex pieces.
+
+    Exact coverage now tests windows instead.  This and `clip_convex`
+    stay for the same reasons as `triangulate`: the coverage tests'
+    reference subtracts fan triangles with them, and the benchmark's
+    tracer wraps them by name.
+    """
     a, b, c = tri
     remainder = list(piece)
     outs: list[list[Point]] = []

@@ -8,6 +8,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil, floor
 
 from .compiler import Gallery, GuardConfig, embed
 from .complexes import CubicalComplex, face_dim, validate_complex
@@ -24,12 +25,15 @@ from .geom import (
     GeometryError,
     Point,
     SimplePolygon,
+    _on_segment_collinear,
     _projection_param,
-    convex_minus_triangle,
+    _visibility,
     hausdorff_distance_sq_max,
+    hpoint,
+    intersect_lines,
     midpoint,
     orient,
-    triangulate,
+    orient_h,
     visibility_fan,
     visible,
 )
@@ -81,10 +85,25 @@ def covers(poly_or_gallery, guards: GuardConfig, mode: str = "witness",
 
     Witness mode screens a finite point set: every polygon vertex, slit
     apex, clause witness point, samples along the occluded chamber edges,
-    and boundary samples at the given density.  Exact mode is the ground
-    truth: the union of guard visibility fans must exhaust the polygon's
-    area and every boundary edge must be interval-covered (including
-    collinear grazing runs).
+    and boundary samples at the given density.
+
+    Exact mode is the ground truth, by the window argument of exact art
+    gallery solvers.  Each guard g has a visibility polygon VP(g), closed
+    and star-shaped; its windows are the edges, or parts of edges, that
+    run through the polygon's interior, with VP(g) on their left.  The
+    part of the polygon outside every VP(g) is relatively open, so if it
+    is not empty it has area, and inside the polygon it is bounded by
+    windows: some stretch of some window has it on its right (hidden)
+    side.  Each window is cut at every point where another guard's window
+    crosses, touches or stops on it.  Along one piece, which other guard
+    covers the right side cannot change, so the midpoint m decides it:
+    the side is covered iff m is inside another VP(j), or m lies on a
+    window of another guard that runs along the piece in the opposite
+    direction.  If every piece is covered, so is the polygon (its
+    boundary edges are also interval-covered, including collinear
+    grazing runs).  Otherwise the report carries a certificate: a point
+    beside m on the hidden side, inside the polygon and seen by no guard.
+    In exact mode `witness_count` is the number of window pieces tested.
     """
     gallery = poly_or_gallery if isinstance(poly_or_gallery, Gallery) else None
     poly = gallery.polygon if gallery else poly_or_gallery
@@ -111,45 +130,106 @@ def covers(poly_or_gallery, guards: GuardConfig, mode: str = "witness",
     if mode != "exact":
         raise VerifyError(f"unknown coverage mode {mode!r}")
 
-    fans = [visibility_fan(poly, g) for g in gpts]
+    views = [_visibility(poly, g) for g in gpts]
+    vps = [vp for _, vp, _ in views]
+    windows = [(gi, a, b) for gi, (_, _, ws) in enumerate(views)
+               for a, b in ws]
+    tested = 0
+    last_good = 0
+    for (gi, a, b), (stops, opposite) in zip(windows, _cut_windows(windows)):
+        for c0, c1 in zip(stops, stops[1:]):
+            tested += 1
+            m = midpoint(c0, c1)
+            hm = hpoint(m)
+            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
+                continue
+            order = [last_good] + [j for j in range(len(gpts)) if j != last_good]
+            for j in order:
+                if j != gi and vps[j].locate(m) == "in":
+                    last_good = j
+                    break
+            else:
+                return CoverageReport(False, _hidden_side_witness(poly, gpts, c0, c1),
+                                      "exact-union", tested)
 
-    # interior: subtract every fan triangle from a triangulation of poly
-    pieces = [list(t) for t in triangulate(poly)]
-    for g, fan in zip(gpts, fans):
-        for pc in fan:
-            tri = (g, pc.start, pc.end)
-            bx0 = min(p.x for p in tri)
-            bx1 = max(p.x for p in tri)
-            by0 = min(p.y for p in tri)
-            by1 = max(p.y for p in tri)
-            nxt = []
-            for piece in pieces:
-                px0 = min(p.x for p in piece)
-                px1 = max(p.x for p in piece)
-                py0 = min(p.y for p in piece)
-                py1 = max(p.y for p in piece)
-                if px1 <= bx0 or bx1 <= px0 or py1 <= by0 or by1 <= py0:
-                    nxt.append(piece)
-                    continue
-                nxt.extend(convex_minus_triangle(piece, tri))
-            pieces = nxt
-        if not pieces:
-            break
-    witness_budget = len(pieces)
-    for piece in pieces:
-        cx = sum(p.x for p in piece) / len(piece)
-        cy = sum(p.y for p in piece) / len(piece)
-        w = Point(cx, cy)
-        if any(visible(poly, g, w) for g in gpts):
-            raise VerifyError(
-                "internal inconsistency: leftover piece centroid is visible")
-        return CoverageReport(False, w, "exact-union", witness_budget)
-
-    boundary = _exact_boundary_cover(poly, gpts, fans)
+    boundary = _exact_boundary_cover(poly, gpts, [fan for fan, _, _ in views])
     if not boundary.covered:
         return CoverageReport(False, boundary.uncovered_witness, "exact-union",
-                              boundary.witness_count)
-    return CoverageReport(True, None, "exact-union", witness_budget)
+                              tested)
+    return CoverageReport(True, None, "exact-union", tested)
+
+
+def _cut_windows(windows):
+    """For each window (guard index, a, b): its cut points sorted from a to
+    b, ends included, and the (homogeneous) windows of other guards that
+    lie along it in the opposite direction.
+
+    Cuts are the crossings and touches with other guards' windows and the
+    ends of collinear overlaps.  Windows of one guard never cross (they
+    are edges of one simple polygon).  Candidate pairs come from a sweep
+    over integer-rounded x-extents, then integer y-extents.
+    """
+    hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
+    boxes = [(floor(min(a.x, b.x)), floor(min(a.y, b.y)),
+              ceil(max(a.x, b.x)), ceil(max(a.y, b.y)))
+             for _, a, b in windows]
+    cuts = [[a, b] for _, a, b in windows]
+    opposite: list[list] = [[] for _ in windows]
+    active: list[int] = []
+    for i in sorted(range(len(windows)), key=lambda i: boxes[i][0]):
+        gi, a, b = windows[i]
+        x0, y0, _, y1 = boxes[i]
+        active = [j for j in active if boxes[j][2] >= x0]
+        for j in active:
+            gj, c, d = windows[j]
+            if gj == gi or boxes[j][3] < y0 or y1 < boxes[j][1]:
+                continue
+            (ha, hb), (hc, hd) = hs[i], hs[j]
+            o1, o2 = orient_h(ha, hb, hc), orient_h(ha, hb, hd)
+            if o1 == 0 and o2 == 0:
+                cuts[i] += [q for q, hq in ((c, hc), (d, hd))
+                            if _on_segment_collinear(ha, hb, hq)]
+                cuts[j] += [q for q, hq in ((a, ha), (b, hb))
+                            if _on_segment_collinear(hc, hd, hq)]
+                if (b.x - a.x) * (d.x - c.x) + (b.y - a.y) * (d.y - c.y) < 0:
+                    opposite[i].append(hs[j])
+                    opposite[j].append(hs[i])
+                continue
+            if o1 * o2 > 0 or orient_h(hc, hd, ha) * orient_h(hc, hd, hb) > 0:
+                continue
+            x = intersect_lines(a, b, c, d)
+            cuts[i].append(x)
+            cuts[j].append(x)
+        active.append(i)
+    out = []
+    for (_, a, b), pts, opp in zip(windows, cuts, opposite):
+        dx, dy = b.x - a.x, b.y - a.y
+        stops = sorted(dict.fromkeys(pts),
+                       key=lambda q: (q.x - a.x) * dx + (q.y - a.y) * dy)
+        out.append((stops, opp))
+    return out
+
+
+def _hidden_side_witness(poly: SimplePolygon, gpts, a: Point, b: Point) -> Point:
+    """A point beside the midpoint m of window piece ab, on its hidden
+    (right) side, that is inside the polygon and seen by no guard.
+
+    Candidates are m + t*n + t^2*(b - a) for t = 1/2, 1/4, ..., with n
+    the right normal.  Close to m every candidate is outside every
+    visibility polygon, so only a zero-width line of sight can still
+    reach one; the candidates lie on a parabola, which meets each such
+    line at most twice.
+    """
+    m = midpoint(a, b)
+    dx, dy = b.x - a.x, b.y - a.y
+    t = Fraction(1, 2)
+    for _ in range(64):
+        w = Point(m.x + t * dy + t * t * dx, m.y - t * dx + t * t * dy)
+        if poly.locate(w) == "in" and not any(visible(poly, g, w) for g in gpts):
+            return w
+        t /= 2
+    raise VerifyError("internal inconsistency: no certified witness beside "
+                      f"the uncovered window piece {a}-{b}")
 
 
 def _exact_boundary_cover(poly: SimplePolygon, gpts, fans=None) -> CoverageReport:

@@ -260,6 +260,22 @@ def test_cli_verify_dimension_mismatch(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_cli_verify_audits_once(tmp_path, capsys, monkeypatch):
+    # read_gallery's recompilation already audits the gallery; verify must
+    # not audit it a second time
+    import topogallery.compiler as compiler
+    gpath = tmp_path / "one.gallery"
+    gpath.write_text(_gallery_text())
+    calls = []
+    audit = compiler._audit
+    monkeypatch.setattr(compiler, "_audit",
+                        lambda g: calls.append(g) or audit(g))
+    assert main(["verify", str(gpath)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "PASS structural audit", "RESULT PASS"]
+
+
 @pytest.mark.parametrize("args, message", [
     (["--genus", "-1", "--orientable"], "genus must be nonnegative"),
     (["--genus", "0", "--non-orientable"],
@@ -286,10 +302,16 @@ def test_cli_compile_banded_cnf(tmp_path):
 # previous edge, not with the next" fixes each edge's start corner.
 _HASHSEED_SCRIPT = """
 import sys
+from fractions import Fraction
+from topogallery import circle_complex, compile_gallery, covers, embed
 from topogallery.cli import main
+from topogallery.complexes import complex_to_dnf
+from topogallery.formulas import cnf_of_dnf_pruned
 from topogallery.verifier import CellComplex2, _orientable
 main(["compile", sys.argv[1]])
 main(["classify", sys.argv[2]])
+g = compile_gallery(cnf_of_dnf_pruned(complex_to_dnf(circle_complex())))
+print("exact", covers(g, embed(g, [Fraction(1, 2)] * 2), mode="exact"))
 bnd1 = {"e0": ("a", "b"), "e1": ("b", "a"), "e2": ("a", "d"), "e3": ("d", "a")}
 bnd2 = {"f": ("e0", "e1", "e2", "e3"), "g": ("e3", "e2", "e1", "e0")}
 c = CellComplex2(("a", "b", "d"), tuple(bnd1), ("f", "g"), bnd1, bnd2)
@@ -315,7 +337,8 @@ def test_output_independent_of_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
     assert lines[0] == "topogallery gallery v1"
-    assert lines[-2] == "closed non-orientable genus 2 (chi = 0)"
+    assert lines[-3] == "closed non-orientable genus 2 (chi = 0)"
+    assert lines[-2].startswith("exact CoverageReport(covered=False, ")
     assert lines[-1] == "pinched cells orientable True"
 
 

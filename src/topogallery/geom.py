@@ -216,7 +216,7 @@ class SimplePolygon:
     __slots__ = ("vertices", "_h", "_bbox", "_edge_bboxes", "_ybuckets",
                  "_int_edge_bboxes")
 
-    def __init__(self, vertices: Sequence[Point], validate: bool = True):
+    def __init__(self, vertices: Sequence[Point]):
         verts = tuple(vertices)
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
@@ -228,8 +228,7 @@ class SimplePolygon:
         self._edge_bboxes = None
         self._ybuckets = None
         self._int_edge_bboxes = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def __len__(self):
         return len(self.vertices)
@@ -593,6 +592,8 @@ def visibility_fan(poly: SimplePolygon, p: Point) -> list[FanPiece]:
 
     The triangles (p, piece.start, piece.end) tile the 2-dimensional
     visible region; measure-zero grazing lines are piece boundaries.
+    Exact coverage does not read the fan; the coverage tests' reference
+    does, and the benchmark's tracer wraps this function by name.
     """
     return [pc for pc in _sweep(poly, p) if pc is not None]
 
@@ -655,11 +656,10 @@ def _star_polygon(p: Point, raw: list[FanPiece | None]) -> SimplePolygon:
 
 
 def _visibility(poly: SimplePolygon, p: Point):
-    """One sweep around p, read three ways for exact coverage: the fan,
-    the visibility polygon, and that polygon's windows."""
+    """One sweep around p, read two ways for exact coverage: the
+    visibility polygon and its windows."""
     raw = _sweep(poly, p)
-    fan = [pc for pc in raw if pc is not None]
-    return fan, _star_polygon(p, raw), _windows(poly, p, raw)
+    return _star_polygon(p, raw), _windows(poly, p, raw)
 
 
 def _windows(poly: SimplePolygon, p: Point,

@@ -11,7 +11,7 @@ from itertools import combinations, product
 from math import ceil, floor
 
 from .compiler import Gallery, GuardConfig, embed
-from .complexes import CubicalComplex, face_dim, validate_complex
+from .complexes import CubicalComplex, complex_to_dnf, face_dim, validate_complex
 from .formulas import (
     Band,
     CnfFormula,
@@ -19,22 +19,19 @@ from .formulas import (
     _lit_true,
     eval_formula,
     grid_axes,
+    separating_point,
 )
 from .gadgets import CopyStrip
 from .geom import (
-    GeometryError,
     Point,
     SimplePolygon,
     _on_segment_collinear,
-    _projection_param,
     _visibility,
     hausdorff_distance_sq_max,
     hpoint,
     intersect_lines,
     midpoint,
-    orient,
     orient_h,
-    visibility_fan,
     visible,
 )
 
@@ -79,29 +76,30 @@ def _witness_points(poly: SimplePolygon, gallery: Gallery | None,
     return list(dict.fromkeys(pts))
 
 
-def covers(poly_or_gallery, guards: GuardConfig, mode: str = "witness",
-           edge_density: int = 4, occluded_density: int = 16) -> CoverageReport:
+def covers(poly_or_gallery, guards: GuardConfig,
+           mode: str = "witness") -> CoverageReport:
     """Check that the guard set sees every point of the polygon.
 
     Witness mode screens a finite point set: every polygon vertex, slit
-    apex, clause witness point, samples along the occluded chamber edges,
-    and boundary samples at the given density.
+    apex, clause witness point, 17 samples along each occluded chamber
+    edge, and 4 samples inside each boundary edge.
 
     Exact mode is the ground truth, by the window argument of exact art
     gallery solvers.  Each guard g has a visibility polygon VP(g), closed
     and star-shaped; its windows are the edges, or parts of edges, that
-    run through the polygon's interior, with VP(g) on their left.  The
-    part of the polygon outside every VP(g) is relatively open, so if it
-    is not empty it has area, and inside the polygon it is bounded by
-    windows: some stretch of some window has it on its right (hidden)
-    side.  Each window is cut at every point where another guard's window
-    crosses, touches or stops on it.  Along one piece, which other guard
-    covers the right side cannot change, so the midpoint m decides it:
-    the side is covered iff m is inside another VP(j), or m lies on a
-    window of another guard that runs along the piece in the opposite
-    direction.  If every piece is covered, so is the polygon (its
-    boundary edges are also interval-covered, including collinear
-    grazing runs).  Otherwise the report carries a certificate: a point
+    run through the polygon's interior, with VP(g) on their left.  Let U
+    be the part of the polygon P outside every VP(g).  The union of the
+    closed VP(g) is closed, so U is relatively open in P; if U is not
+    empty it therefore meets the interior of P, and there its frontier
+    lies on windows: some stretch of some window has U on its right
+    (hidden) side.  A gap on the boundary of P alone cannot exist, so
+    testing every window piece decides coverage of all of P.  Each
+    window is cut at every point where another guard's window crosses,
+    touches or stops on it.  Along one piece, which other guard covers
+    the right side cannot change, so the midpoint m decides it: the side
+    is covered iff m is inside another VP(j), or m lies on a window of
+    another guard that runs along the piece in the opposite direction.
+    If a piece is not covered, the report carries a certificate: a point
     beside m on the hidden side, inside the polygon and seen by no guard.
     In exact mode `witness_count` is the number of window pieces tested.
     """
@@ -113,7 +111,7 @@ def covers(poly_or_gallery, guards: GuardConfig, mode: str = "witness",
             raise VerifyError(f"guard {g} outside polygon")
 
     if mode == "witness":
-        pts = _witness_points(poly, gallery, edge_density, occluded_density)
+        pts = _witness_points(poly, gallery, 4, 16)
         last_good = 0
         for w in pts:
             order = [last_good] + [i for i in range(len(gpts)) if i != last_good]
@@ -124,16 +122,12 @@ def covers(poly_or_gallery, guards: GuardConfig, mode: str = "witness",
             else:
                 return CoverageReport(False, w, "witness-sample", len(pts))
         return CoverageReport(True, None, "witness-sample", len(pts))
-    if mode == "boundary":
-        report = _exact_boundary_cover(poly, gpts)
-        return report
     if mode != "exact":
         raise VerifyError(f"unknown coverage mode {mode!r}")
 
     views = [_visibility(poly, g) for g in gpts]
-    vps = [vp for _, vp, _ in views]
-    windows = [(gi, a, b) for gi, (_, _, ws) in enumerate(views)
-               for a, b in ws]
+    vps = [vp for vp, _ in views]
+    windows = [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
     tested = 0
     last_good = 0
     for (gi, a, b), (stops, opposite) in zip(windows, _cut_windows(windows)):
@@ -151,11 +145,6 @@ def covers(poly_or_gallery, guards: GuardConfig, mode: str = "witness",
             else:
                 return CoverageReport(False, _hidden_side_witness(poly, gpts, c0, c1),
                                       "exact-union", tested)
-
-    boundary = _exact_boundary_cover(poly, gpts, [fan for fan, _, _ in views])
-    if not boundary.covered:
-        return CoverageReport(False, boundary.uncovered_witness, "exact-union",
-                              tested)
     return CoverageReport(True, None, "exact-union", tested)
 
 
@@ -230,79 +219,6 @@ def _hidden_side_witness(poly: SimplePolygon, gpts, a: Point, b: Point) -> Point
         t /= 2
     raise VerifyError("internal inconsistency: no certified witness beside "
                       f"the uncovered window piece {a}-{b}")
-
-
-def _exact_boundary_cover(poly: SimplePolygon, gpts, fans=None) -> CoverageReport:
-    """Every boundary edge must be covered by visible sub-intervals."""
-    if fans is None:
-        fans = [visibility_fan(poly, g) for g in gpts]
-    verts = poly.vertices
-    n = len(verts)
-    intervals: dict[int, list[tuple[Fraction, Fraction]]] = {i: [] for i in range(n)}
-    for fan in fans:
-        for pc in fan:
-            a = verts[pc.edge_index]
-            b = verts[(pc.edge_index + 1) % n]
-            t1 = _projection_param(a, b, pc.start)
-            t2 = _projection_param(a, b, pc.end)
-            lo, hi = min(t1, t2), max(t1, t2)
-            intervals[pc.edge_index].append((lo, hi))
-    # collinear grazing runs (sight along the edge's own line)
-    for g in gpts:
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            if orient(a, b, g) == 0:
-                for lo, hi in _grazing_intervals(poly, g, a, b):
-                    intervals[i].append((lo, hi))
-    for i in range(n):
-        gap = _interval_gap(intervals[i])
-        if gap is not None:
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            w = Point(a.x + gap * (b.x - a.x), a.y + gap * (b.y - a.y))
-            if all(not visible(poly, g, w) for g in gpts):
-                return CoverageReport(False, w, "exact-boundary", n)
-            intervals[i].append((gap, gap))
-            gap2 = _interval_gap(intervals[i])
-            if gap2 is not None:
-                w = Point(a.x + gap2 * (b.x - a.x), a.y + gap2 * (b.y - a.y))
-                if all(not visible(poly, g, w) for g in gpts):
-                    return CoverageReport(False, w, "exact-boundary", n)
-    return CoverageReport(True, None, "exact-boundary", n)
-
-
-def _grazing_intervals(poly, g, a, b):
-    """Sub-intervals of edge ab visible from a collinear guard g."""
-    cuts = {Fraction(0), Fraction(1)}
-    for v in poly.vertices:
-        if orient(a, b, v) == 0:
-            t = _projection_param(a, b, v)
-            if 0 < t < 1:
-                cuts.add(t)
-    ts = sorted(cuts)
-    out = []
-    for lo, hi in zip(ts, ts[1:]):
-        tm = (lo + hi) / 2
-        p = Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))
-        try:
-            if visible(poly, g, p):
-                out.append((lo, hi))
-        except GeometryError:
-            pass
-    return out
-
-
-def _interval_gap(ivs) -> Fraction | None:
-    """Midpoint of the first gap in [0,1] not covered by the intervals."""
-    reach = Fraction(0)
-    for lo, hi in sorted(ivs):
-        if lo > reach:
-            return (reach + lo) / 2
-        reach = max(reach, hi)
-    if reach < 1:
-        return (reach + 1) / 2
-    return None
 
 
 # --- copy gadget verification ------------------------------------------
@@ -477,17 +393,26 @@ def off_samples_for(f: CnfFormula, count: int, rng: random.Random):
 def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
                           off_count: int = 100, seed: int = 0,
                           pair_count: int = 50) -> SampleReport:
-    """Sampled evidence for the guard-space/complex correspondence.
+    """Evidence for the guard-space/complex correspondence.
 
-    On-face points must be covered and off-complex grid representatives
-    must not be; embedded pairs respect the Hausdorff sup-norm equality.
-    Deterministic for a fixed seed.
+    The complex and the gallery formula must be equal, which an exact
+    grid check decides.  Sampled on-face points must be covered and
+    off-cell grid representatives must not be; embedded pairs respect the
+    Hausdorff sup-norm equality.  Deterministic for a fixed seed.
     """
     validate_complex(k)
     if k.n != g.formula.n:
         raise VerifyError("complex dimension does not match gallery formula")
     rng = random.Random(seed)
     lines = []
+
+    sep = separating_point(complex_to_dnf(k), g.formula)
+    if sep is not None:
+        at = f"({', '.join(map(str, sep))})"
+        lines.append(f"FAIL complex equals gallery formula: {at} "
+                     + ("satisfies the formula but is off the complex"
+                        if eval_formula(g.formula, sep) else
+                        "is on the complex but fails the formula"))
 
     ons = on_face_samples(k, on_count, rng)
     for x in ons:
@@ -531,7 +456,8 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
             lines.append(f"FAIL embed injectivity at {x} vs {x2}")
     passed = not lines
     if passed:
-        lines = [f"PASS on-face coverage ({len(ons)} points)",
+        lines = ["PASS complex equals gallery formula (exact grid check)",
+                 f"PASS on-face coverage ({len(ons)} points)",
                  f"PASS off-cell non-coverage ({len(offs)} points)",
                  f"PASS embed metric/injectivity ({pair_checked} pairs)"]
     return SampleReport(len(ons), len(offs), pair_checked, seed, passed,

@@ -240,14 +240,47 @@ def _gallery_text():
      lambda: _edit_first("v", lambda l: l + " 0/1")(_gallery_text())),
     (".gallery", "stats",
      lambda: _gallery_text().replace("epsilon 1/4", "epsilon -1/4")),
+    (".complex", "verify",
+     lambda: "".join(l for l in write_complex(circle_complex()).splitlines(True)
+                     if not l.startswith("face "))),
 ], ids=["nvars", "literal-var", "literal-equals", "dimension", "band-index",
-        "formula-nvars", "v-three-tokens", "negative-epsilon"])
+        "formula-nvars", "v-three-tokens", "negative-epsilon", "empty-complex"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, suffix, command,
                                        make_text):
     path = tmp_path / ("bad" + suffix)
     path.write_text(make_text())
-    assert main([command, str(path)]) == 2
+    if command == "verify":
+        # the malformed file is the complex, checked against a good gallery
+        argv = ["verify", str(_circle_gallery(tmp_path)), "--complex", str(path)]
+    else:
+        argv = [command, str(path)]
+    assert main(argv) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def _circle_gallery(tmp_path):
+    cpath = tmp_path / "circle.complex"
+    gpath = tmp_path / "circle.gallery"
+    cpath.write_text(write_complex(circle_complex()))
+    assert main(["compile", str(cpath), "-o", str(gpath)]) == 0
+    return gpath
+
+
+def test_cli_verify_proper_subcomplex_fails(tmp_path, capsys):
+    # one vertex of the circle: every sampled point of it is covered and
+    # every off-cell of the formula is not, but the complex is not the
+    # gallery's solution set
+    cpath = tmp_path / "vertex.complex"
+    cpath.write_text("topogallery complex v1\ndimension 2\nface 00\n")
+    gpath = _circle_gallery(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(gpath), "--complex", str(cpath),
+                 "--on-samples", "2", "--off-samples", "2",
+                 "--pair-samples", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL complex equals gallery formula: (0, 1/2) satisfies the " \
+        "formula but is off the complex" in out
+    assert out[-1] == "RESULT FAIL"
 
 
 def test_cli_verify_dimension_mismatch(tmp_path, capsys):

@@ -80,11 +80,13 @@ def test_covers_l_shape_modes_agree():
     bad = GuardConfig((pt(Fraction(7, 4), Fraction(1, 2)),))
     assert covers(poly, good, mode="exact").covered
     assert covers(poly, good, mode="witness").covered
+    assert not covers(poly, bad, mode="witness").covered
     rep = covers(poly, bad, mode="exact")
     assert not rep.covered
-    # witness of non-coverage is certified by definition of the check
+    # the exact witness is certified: strictly inside and seen by no guard
     w = rep.uncovered_witness
-    assert poly.locate(w) != "out"
+    assert poly.locate(w) == "in"
+    assert not any(visible(poly, g, w) for g in bad.guards)
 
 
 def test_covers_guard_outside_raises():
@@ -322,15 +324,6 @@ def test_covers_exact_symmetric_in_guard_order():
     a = covers(poly, GuardConfig((g1, g2)), mode="exact").covered
     b = covers(poly, GuardConfig((g2, g1)), mode="exact").covered
     assert a == b is True
-
-
-def test_covers_boundary_mode():
-    poly = l_shape()
-    inner = GuardConfig((pt(Fraction(1, 2), Fraction(1, 2)),))
-    assert covers(poly, inner, mode="boundary").covered
-    bad = GuardConfig((pt(Fraction(7, 4), Fraction(1, 2)),))
-    rep = covers(poly, bad, mode="boundary")
-    assert not rep.covered
 
 
 def test_build_cell_complex_rejects_solid_band():

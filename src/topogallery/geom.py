@@ -90,6 +90,14 @@ def orient_h(a, b, c) -> int:
     return _sign(ux * vy - uy * vx)
 
 
+def _dot_h(a, b, c) -> int:
+    """A positive multiple of (b - a) . (c - b), on homogeneous points;
+    for collinear a, b, c it is positive iff b is strictly between."""
+    # the dropped factor aw * bw^2 * cw is positive
+    return ((b[0] * a[2] - a[0] * b[2]) * (c[0] * b[2] - b[0] * c[2])
+            + (b[1] * a[2] - a[1] * b[2]) * (c[1] * b[2] - b[1] * c[2]))
+
+
 def orient(p: Point, q: Point, r: Point) -> int:
     """Orientation of the triple (p, q, r): +1 ccw, -1 cw, 0 collinear."""
     return orient_h(hpoint(p), hpoint(q), hpoint(r))
@@ -168,7 +176,11 @@ def _on_segment_collinear(a, b, p) -> bool:
 
 def segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff closed segments ab and cd share at least one point."""
-    ha, hb, hc, hd = hpoint(a), hpoint(b), hpoint(c), hpoint(d)
+    return _segments_touch_h(hpoint(a), hpoint(b), hpoint(c), hpoint(d))
+
+
+def _segments_touch_h(ha, hb, hc, hd) -> bool:
+    """`segments_touch` on homogeneous points."""
     o1 = orient_h(ha, hb, hc)
     o2 = orient_h(ha, hb, hd)
     o3 = orient_h(hc, hd, ha)
@@ -203,6 +215,15 @@ def polygon_area2(vertices: Sequence[Point]) -> Fraction:
         b = vertices[(i + 1) % n]
         total += a.x * b.y - b.x * a.y
     return total
+
+
+def _ybucket(scale, y: Fraction) -> int:
+    """The y-bucket of height y, floor((y - y0) * nb / span) clamped to
+    [0, nb - 1], in integers.  `scale` is (nb, y0.numerator,
+    y0.denominator, nb * span.denominator, y0.denominator * span.numerator)."""
+    nb, n0, d0, k, m = scale
+    yd = y.denominator
+    return max(0, min(nb - 1, (y.numerator * d0 - n0 * yd) * k // (yd * m)))
 
 
 class SimplePolygon:
@@ -276,23 +297,22 @@ class SimplePolygon:
             raise GeometryError("repeated vertex in polygon")
         if polygon_area2(verts) <= 0:
             raise GeometryError("polygon must be counterclockwise with positive area")
+        hv = self._h
         # fold-backs at shared vertices
         for i in range(n):
-            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if orient(a, b, c) == 0:
-                dot = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
-                if dot <= 0:
-                    raise GeometryError(f"fold-back at vertex {b}")
+            a, b, c = hv[i - 1], hv[i], hv[(i + 1) % n]
+            if orient_h(a, b, c) == 0 and _dot_h(a, b, c) <= 0:
+                raise GeometryError(f"fold-back at vertex {verts[i]}")
         # pairwise edge disjointness; candidate pairs found by bucketing the
         # edges' y-intervals so large polygons stay near-linear in practice
         boxes = self.edge_bboxes()
-        buckets = self._ybucket_index()[3]
+        buckets = self._ybucket_index()[1]
         checked = set()
         for bucket in buckets:
             for a in range(len(bucket)):
                 i = bucket[a]
                 bx = boxes[i]
-                ai, bi = verts[i], verts[(i + 1) % n]
+                ai, bi = hv[i], hv[(i + 1) % n]
                 for b in range(a + 1, len(bucket)):
                     j = bucket[b]
                     if (i, j) in checked:
@@ -304,7 +324,7 @@ class SimplePolygon:
                     by = boxes[j]
                     if bx[2] < by[0] or by[2] < bx[0] or bx[3] < by[1] or by[3] < bx[1]:
                         continue
-                    if segments_touch(ai, bi, verts[j], verts[(j + 1) % n]):
+                    if _segments_touch_h(ai, bi, hv[j], hv[(j + 1) % n]):
                         raise GeometryError(
                             f"edges {i} and {j} of polygon intersect")
 
@@ -318,24 +338,22 @@ class SimplePolygon:
             n = len(self.vertices)
             boxes = self.edge_bboxes()
             y0, y1 = self._bbox[1], self._bbox[3]
-            span = y1 - y0
+            span = y1 - y0  # > 0: validation checks the area first
             nb = max(1, min(4 * n, 4096))
+            scale = (nb, y0.numerator, y0.denominator,
+                     nb * span.denominator, y0.denominator * span.numerator)
             buckets: list[list[int]] = [[] for _ in range(nb)]
             for i in range(n):
-                lo = int((boxes[i][1] - y0) * nb / span) if span else 0
-                hi = int((boxes[i][3] - y0) * nb / span) if span else 0
-                lo = max(0, min(nb - 1, lo))
-                hi = max(0, min(nb - 1, hi))
+                lo = _ybucket(scale, boxes[i][1])
+                hi = _ybucket(scale, boxes[i][3])
                 for b in range(lo, hi + 1):
                     buckets[b].append(i)
-            self._ybuckets = (nb, y0, span, buckets)
+            self._ybuckets = (scale, buckets)
         return self._ybuckets
 
     def _edges_near_y(self, y: Fraction):
-        nb, y0, span, buckets = self._ybucket_index()
-        b = int((y - y0) * nb / span) if span else 0
-        b = max(0, min(nb - 1, b))
-        return buckets[b]
+        scale, buckets = self._ybucket_index()
+        return buckets[_ybucket(scale, y)]
 
     def locate(self, p: Point) -> str:
         """'in', 'on', or 'out' for the closed polygon."""
@@ -531,27 +549,69 @@ def _nearest_hit_on_edge(hp, d, ha, hb) -> Point:
     return hpoint_to_point(best)
 
 
-def _sweep(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
+def _vertex_dirs(poly: SimplePolygon, hp) -> list[tuple[int, int] | None]:
+    """The reduced integer direction from p (homogeneous hp) to each vertex
+    of poly, in vertex order; None for a vertex equal to p."""
+    out: list[tuple[int, int] | None] = []
+    for h in poly._h:
+        dx = h[0] * hp[2] - hp[0] * h[2]
+        dy = h[1] * hp[2] - hp[1] * h[2]
+        out.append(_reduce_dir(dx, dy) if dx or dy else None)
+    return out
+
+
+def _sweep(poly: SimplePolygon, p: Point,
+           vdirs: list[tuple[int, int] | None] | None = None
+           ) -> list[FanPiece | None]:
     """Angular sweep around p.  One entry per cone between consecutive
     vertex directions: a FanPiece for visible cones, None for cones that
-    point into the exterior (possible only for boundary viewpoints)."""
-    if poly.locate(p) == "out":
+    point into the exterior (possible only for boundary viewpoints).
+    `vdirs` is `_vertex_dirs(poly, hpoint(p))`, computed here if not given.
+
+    Each cone is probed by one representative ray strictly inside it, and
+    tests only the edges that span it.  An edge ab with orient(p, a, b) > 0
+    is seen from p under the ccw angular interval from dir(a) to dir(b),
+    which is less than pi, so it spans exactly the cones from the index of dir(a) up
+    to, not including, the index of dir(b), cyclically (from b to a if the
+    orientation is negative).  A representative ray lies on no vertex
+    direction, so it meets such an edge at a positive parameter exactly
+    when its cone lies in that interval; this holds for the pi cone and
+    for reflex cones too, whose rays are perpendicular to, or opposite,
+    the cone's first direction.  An edge with orient(p, a, b) == 0 lies on
+    a line through p or ends at p: every point of it other than p lies on
+    a vertex direction, so no representative ray meets it and it is
+    skipped.  Each cone keeps its edges in index order, so ties resolve as
+    in a scan of all edges.  Cost: O(n log n) for the directions plus the
+    total number of (cone, spanning edge) pairs, instead of n per cone.
+    """
+    where = poly.locate(p)
+    if where == "out":
         raise GeometryError("viewpoint outside polygon")
     hp = hpoint(p)
     hv = poly._h
     n = len(hv)
+    if vdirs is None:
+        vdirs = _vertex_dirs(poly, hp)
 
-    dirs = set()
-    for h in hv:
-        dx = h[0] * hp[2] - hp[0] * h[2]
-        dy = h[1] * hp[2] - hp[1] * h[2]
-        if dx == 0 and dy == 0:
-            continue
-        dirs.add(_reduce_dir(dx, dy))
-    sorted_dirs = sorted(dirs, key=cmp_to_key(_dir_cmp))
+    sorted_dirs = sorted({d for d in vdirs if d is not None},
+                         key=cmp_to_key(_dir_cmp))
     m = len(sorted_dirs)
     if m < 2:
         raise GeometryError("degenerate direction set in visibility sweep")
+    index = {d: i for i, d in enumerate(sorted_dirs)}
+
+    stabbed: list[list[int]] = [[] for _ in range(m)]
+    for e in range(n):
+        e1 = (e + 1) % n
+        o = orient_h(hp, hv[e], hv[e1])
+        if o == 0:
+            continue
+        i, j = index[vdirs[e]], index[vdirs[e1]]
+        if o < 0:
+            i, j = j, i
+        while i != j:
+            stabbed[i].append(e)
+            i = i + 1 if i + 1 < m else 0
 
     raw: list[FanPiece | None] = []
     for i in range(m):
@@ -566,7 +626,7 @@ def _sweep(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
             rep = (-u[0], -u[1])  # reflex cone: the antipode of u is inside
         best = None
         best_edge = -1
-        for e in range(n):
+        for e in stabbed[i]:
             ha, hb = hv[e], hv[(e + 1) % n]
             for cand in _ray_edge_hits(hp, rep, ha, hb):
                 if best is None or _nearer_on_ray(hp, rep, cand, best):
@@ -575,8 +635,10 @@ def _sweep(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
         if best is None:
             raw.append(None)
             continue
-        mid = midpoint(p, hpoint_to_point(best))
-        if poly.locate(mid) == "out":
+        # from an interior p the open segment to the first hit is interior;
+        # only a boundary viewpoint can look into the exterior
+        if where == "on" and \
+                poly.locate(midpoint(p, hpoint_to_point(best))) == "out":
             raw.append(None)
             continue
         ha = hv[best_edge]
@@ -592,6 +654,9 @@ def visibility_fan(poly: SimplePolygon, p: Point) -> list[FanPiece]:
 
     The triangles (p, piece.start, piece.end) tile the 2-dimensional
     visible region; measure-zero grazing lines are piece boundaries.
+    One `_sweep`: each cone between consecutive vertex directions is
+    stabbed only by the edges whose angular span contains it, so the cost
+    is O(n log n) plus the number of (cone, spanning edge) pairs.
     Exact coverage does not read the fan; the coverage tests' reference
     does, and the benchmark's tracer wraps this function by name.
     """
@@ -641,29 +706,28 @@ def _star_polygon(p: Point, raw: list[FanPiece | None]) -> SimplePolygon:
         out.pop()
 
     # remove straight-through vertices introduced at cone boundaries
+    hs = [hpoint(v) for v in out]
     cleaned: list[Point] = []
     nn = len(out)
     for i in range(nn):
-        a = out[i - 1]
-        b = out[i]
-        c = out[(i + 1) % nn]
-        if orient(a, b, c) == 0:
-            dot = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
-            if dot > 0:
-                continue
-        cleaned.append(b)
+        a, b, c = hs[i - 1], hs[i], hs[(i + 1) % nn]
+        if orient_h(a, b, c) == 0 and _dot_h(a, b, c) > 0:
+            continue
+        cleaned.append(out[i])
     return SimplePolygon(cleaned)
 
 
 def _visibility(poly: SimplePolygon, p: Point):
     """One sweep around p, read two ways for exact coverage: the
-    visibility polygon and its windows."""
-    raw = _sweep(poly, p)
-    return _star_polygon(p, raw), _windows(poly, p, raw)
+    visibility polygon and its windows.  Both share one pass over the
+    vertex directions."""
+    vdirs = _vertex_dirs(poly, hpoint(p))
+    raw = _sweep(poly, p, vdirs)
+    return _star_polygon(p, raw), _windows(poly, p, raw, vdirs)
 
 
-def _windows(poly: SimplePolygon, p: Point,
-             raw: list[FanPiece | None]) -> list[tuple[Point, Point]]:
+def _windows(poly: SimplePolygon, p: Point, raw: list[FanPiece | None],
+             vdirs: list[tuple[int, int] | None]) -> list[tuple[Point, Point]]:
     """The windows of the visibility polygon traced by `raw`: the parts of
     its boundary inside poly's interior, each directed so that the visible
     side is on its left.
@@ -676,11 +740,9 @@ def _windows(poly: SimplePolygon, p: Point,
     """
     hp = hpoint(p)
     on_ray: dict[tuple[int, int], list[Point]] = {}
-    for v, h in zip(poly.vertices, poly._h):
-        dx = h[0] * hp[2] - hp[0] * h[2]
-        dy = h[1] * hp[2] - hp[1] * h[2]
-        if dx or dy:
-            on_ray.setdefault(_reduce_dir(dx, dy), []).append(v)
+    for v, d in zip(poly.vertices, vdirs):
+        if d is not None:
+            on_ray.setdefault(d, []).append(v)
     out = []
     k = len(raw)
     for i in range(k):

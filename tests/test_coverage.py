@@ -1,9 +1,12 @@
 """Exact coverage by the window test, checked against the triangle-subtraction
 check it replaced, against dense rational sampling, and on the degenerate
-configurations the window argument has to get right."""
+configurations the window argument has to get right; and the visibility
+sweep, which stabs each cone with only its spanning edges, against the
+sweep that scanned every edge for every cone."""
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,15 +18,29 @@ from topogallery.complexes import (
     mobius_complex,
     sphere_complex,
 )
-from topogallery.compiler import GuardConfig, compile_gallery, embed
+from topogallery.compiler import (
+    GuardConfig,
+    compile_gallery,
+    compile_surface,
+    embed,
+)
 from topogallery.formulas import dnf_to_cnf, simplify_cnf
 from topogallery.gadgets import build_copy_strip
 from topogallery.geom import (
+    FanPiece,
     GeometryError,
     Point,
     SimplePolygon,
+    _dir_cmp,
+    _nearer_on_ray,
+    _nearest_hit_on_edge,
     _projection_param,
+    _ray_edge_hits,
+    _reduce_dir,
     convex_minus_triangle,
+    hpoint,
+    hpoint_to_point,
+    midpoint,
     orient,
     pt,
     triangulate,
@@ -71,6 +88,61 @@ def _fragment_cover(poly, gpts):
                             sum(p.y for p in piece) / len(piece))
     boundary = _exact_boundary_cover(poly, gpts, fans)
     return boundary.covered, boundary.uncovered_witness
+
+
+def _sweep_reference(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
+    """The O(n*m) sweep that `geom._sweep` replaced: every cone's
+    representative ray is intersected with every edge."""
+    if poly.locate(p) == "out":
+        raise GeometryError("viewpoint outside polygon")
+    hp = hpoint(p)
+    hv = poly._h
+    n = len(hv)
+
+    dirs = set()
+    for h in hv:
+        dx = h[0] * hp[2] - hp[0] * h[2]
+        dy = h[1] * hp[2] - hp[1] * h[2]
+        if dx == 0 and dy == 0:
+            continue
+        dirs.add(_reduce_dir(dx, dy))
+    sorted_dirs = sorted(dirs, key=cmp_to_key(_dir_cmp))
+    m = len(sorted_dirs)
+    if m < 2:
+        raise GeometryError("degenerate direction set in visibility sweep")
+
+    raw: list[FanPiece | None] = []
+    for i in range(m):
+        u = sorted_dirs[i]
+        w = sorted_dirs[(i + 1) % m]
+        cr = u[0] * w[1] - u[1] * w[0]
+        if cr > 0:
+            rep = (u[0] + w[0], u[1] + w[1])  # strictly inside a salient cone
+        elif cr == 0:
+            rep = (-u[1], u[0])  # cone of angle exactly pi
+        else:
+            rep = (-u[0], -u[1])  # reflex cone: the antipode of u is inside
+        best = None
+        best_edge = -1
+        for e in range(n):
+            ha, hb = hv[e], hv[(e + 1) % n]
+            for cand in _ray_edge_hits(hp, rep, ha, hb):
+                if best is None or _nearer_on_ray(hp, rep, cand, best):
+                    best = cand
+                    best_edge = e
+        if best is None:
+            raw.append(None)
+            continue
+        mid = midpoint(p, hpoint_to_point(best))
+        if poly.locate(mid) == "out":
+            raw.append(None)
+            continue
+        ha = hv[best_edge]
+        hb = hv[(best_edge + 1) % n]
+        qs = _nearest_hit_on_edge(hp, u, ha, hb)
+        qe = _nearest_hit_on_edge(hp, w, ha, hb)
+        raw.append(FanPiece(best_edge, qs, qe))
+    return raw
 
 
 # the reference's own boundary pass, an interval cover of every edge; exact
@@ -315,7 +387,7 @@ def test_pinhole_whisker_is_not_coverage():
     assert rep.uncovered_witness.y != 1
 
 
-@pytest.mark.parametrize("poly, gpts, covered", [
+BOUNDARY_CASES = [
     (l_shape(), [pt(1, 1)], True),
     (l_shape(), [pt(1, 0)], True),
     (l_shape(), [pt(2, _q(1, 2))], False),
@@ -323,8 +395,13 @@ def test_pinhole_whisker_is_not_coverage():
     (comb_polygon(), [pt(1, 1), pt(2, 1)], False),
     (comb_polygon(), [pt(_q(1, 2), 2), pt(3, 1), pt(_q(9, 2), 2)], True),
     (comb_polygon(), [pt(_q(1, 2), 2), pt(_q(5, 2), 2), pt(_q(9, 2), 2)], False),
-], ids=["l-reflex", "l-edge", "l-edge-uncovered", "comb-reflex",
-        "comb-reflex-uncovered", "comb-mixed", "comb-tops-uncovered"])
+]
+BOUNDARY_IDS = ["l-reflex", "l-edge", "l-edge-uncovered", "comb-reflex",
+                "comb-reflex-uncovered", "comb-mixed", "comb-tops-uncovered"]
+
+
+@pytest.mark.parametrize("poly, gpts, covered", BOUNDARY_CASES,
+                         ids=BOUNDARY_IDS)
 def test_boundary_viewpoints(poly, gpts, covered):
     # guards at reflex vertices and inside edges look into an exterior cone
     assert _agree(poly, gpts).covered == covered
@@ -334,7 +411,8 @@ def test_one_sweep_per_guard(monkeypatch):
     calls = []
     sweep = geom._sweep
     monkeypatch.setattr(geom, "_sweep",
-                        lambda poly, p: calls.append(p) or sweep(poly, p))
+                        lambda poly, p, *vdirs:
+                        calls.append(p) or sweep(poly, p, *vdirs))
     poly = l_shape()
     two = GuardConfig((pt(_q(7, 4), _q(1, 2)), pt(_q(1, 4), _q(7, 4))))
     assert covers(poly, two, mode="exact").covered
@@ -366,3 +444,70 @@ def test_cut_windows_at_crossings_touches_and_overlap_ends():
     assert cut[0][1] == [hs[1], hs[3]]
     assert cut[1][1] == [hs[0], hs[4]]
     assert cut[4][1] == [hs[1], hs[3]]
+
+
+# --- the stabbing sweep against the full scan ----------------------------------
+
+def _same_sweep(poly, gpts):
+    for g in gpts:
+        assert geom._sweep(poly, g) == _sweep_reference(poly, g), g
+
+
+@pytest.mark.parametrize("make_complex", [circle_complex, sphere_complex],
+                         ids=["circle", "sphere"])
+def test_sweep_matches_reference_on_galleries(make_complex):
+    # the benchmark's exact-coverage draws: 3 on-face and 3 off-cell points
+    k = make_complex()
+    g = _gallery(k)
+    rng = random.Random(7)
+    for x in on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng):
+        _same_sweep(g.polygon, embed(g, x).guards)
+
+
+def test_sweep_matches_reference_on_mobius_and_genus_2():
+    k = mobius_complex()
+    g = _gallery(k)
+    rng = random.Random(7)
+    x_on = on_face_samples(k, 1, rng)[0]
+    x_off = off_samples_for(g.formula, 1, rng)[0]
+    for x in (x_on, x_off):
+        _same_sweep(g.polygon, embed(g, x).guards)
+    g2 = compile_surface(2, True)
+    x = [Fraction(rng.randint(1, 63), 64) for _ in range(g2.formula.n)]
+    _same_sweep(g2.polygon, rng.sample(embed(g2, x).guards, 3))
+
+
+@pytest.mark.parametrize("poly, gpts, covered", BOUNDARY_CASES,
+                         ids=BOUNDARY_IDS)
+def test_sweep_matches_reference_at_boundary_viewpoints(poly, gpts, covered):
+    _same_sweep(poly, gpts)
+
+
+def test_sweep_matches_reference_collinear_with_far_edges():
+    # (1/2, 1) and (1/2, 2) lie on the lines of edges they do not touch
+    _same_sweep(comb_polygon(), [pt(_q(1, 2), 1), pt(_q(1, 2), 2),
+                                 pt(_q(5, 2), 1)])
+    _same_sweep(l_shape(), [pt(_q(1, 2), 1), pt(1, _q(1, 2))])
+
+
+@st.composite
+def histogram_viewpoints(draw):
+    """A histogram with viewpoints at its vertices, on its edges and in
+    its closed columns."""
+    poly, gpts = draw(histograms())
+    verts = poly.vertices
+    n = len(verts)
+    for _ in range(draw(st.integers(0, 2))):
+        gpts.append(verts[draw(st.integers(0, n - 1))])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        den = draw(st.integers(2, 7))
+        t = Fraction(draw(st.integers(1, den - 1)), den)
+        gpts.append(geom.Segment(verts[i], verts[(i + 1) % n]).point_at(t))
+    return poly, gpts
+
+
+@settings(max_examples=200)
+@given(histogram_viewpoints())
+def test_sweep_matches_reference_on_histograms(case):
+    _same_sweep(*case)

@@ -12,7 +12,6 @@ from topogallery.geom import (
     hausdorff_distance_sq_max,
     intersect_lines,
     invert_through,
-    midpoint,
     orient,
     polygon_area2,
     pt,
@@ -172,6 +171,27 @@ def test_polygon_rejects_self_intersection():
 def test_polygon_rejects_repeated_vertex():
     with pytest.raises(GeometryError):
         SimplePolygon([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 0), pt(-1, 1)])
+
+
+@pytest.mark.parametrize("verts, message", [
+    ([pt(0, 0), pt(4, 0), pt(4, 2), pt(2, 2), pt(3, 2), pt(0, 2)],
+     "fold-back at vertex (2, 2)"),
+    ([pt(0, 0), pt(Fraction(1, 2), 0), pt(Fraction(1, 3), 0), pt(1, 1),
+      pt(0, 1)],
+     "fold-back at vertex (1/2, 0)"),
+    # (3, 0) touches edge 0 from edges 3 and 4; the first pair is named
+    ([pt(0, 0), pt(6, 0), pt(6, 4), pt(3, 4), pt(3, 0), pt(0, 4)],
+     "edges 0 and 3 of polygon intersect"),
+    # three spikes cross edge 0
+    ([pt(0, 0), pt(5, 0), pt(5, 3), pt(Fraction(7, 2), Fraction(-1, 3)),
+      pt(Fraction(5, 2), 3), pt(Fraction(3, 2), Fraction(-1, 2)),
+      pt(Fraction(1, 2), 3), pt(0, 3)],
+     "edges 0 and 2 of polygon intersect"),
+])
+def test_polygon_rejection_names_the_fault(verts, message):
+    with pytest.raises(GeometryError) as err:
+        SimplePolygon(verts)
+    assert str(err.value) == message
 
 
 def test_polygon_allows_straight_vertex():

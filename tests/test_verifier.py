@@ -1,7 +1,6 @@
 """Tests for coverage checking, gadget verification, brute force search,
 solution-space sampling, and surface classification."""
 
-import random
 from fractions import Fraction
 from itertools import product
 
@@ -23,10 +22,9 @@ from topogallery.compiler import (
 )
 from topogallery.formulas import Band, CnfFormula, cnf, eval_formula
 from topogallery.gadgets import build_copy_strip
-from topogallery.geom import Point, SimplePolygon, pt, visible
+from topogallery.geom import SimplePolygon, pt, visible
 from topogallery.verifier import (
     CellComplex2,
-    CoverageReport,
     VerifyError,
     brute_force_min_guards,
     build_cell_complex,

@@ -19,7 +19,6 @@ from .geom import (
     intersect_lines,
     invert_through,
     orient,
-    pt,
     rat,
 )
 

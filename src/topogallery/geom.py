@@ -304,9 +304,11 @@ class SimplePolygon:
             if orient_h(a, b, c) == 0 and _dot_h(a, b, c) <= 0:
                 raise GeometryError(f"fold-back at vertex {verts[i]}")
         # pairwise edge disjointness; candidate pairs found by bucketing the
-        # edges' y-intervals so large polygons stay near-linear in practice
+        # edges' y-intervals so large polygons stay near-linear in practice.
+        # The bucket order fixes which intersecting pair the message names;
+        # these finer buckets are dropped after the check.
         boxes = self.edge_bboxes()
-        buckets = self._ybucket_index()[1]
+        buckets = self._bucket_edges(min(4 * n, 4096))[1]
         checked = set()
         for bucket in buckets:
             for a in range(len(bucket)):
@@ -330,25 +332,27 @@ class SimplePolygon:
 
     # --- point location -------------------------------------------------
 
+    def _bucket_edges(self, nb: int):
+        """(scale, buckets): edge indices bucketed by their y-intervals over
+        nb equal slices of the polygon's height."""
+        boxes = self.edge_bboxes()
+        y0, y1 = self._bbox[1], self._bbox[3]
+        span = y1 - y0  # > 0: validation checks the area first
+        scale = (nb, y0.numerator, y0.denominator,
+                 nb * span.denominator, y0.denominator * span.numerator)
+        buckets: list[list[int]] = [[] for _ in range(nb)]
+        for i in range(len(boxes)):
+            for b in range(_ybucket(scale, boxes[i][1]),
+                           _ybucket(scale, boxes[i][3]) + 1):
+                buckets[b].append(i)
+        return scale, buckets
+
     def _ybucket_index(self):
-        """Edges bucketed by their y-interval; both the boundary test and
-        the horizontal crossing count only involve edges whose y-interval
-        contains the query height."""
+        """The edges near each height, built on first use: both the boundary
+        test and the horizontal crossing count only involve edges whose
+        y-interval contains the query height."""
         if self._ybuckets is None:
-            n = len(self.vertices)
-            boxes = self.edge_bboxes()
-            y0, y1 = self._bbox[1], self._bbox[3]
-            span = y1 - y0  # > 0: validation checks the area first
-            nb = max(1, min(4 * n, 4096))
-            scale = (nb, y0.numerator, y0.denominator,
-                     nb * span.denominator, y0.denominator * span.numerator)
-            buckets: list[list[int]] = [[] for _ in range(nb)]
-            for i in range(n):
-                lo = _ybucket(scale, boxes[i][1])
-                hi = _ybucket(scale, boxes[i][3])
-                for b in range(lo, hi + 1):
-                    buckets[b].append(i)
-            self._ybuckets = (scale, buckets)
+            self._ybuckets = self._bucket_edges(min(len(self.vertices), 4096))
         return self._ybuckets
 
     def _edges_near_y(self, y: Fraction):
@@ -538,7 +542,11 @@ def _nearer_on_ray(hp, d, h1, h2) -> bool:
     return f1 * h2[2] < f2 * h1[2]
 
 
-def _nearest_hit_on_edge(hp, d, ha, hb) -> Point:
+def _nearest_hit_on_edge(hp, d, poly: SimplePolygon, e: int) -> Point:
+    """The hit of ray(p, d) on edge e of poly nearest to p.  A hit at an
+    end of the edge is that vertex of poly itself, not a copy."""
+    k = (e + 1) % len(poly._h)
+    ha, hb = poly._h[e], poly._h[k]
     hits = _ray_edge_hits(hp, d, ha, hb)
     if not hits:
         raise GeometryError("sweep invariant violated: event ray misses its edge")
@@ -546,6 +554,8 @@ def _nearest_hit_on_edge(hp, d, ha, hb) -> Point:
     for h in hits[1:]:
         if _nearer_on_ray(hp, d, h, best):
             best = h
+    if best is ha or best is hb:
+        return poly.vertices[e if best is ha else k]
     return hpoint_to_point(best)
 
 
@@ -641,10 +651,8 @@ def _sweep(poly: SimplePolygon, p: Point,
                 poly.locate(midpoint(p, hpoint_to_point(best))) == "out":
             raw.append(None)
             continue
-        ha = hv[best_edge]
-        hb = hv[(best_edge + 1) % n]
-        qs = _nearest_hit_on_edge(hp, u, ha, hb)
-        qe = _nearest_hit_on_edge(hp, w, ha, hb)
+        qs = _nearest_hit_on_edge(hp, u, poly, best_edge)
+        qe = _nearest_hit_on_edge(hp, w, poly, best_edge)
         raw.append(FanPiece(best_edge, qs, qe))
     return raw
 

@@ -52,40 +52,17 @@ class CoverageReport:
             raise VerifyError("uncovered report must carry a witness")
 
 
-def _witness_points(poly: SimplePolygon, gallery: Gallery | None,
-                    edge_density: int, occluded_density: int) -> list[Point]:
-    # gallery-specific witnesses first: they are the points the proofs
-    # argue about, and the first to fail when coverage breaks
-    pts: list[Point] = []
-    if gallery is not None:
-        for cg in gallery.clause_gadgets:
-            pts.append(cg.witness_point)
-        for vg in gallery.variable_gadgets:
-            pts.extend((vg.F, vg.I, vg.J))
-        for pair in gallery.copy_pairs:
-            cp = pair.gadget
-            for k in range(occluded_density + 1):
-                t = Fraction(k, occluded_density)
-                pts.append(cp.ab_image(t))
-                pts.append(cp.uv_image(t))
-    pts.extend(poly.vertices)
-    for a, b in poly.edges():
-        for k in range(1, edge_density + 1):
-            t = Fraction(k, edge_density + 1)
-            pts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    return list(dict.fromkeys(pts))
-
-
 def covers(poly_or_gallery, guards: GuardConfig,
-           mode: str = "witness") -> CoverageReport:
-    """Check that the guard set sees every point of the polygon.
+           mode: str = "exact") -> CoverageReport:
+    """Decide exactly whether the guard set sees every point of the
+    polygon.  `mode` has the one value "exact"; it stays a parameter so
+    that callers passing it keep working.
 
-    Witness mode screens a finite point set: every polygon vertex, slit
-    apex, clause witness point, 17 samples along each occluded chamber
-    edge, and 4 samples inside each boundary edge.
-
-    Exact mode is the ground truth, by the window argument of exact art
-    gallery solvers.  Each guard g has a visibility polygon VP(g), closed
+    For a `Gallery` a certificate comes first: the clause witness points
+    are tested with `visible`, and one that is in the polygon and seen by
+    no guard is returned at once.  Otherwise (and for a plain polygon)
+    the window test decides, by the argument of exact art gallery
+    solvers.  Each guard g has a visibility polygon VP(g), closed
     and star-shaped; its windows are the edges, or parts of edges, that
     run through the polygon's interior, with VP(g) on their left.  Let U
     be the part of the polygon P outside every VP(g).  The union of the
@@ -101,8 +78,11 @@ def covers(poly_or_gallery, guards: GuardConfig,
     another guard that runs along the piece in the opposite direction.
     If a piece is not covered, the report carries a certificate: a point
     beside m on the hidden side, inside the polygon and seen by no guard.
-    In exact mode `witness_count` is the number of window pieces tested.
+    `witness_count` is the number of clause witness points plus window
+    pieces tested.
     """
+    if mode != "exact":
+        raise VerifyError(f"unknown coverage mode {mode!r}")
     gallery = poly_or_gallery if isinstance(poly_or_gallery, Gallery) else None
     poly = gallery.polygon if gallery else poly_or_gallery
     gpts = list(guards.guards)
@@ -110,25 +90,17 @@ def covers(poly_or_gallery, guards: GuardConfig,
         if poly.locate(g) == "out":
             raise VerifyError(f"guard {g} outside polygon")
 
-    if mode == "witness":
-        pts = _witness_points(poly, gallery, 4, 16)
-        last_good = 0
-        for w in pts:
-            order = [last_good] + [i for i in range(len(gpts)) if i != last_good]
-            for gi in order:
-                if visible(poly, gpts[gi], w):
-                    last_good = gi
-                    break
-            else:
-                return CoverageReport(False, w, "witness-sample", len(pts))
-        return CoverageReport(True, None, "witness-sample", len(pts))
-    if mode != "exact":
-        raise VerifyError(f"unknown coverage mode {mode!r}")
+    tested = 0
+    if gallery is not None:
+        for cg in gallery.clause_gadgets:
+            tested += 1
+            w = cg.witness_point
+            if poly.locate(w) != "out" and not any(visible(poly, g, w) for g in gpts):
+                return CoverageReport(False, w, "exact-union", tested)
 
     views = [_visibility(poly, g) for g in gpts]
     vps = [vp for vp, _ in views]
     windows = [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
-    tested = 0
     last_good = 0
     for (gi, a, b), (stops, opposite) in zip(windows, _cut_windows(windows)):
         for c0, c1 in zip(stops, stops[1:]):
@@ -184,9 +156,12 @@ def _cut_windows(windows):
                     opposite[i].append(hs[j])
                     opposite[j].append(hs[i])
                 continue
-            if o1 * o2 > 0 or orient_h(hc, hd, ha) * orient_h(hc, hd, hb) > 0:
+            o3, o4 = orient_h(hc, hd, ha), orient_h(hc, hd, hb)
+            if o1 * o2 > 0 or o3 * o4 > 0:
                 continue
-            x = intersect_lines(a, b, c, d)
+            # an endpoint on the other line is the unique crossing
+            x = (c if o1 == 0 else d if o2 == 0 else a if o3 == 0
+                 else b if o4 == 0 else intersect_lines(a, b, c, d))
             cuts[i].append(x)
             cuts[j].append(x)
         active.append(i)
@@ -253,7 +228,7 @@ def verify_copy_gadget(strip: CopyStrip, seed: int = 0, samples: int = 32,
     """Mechanical Lemma-3 contract check on an isolated strip.
 
     (a) no single grid guard sees all four apexes F, I, M, P;
-    (b) same-parameter pairs cover the strip's witness set;
+    (b) same-parameter pairs see each of the strip's sample points;
     (c) mismatched pairs leave a certified uncovered point on AB or UV.
     """
     poly = strip.polygon
@@ -266,14 +241,14 @@ def verify_copy_gadget(strip: CopyStrip, seed: int = 0, samples: int = 32,
         if all(visible(poly, p, q) for q in four):
             raise VerifyError(f"single guard at {p} sees all four apexes")
 
-    witnesses = _strip_witnesses(strip)
+    points = _strip_samples(strip)
     for _ in range(samples):
         t = Fraction(rng.randint(0, 128), 128)
         up, lo = strip.guards_at(t)
-        for w in witnesses:
+        for w in points:
             if not (visible(poly, up, w) or visible(poly, lo, w)):
                 raise VerifyError(
-                    f"equal parameters t={t} leave witness {w} uncovered")
+                    f"equal parameters t={t} leave sample point {w} unseen")
 
     mism = 0
     while mism < samples:
@@ -295,7 +270,7 @@ def verify_copy_gadget(strip: CopyStrip, seed: int = 0, samples: int = 32,
     return CopyGadgetReport(len(candidates), samples, mism, True)
 
 
-def _strip_witnesses(strip: CopyStrip) -> list[Point]:
+def _strip_samples(strip: CopyStrip) -> list[Point]:
     pts = list(strip.polygon.vertices)
     pts.extend(strip.apexes.values())
     cg = strip.copy
@@ -313,17 +288,17 @@ def brute_force_min_guards(poly: SimplePolygon, k_max: int,
                            grid: tuple[int, int] = (8, 8),
                            extra_candidates=(), budget: int = 200_000):
     """Smallest k <= k_max such that some k-subset of grid candidates covers
-    the polygon in exact mode, or the string '> k_max'.
+    the polygon, or the string '> k_max'.
 
     The candidate set is the polygon's vertices, a uniform grid, and any
-    extra candidates supplied (e.g. guard segment endpoints).  A witness
-    screen discards most subsets before the exact check.
+    extra candidates supplied (e.g. guard segment endpoints).  A subset
+    must see every point of `_screen_points` before `covers` decides it.
     """
     candidates = _candidate_grid(poly, grid)
     candidates += [p for p in extra_candidates if poly.locate(p) != "out"]
     candidates = list(dict.fromkeys(candidates))
 
-    screen = _witness_points(poly, None, 2, 0)
+    screen = _screen_points(poly)
     vis_table = []
     for p in candidates:
         vis_table.append({i for i, w in enumerate(screen) if visible(poly, p, w)})
@@ -341,9 +316,19 @@ def brute_force_min_guards(poly: SimplePolygon, k_max: int,
             if hit != all_w:
                 continue
             config = GuardConfig(tuple(candidates[i] for i in subset))
-            if covers(poly, config, mode="exact").covered:
+            if covers(poly, config).covered:
                 return k
     return f"> {k_max}"
+
+
+def _screen_points(poly: SimplePolygon) -> list[Point]:
+    """The polygon's vertices, then the two points that cut each edge in
+    thirds, without repeats.  A cover must see all of them."""
+    pts = list(poly.vertices)
+    for a, b in poly.edges():
+        for t in (Fraction(1, 3), Fraction(2, 3)):
+            pts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    return list(dict.fromkeys(pts))
 
 
 # --- solution space sampling ----------------------------------------------
@@ -396,9 +381,11 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
     """Evidence for the guard-space/complex correspondence.
 
     The complex and the gallery formula must be equal, which an exact
-    grid check decides.  Sampled on-face points must be covered and
-    off-cell grid representatives must not be; embedded pairs respect the
-    Hausdorff sup-norm equality.  Deterministic for a fixed seed.
+    grid check decides.  The guards of sampled on-face points must cover
+    the gallery and those of off-cell grid representatives must not, as
+    `covers` proves for each sample; an off-cell witness is rechecked
+    against every guard.  Embedded pairs respect the Hausdorff sup-norm
+    equality.  Deterministic for a fixed seed.
     """
     validate_complex(k)
     if k.n != g.formula.n:
@@ -420,12 +407,12 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
             raise VerifyError(f"sampled point {x} not on the complex")
         if not eval_formula(g.formula, x):
             raise VerifyError(f"gallery formula false on complex point {x}")
-        rep = covers(g, embed(g, x), mode="witness")
+        rep = covers(g, embed(g, x))
         if not rep.covered:
             lines.append(f"FAIL on-face {x}: uncovered {rep.uncovered_witness}")
     offs = off_samples_for(g.formula, off_count, rng)
     for x in offs:
-        rep = covers(g, embed(g, x), mode="witness")
+        rep = covers(g, embed(g, x))
         if rep.covered:
             lines.append(f"FAIL off-cell {x}: unexpectedly covered")
         else:

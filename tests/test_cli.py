@@ -344,7 +344,7 @@ from topogallery.verifier import CellComplex2, _orientable
 main(["compile", sys.argv[1]])
 main(["classify", sys.argv[2]])
 g = compile_gallery(cnf_of_dnf_pruned(complex_to_dnf(circle_complex())))
-print("exact", covers(g, embed(g, [Fraction(1, 2)] * 2), mode="exact"))
+print("exact", covers(g, embed(g, [Fraction(1, 2)] * 2)))
 bnd1 = {"e0": ("a", "b"), "e1": ("b", "a"), "e2": ("a", "d"), "e3": ("d", "a")}
 bnd2 = {"f": ("e0", "e1", "e2", "e3"), "g": ("e3", "e2", "e1", "e0")}
 c = CellComplex2(("a", "b", "d"), tuple(bnd1), ("f", "g"), bnd1, bnd2)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from topogallery.complexes import mobius_complex, torus_complex
+from topogallery.complexes import torus_complex
 from topogallery.compiler import (
     CompileError,
     canonical_removed_faces,
@@ -18,7 +18,6 @@ from topogallery.compiler import (
 from topogallery.formulas import (
     Band,
     VarEq,
-    cell_equivalent,
     cnf,
     eval_formula,
 )
@@ -214,7 +213,7 @@ def test_surface_gallery_band_coverage():
     g = compile_surface(2, True)
     f = g.formula
     ks = f.band_constants
-    from topogallery.complexes import face_with_boundary, remove_face, torus_complex
+    from topogallery.complexes import face_with_boundary, torus_complex
     from topogallery.verifier import covers
     fixture = torus_complex()
     fc1, fc2 = canonical_removed_faces(fixture)
@@ -224,7 +223,7 @@ def test_surface_gallery_band_coverage():
     mid = (ks[0] + ks[1]) / 2
     x = [mid] + x_rim
     assert eval_formula(f, x)
-    assert covers(g, embed(g, x), mode="witness").covered
+    assert covers(g, embed(g, x)).covered
     x_bad = [mid] + [Fraction(1, 2) if v is None else Fraction(v) for v in fc1]
     assert not eval_formula(f, x_bad)
-    assert not covers(g, embed(g, x_bad), mode="witness").covered
+    assert not covers(g, embed(g, x_bad)).covered

@@ -137,10 +137,8 @@ def _sweep_reference(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
         if poly.locate(mid) == "out":
             raw.append(None)
             continue
-        ha = hv[best_edge]
-        hb = hv[(best_edge + 1) % n]
-        qs = _nearest_hit_on_edge(hp, u, ha, hb)
-        qe = _nearest_hit_on_edge(hp, w, ha, hb)
+        qs = _nearest_hit_on_edge(hp, u, poly, best_edge)
+        qe = _nearest_hit_on_edge(hp, w, poly, best_edge)
         raw.append(FanPiece(best_edge, qs, qe))
     return raw
 
@@ -229,7 +227,7 @@ def _assert_certified(poly, gpts, w):
 def _agree(poly, gpts):
     """Exact covers and the reference give the same verdict; an uncovered
     report carries a certified witness."""
-    rep = covers(poly, GuardConfig(tuple(gpts)), mode="exact")
+    rep = covers(poly, GuardConfig(tuple(gpts)))
     assert rep.method == "exact-union"
     assert rep.covered == _fragment_cover(poly, gpts)[0]
     if not rep.covered:
@@ -275,8 +273,7 @@ def test_window_test_matches_reference_in_brute_force(monkeypatch):
     # polygon vertices, grid points and segment ends) agrees
     checked = []
 
-    def both(poly, config, mode="witness"):
-        assert mode == "exact"
+    def both(poly, config):
         checked.append(config)
         return _agree(poly, list(config.guards))
 
@@ -316,6 +313,30 @@ def test_window_test_matches_reference_on_mobius():
     x_off = off_samples_for(g.formula, 1, rng)[0]
     assert _agree(g.polygon, list(embed(g, x_on).guards)).covered
     assert not _agree(g.polygon, list(embed(g, x_off).guards)).covered
+
+
+@pytest.mark.parametrize("make_complex",
+                         [circle_complex, sphere_complex, mobius_complex],
+                         ids=["circle", "sphere", "mobius"])
+def test_clause_certificate_agrees_with_window_test(make_complex):
+    # a gallery is first screened at its clause witness points; the plain
+    # polygon goes straight to the window test
+    k = make_complex()
+    g = _gallery(k)
+    rng = random.Random(3)
+    configs = on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng)
+    for x, on in zip(configs, [True] * 3 + [False] * 3):
+        cfg = embed(g, x)
+        rep_g, rep_p = covers(g, cfg), covers(g.polygon, cfg)
+        assert rep_g.covered == rep_p.covered == on, x
+        if on:
+            assert rep_g.witness_count == \
+                len(g.clause_gadgets) + rep_p.witness_count
+            continue
+        _assert_certified(g.polygon, cfg.guards, rep_p.uncovered_witness)
+        w = rep_g.uncovered_witness
+        assert g.polygon.locate(w) != "out"
+        assert not any(visible(g.polygon, q, w) for q in cfg.guards)
 
 
 # --- dense rational sampling -------------------------------------------------
@@ -370,7 +391,7 @@ def test_collinear_windows_with_facing_hidden_sides():
     assert windows == [[(pt(3, 1), pt(1, 1))], [(pt(1, 1), pt(3, 1))]]
     rep = _agree(poly, gpts)
     assert rep.covered and rep.witness_count == 2
-    assert not covers(poly, GuardConfig((gpts[0],)), mode="exact").covered
+    assert not covers(poly, GuardConfig((gpts[0],))).covered
 
 
 def test_pinhole_whisker_is_not_coverage():
@@ -415,11 +436,11 @@ def test_one_sweep_per_guard(monkeypatch):
                         calls.append(p) or sweep(poly, p, *vdirs))
     poly = l_shape()
     two = GuardConfig((pt(_q(7, 4), _q(1, 2)), pt(_q(1, 4), _q(7, 4))))
-    assert covers(poly, two, mode="exact").covered
+    assert covers(poly, two).covered
     assert calls == list(two.guards)
     calls.clear()
     three = GuardConfig((pt(1, 1), pt(2, 1), pt(_q(1, 2), _q(1, 2))))
-    assert not covers(comb_polygon(), three, mode="exact").covered
+    assert not covers(comb_polygon(), three).covered
     assert calls == list(three.guards)
 
 

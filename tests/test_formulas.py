@@ -16,7 +16,6 @@ from topogallery.complexes import (
     validate_complex,
 )
 from topogallery.formulas import (
-    Band,
     CnfFormula,
     FormulaError,
     VarEq,

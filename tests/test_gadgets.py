@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from topogallery.gadgets import (
-    CopyStrip,
     GadgetError,
     Wedge,
     assemble_room,

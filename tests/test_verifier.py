@@ -66,20 +66,15 @@ def mobius_eq1():
 # --- covers -----------------------------------------------------------------
 
 def test_covers_convex_single_guard():
-    poly = square()
-    for mode in ("witness", "exact"):
-        rep = covers(poly, GuardConfig((pt(1, 1),)), mode=mode)
-        assert rep.covered
+    assert covers(square(), GuardConfig((pt(1, 1),))).covered
 
 
-def test_covers_l_shape_modes_agree():
+def test_covers_l_shape():
     poly = l_shape()
     good = GuardConfig((pt(Fraction(1, 2), Fraction(1, 2)),))
     bad = GuardConfig((pt(Fraction(7, 4), Fraction(1, 2)),))
-    assert covers(poly, good, mode="exact").covered
-    assert covers(poly, good, mode="witness").covered
-    assert not covers(poly, bad, mode="witness").covered
-    rep = covers(poly, bad, mode="exact")
+    assert covers(poly, good).covered
+    rep = covers(poly, bad)
     assert not rep.covered
     # the exact witness is certified: strictly inside and seen by no guard
     w = rep.uncovered_witness
@@ -92,13 +87,20 @@ def test_covers_guard_outside_raises():
         covers(square(), GuardConfig((pt(10, 10),)))
 
 
+def test_covers_mode_is_exact_only():
+    config = GuardConfig((pt(1, 1),))
+    assert covers(square(), config, "exact") == covers(square(), config)
+    with pytest.raises(VerifyError):
+        covers(square(), config, "witness")
+
+
 def test_covers_monotone_in_guards():
     poly = l_shape()
     g1 = GuardConfig((pt(Fraction(7, 4), Fraction(1, 2)),))
     g2 = GuardConfig((pt(Fraction(7, 4), Fraction(1, 2)),
                       pt(Fraction(1, 4), Fraction(7, 4))))
-    assert not covers(poly, g1, mode="exact").covered
-    assert covers(poly, g2, mode="exact").covered
+    assert not covers(poly, g1).covered
+    assert covers(poly, g2).covered
 
 
 def test_covers_boundary_sliver_detected():
@@ -106,8 +108,7 @@ def test_covers_boundary_sliver_detected():
     # sliver of the base floor? build a simpler case: one guard deep in one
     # prong of the comb leaves the far prong uncovered
     poly = comb_polygon()
-    rep = covers(poly, GuardConfig((pt(Fraction(1, 2), Fraction(3, 2)),)),
-                 mode="exact")
+    rep = covers(poly, GuardConfig((pt(Fraction(1, 2), Fraction(3, 2)),)))
     assert not rep.covered
 
 
@@ -117,8 +118,8 @@ def test_gallery_on_off_coverage():
     g = compile_gallery(mobius_eq1())
     x_on = [Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)]
     x_off = [Fraction(1, 2)] * 4
-    assert covers(g, embed(g, x_on), mode="witness").covered
-    rep = covers(g, embed(g, x_off), mode="witness")
+    assert covers(g, embed(g, x_on)).covered
+    rep = covers(g, embed(g, x_off))
     assert not rep.covered
 
 
@@ -297,20 +298,19 @@ def test_build_cell_complex_rejects_bandless():
 def test_gallery_copy_pair_mismatch_detected():
     # start from a satisfying point whose clauses do not depend on the
     # displaced guard, then shift one chain guard by 1/8: the only failure
-    # is a certified witness on the mismatched pair's chamber edge
+    # is a certified witness in the mismatched pair's chamber
     g = compile_gallery(mobius_eq1())
     x = [Fraction(0), Fraction(0), Fraction(1), Fraction(1)]
     base = list(embed(g, x).guards)
     pair = next(p for p in g.copy_pairs if p.var == 3)
     rec = g.segments[pair.upper]
     base[pair.upper] = rec.segment.point_at(Fraction(7, 8))
-    rep = covers(g, GuardConfig(tuple(base)), mode="witness")
+    rep = covers(g, GuardConfig(tuple(base)))
     assert not rep.covered
     w = rep.uncovered_witness
     cp = pair.gadget
-    on_ab = w.y == cp.A.y and cp.A.x <= w.x <= cp.B.x
-    on_uv = w.y == cp.U.y and cp.U.x <= w.x <= cp.V.x
-    assert on_ab or on_uv
+    assert cp.A.x <= w.x <= cp.B.x and cp.U.y <= w.y <= cp.A.y
+    assert g.polygon.locate(w) == "in"
     for gp in base:
         assert not visible(g.polygon, gp, w)
 
@@ -319,8 +319,8 @@ def test_covers_exact_symmetric_in_guard_order():
     poly = l_shape()
     g1 = pt(Fraction(7, 4), Fraction(1, 2))
     g2 = pt(Fraction(1, 4), Fraction(7, 4))
-    a = covers(poly, GuardConfig((g1, g2)), mode="exact").covered
-    b = covers(poly, GuardConfig((g2, g1)), mode="exact").covered
+    a = covers(poly, GuardConfig((g1, g2))).covered
+    b = covers(poly, GuardConfig((g2, g1))).covered
     assert a == b is True
 
 

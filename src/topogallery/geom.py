@@ -1,9 +1,9 @@
 """Exact rational plane geometry: predicates, intersections, visibility.
 
-Everything is computed over Python Fractions; no floating point is used
-anywhere.  Hot predicates run on homogeneous integer triples (X, Y, W) so
-the inner loops do integer multiplication instead of repeated Fraction
-normalization.
+Points hold Python Fractions; no floating point is used anywhere.  Hot
+predicates, point location and polygon validation run on homogeneous
+integer triples (X, Y, W) so the inner loops do integer multiplication
+instead of repeated Fraction normalization.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -46,10 +47,6 @@ def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
 
 
-def dist_sq(a: Point, b: Point) -> Fraction:
-    return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
-
-
 @dataclass(frozen=True)
 class Segment:
     a: Point
@@ -74,6 +71,11 @@ def hpoint(p: Point) -> tuple[int, int, int]:
 
 def hpoint_to_point(h: tuple[int, int, int]) -> Point:
     return Point(Fraction(h[0], h[2]), Fraction(h[1], h[2]))
+
+
+def _hmid(a, b) -> tuple[int, int, int]:
+    """The midpoint of two homogeneous points, as an unreduced triple."""
+    return (a[0] * b[2] + b[0] * a[2], a[1] * b[2] + b[1] * a[2], 2 * a[2] * b[2])
 
 
 def _sign(v: int) -> int:
@@ -149,16 +151,32 @@ def invert_through(z: Point, p: Point, target_y) -> Point:
 
 
 def hausdorff_distance_sq_max(g0: Iterable[Point], g1: Iterable[Point]) -> Fraction:
-    """Squared Hausdorff distance between two finite nonempty point sets."""
-    a = list(g0)
-    b = list(g1)
+    """Squared Hausdorff distance between two finite nonempty point sets.
+
+    Distances are compared on homogeneous triples: the squared distance of
+    (X, Y, W) and (U, V, Z) is (num, den) = ((XZ - UW)^2 + (YZ - VW)^2,
+    (WZ)^2), and one Fraction is made for the result."""
+    a = [hpoint(p) for p in g0]
+    b = [hpoint(q) for q in g1]
     if not a or not b:
         raise GeometryError("hausdorff distance of an empty set")
 
     def directed(src, dst):
-        return max(min(dist_sq(p, q) for q in dst) for p in src)
+        worst = (0, 1)
+        for px, py, pw in src:
+            near = None
+            for qx, qy, qw in dst:
+                dx = px * qw - qx * pw
+                dy = py * qw - qy * pw
+                d = (dx * dx + dy * dy, (pw * qw) ** 2)
+                if near is None or d[0] * near[1] < near[0] * d[1]:
+                    near = d
+            if worst[0] * near[1] < near[0] * worst[1]:
+                worst = near
+        return worst
 
-    return max(directed(a, b), directed(b, a))
+    d0, d1 = directed(a, b), directed(b, a)
+    return Fraction(*(d1 if d0[0] * d1[1] < d1[0] * d0[1] else d0))
 
 
 def _between_1d(an, aw, bn, bw, pn, pw) -> bool:
@@ -217,13 +235,12 @@ def polygon_area2(vertices: Sequence[Point]) -> Fraction:
     return total
 
 
-def _ybucket(scale, y: Fraction) -> int:
-    """The y-bucket of height y, floor((y - y0) * nb / span) clamped to
-    [0, nb - 1], in integers.  `scale` is (nb, y0.numerator,
+def _ybucket_h(scale, y, w) -> int:
+    """The y-bucket of height y/w (w > 0), floor((y/w - y0) * nb / span)
+    clamped to [0, nb - 1], in integers.  `scale` is (nb, y0.numerator,
     y0.denominator, nb * span.denominator, y0.denominator * span.numerator)."""
     nb, n0, d0, k, m = scale
-    yd = y.denominator
-    return max(0, min(nb - 1, (y.numerator * d0 - n0 * yd) * k // (yd * m)))
+    return max(0, min(nb - 1, (y * d0 - n0 * w) * k // (w * m)))
 
 
 class SimplePolygon:
@@ -234,8 +251,7 @@ class SimplePolygon:
     allowed (they occur naturally in assembled galleries).
     """
 
-    __slots__ = ("vertices", "_h", "_bbox", "_edge_bboxes", "_ybuckets",
-                 "_int_edge_bboxes")
+    __slots__ = ("vertices", "_h", "_bbox", "_ybuckets", "_int_edge_bboxes")
 
     def __init__(self, vertices: Sequence[Point]):
         verts = tuple(vertices)
@@ -246,7 +262,6 @@ class SimplePolygon:
         xs = [v.x for v in verts]
         ys = [v.y for v in verts]
         self._bbox = (min(xs), min(ys), max(xs), max(ys))
-        self._edge_bboxes = None
         self._ybuckets = None
         self._int_edge_bboxes = None
         self._validate()
@@ -269,35 +284,35 @@ class SimplePolygon:
         for i in range(n):
             yield self.vertices[i], self.vertices[(i + 1) % n]
 
-    def edge_bboxes(self):
-        if self._edge_bboxes is None:
-            boxes = []
-            n = len(self.vertices)
-            for i in range(n):
-                a = self.vertices[i]
-                b = self.vertices[(i + 1) % n]
-                boxes.append((min(a.x, b.x), min(a.y, b.y),
-                              max(a.x, b.x), max(a.y, b.y)))
-            self._edge_bboxes = boxes
-        return self._edge_bboxes
-
     def int_edge_bboxes(self):
         """Outward-rounded integer edge boxes: an exact, conservative
         prefilter that avoids Fraction comparisons in hot loops."""
         if self._int_edge_bboxes is None:
+            hv = self._h
+            lo = [(x // w, y // w) for x, y, w in hv]
+            hi = [(-(-x // w), -(-y // w)) for x, y, w in hv]
             self._int_edge_bboxes = [
-                (_floor(b[0]), _floor(b[1]), _ceil(b[2]), _ceil(b[3]))
-                for b in self.edge_bboxes()]
+                (min(la[0], lb[0]), min(la[1], lb[1]),
+                 max(ha[0], hb[0]), max(ha[1], hb[1]))
+                for la, lb, ha, hb in zip(lo, lo[1:] + lo[:1], hi, hi[1:] + hi[:1])]
         return self._int_edge_bboxes
 
     def _validate(self):
         verts = self.vertices
-        n = len(verts)
-        if len(set(verts)) != n:
-            raise GeometryError("repeated vertex in polygon")
-        if polygon_area2(verts) <= 0:
-            raise GeometryError("polygon must be counterclockwise with positive area")
         hv = self._h
+        n = len(verts)
+        # hpoint is injective on reduced Fractions
+        if len(set(hv)) != n:
+            raise GeometryError("repeated vertex in polygon")
+        # twice the area: the cross terms of edges with equal denominators
+        # are summed in integers, then over the distinct denominators
+        terms: dict[int, int] = {}
+        for i in range(n):
+            a, b = hv[i - 1], hv[i]
+            den = a[2] * b[2]
+            terms[den] = terms.get(den, 0) + a[0] * b[1] - b[0] * a[1]
+        if sum(Fraction(t, den) for den, t in terms.items()) <= 0:
+            raise GeometryError("polygon must be counterclockwise with positive area")
         # fold-backs at shared vertices
         for i in range(n):
             a, b, c = hv[i - 1], hv[i], hv[(i + 1) % n]
@@ -306,8 +321,15 @@ class SimplePolygon:
         # pairwise edge disjointness; candidate pairs found by bucketing the
         # edges' y-intervals so large polygons stay near-linear in practice.
         # The bucket order fixes which intersecting pair the message names;
-        # these finer buckets are dropped after the check.
-        boxes = self.edge_bboxes()
+        # these finer buckets are dropped after the check.  The exact edge
+        # boxes filter the pairs: on galleries with long coordinates they
+        # reject more pairs than unit-rounded integer boxes would.
+        boxes = []
+        for i in range(n):
+            a = verts[i]
+            b = verts[(i + 1) % n]
+            boxes.append((min(a.x, b.x), min(a.y, b.y),
+                          max(a.x, b.x), max(a.y, b.y)))
         buckets = self._bucket_edges(min(4 * n, 4096))[1]
         checked = set()
         for bucket in buckets:
@@ -334,16 +356,20 @@ class SimplePolygon:
 
     def _bucket_edges(self, nb: int):
         """(scale, buckets): edge indices bucketed by their y-intervals over
-        nb equal slices of the polygon's height."""
-        boxes = self.edge_bboxes()
+        nb equal slices of the polygon's height.  The bucket of a height is
+        monotone in it, so an edge spans the buckets between those of its
+        two ends."""
         y0, y1 = self._bbox[1], self._bbox[3]
         span = y1 - y0  # > 0: validation checks the area first
         scale = (nb, y0.numerator, y0.denominator,
                  nb * span.denominator, y0.denominator * span.numerator)
+        vb = [_ybucket_h(scale, h[1], h[2]) for h in self._h]
         buckets: list[list[int]] = [[] for _ in range(nb)]
-        for i in range(len(boxes)):
-            for b in range(_ybucket(scale, boxes[i][1]),
-                           _ybucket(scale, boxes[i][3]) + 1):
+        for i in range(len(vb)):
+            b0, b1 = vb[i], vb[i + 1 if i + 1 < len(vb) else 0]
+            if b1 < b0:
+                b0, b1 = b1, b0
+            for b in range(b0, b1 + 1):
                 buckets[b].append(i)
         return scale, buckets
 
@@ -355,35 +381,38 @@ class SimplePolygon:
             self._ybuckets = self._bucket_edges(min(len(self.vertices), 4096))
         return self._ybuckets
 
-    def _edges_near_y(self, y: Fraction):
-        scale, buckets = self._ybucket_index()
-        return buckets[_ybucket(scale, y)]
-
     def locate(self, p: Point) -> str:
         """'in', 'on', or 'out' for the closed polygon."""
         x0, y0, x1, y1 = self._bbox
         if p.x < x0 or p.x > x1 or p.y < y0 or p.y > y1:
             return "out"
-        hp = hpoint(p)
+        return self._locate_h(hpoint(p))
+
+    def _locate_h(self, hp) -> str:
+        """`locate` for the homogeneous point hp = (X, Y, W), W > 0, in
+        integer arithmetic only.  The bucket index is clamped, so the
+        answer is right for any point, also one outside the bounding box:
+        below or above the polygon every edge of the end bucket is skipped,
+        and at any height within it the bucket holds every edge whose
+        y-interval contains that height."""
+        X, Y, W = hp
         hv = self._h
         n = len(hv)
-        boxes = self.edge_bboxes()
+        scale, buckets = self._ybucket_index()
         inside = False
-        for i in self._edges_near_y(p.y):
-            bx = boxes[i]
-            if bx[1] > p.y or bx[3] < p.y:
-                continue
+        for i in buckets[_ybucket_h(scale, Y, W)]:
             a = hv[i]
-            b = hv[(i + 1) % n]
-            # boundary test
-            if bx[0] <= p.x <= bx[2]:
-                if orient_h(a, b, hp) == 0 and _on_segment_collinear(a, b, hp):
-                    return "on"
-            a_above = a[1] * hp[2] > hp[1] * a[2]
-            b_above = b[1] * hp[2] > hp[1] * b[2]
-            if a_above != b_above:
-                o = orient_h(a, b, hp)
-                if b_above:  # edge going up: count crossings strictly right
+            b = hv[i + 1 if i + 1 < n else 0]
+            # the sign of sa (sb) is the side of a (b) relative to height Y/W
+            sa = a[1] * W - Y * a[2]
+            sb = b[1] * W - Y * b[2]
+            if (sa > 0 and sb > 0) or (sa < 0 and sb < 0):
+                continue
+            o = orient_h(a, b, hp)
+            if o == 0 and _on_segment_collinear(a, b, hp):
+                return "on"
+            if (sa > 0) != (sb > 0):
+                if sb > 0:  # edge going up: count crossings strictly right
                     if o > 0:
                         inside = not inside
                 else:
@@ -763,16 +792,16 @@ def _windows(poly: SimplePolygon, p: Point, raw: list[FanPiece | None],
         d = _reduce_dir(hf[0] * hp[2] - hp[0] * hf[2],
                         hf[1] * hp[2] - hp[1] * hf[2])
 
-        def along(q: Point) -> Fraction:
-            return (q.x - p.x) * d[0] + (q.y - p.y) * d[1]
-
+        # x (or y, if the ray is steeper) is strictly monotone along the ray
+        along = attrgetter("x" if abs(d[0]) >= abs(d[1]) else "y")
         lo, hi = sorted((along(a), along(b)))
         cuts = sorted((q for q in on_ray.get(d, ()) if lo < along(q) < hi),
                       key=along, reverse=along(b) < along(a))
         stops = [a, *cuts, b]
-        for c0, c1 in zip(stops, stops[1:]):
-            if poly.locate(midpoint(c0, c1)) == "in":
-                out.append((c0, c1))
+        hs = [hpoint(c) for c in stops]
+        for j in range(len(stops) - 1):
+            if poly._locate_h(_hmid(hs[j], hs[j + 1])) == "in":
+                out.append((stops[j], stops[j + 1]))
     return out
 
 

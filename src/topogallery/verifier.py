@@ -8,7 +8,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
 
 from .compiler import Gallery, GuardConfig, embed
 from .complexes import CubicalComplex, complex_to_dnf, face_dim, validate_complex
@@ -25,13 +24,17 @@ from .gadgets import CopyStrip
 from .geom import (
     Point,
     SimplePolygon,
+    _ceil,
+    _floor,
+    _hline,
+    _hmeet,
+    _hmid,
     _on_segment_collinear,
     _visibility,
     hausdorff_distance_sq_max,
     hpoint,
-    intersect_lines,
+    hpoint_to_point,
     midpoint,
-    orient_h,
     visible,
 )
 
@@ -44,7 +47,6 @@ class VerifyError(ValueError):
 class CoverageReport:
     covered: bool
     uncovered_witness: Point | None
-    method: str
     witness_count: int
 
     def __post_init__(self):
@@ -96,28 +98,35 @@ def covers(poly_or_gallery, guards: GuardConfig,
             tested += 1
             w = cg.witness_point
             if poly.locate(w) != "out" and not any(visible(poly, g, w) for g in gpts):
-                return CoverageReport(False, w, "exact-union", tested)
+                return CoverageReport(False, w, tested)
 
     views = [_visibility(poly, g) for g in gpts]
     vps = [vp for vp, _ in views]
+    vboxes = [(_floor(x0), _floor(y0), _ceil(x1), _ceil(y1))
+              for x0, y0, x1, y1 in (vp._bbox for vp in vps)]
     windows = [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
     last_good = 0
-    for (gi, a, b), (stops, opposite) in zip(windows, _cut_windows(windows)):
-        for c0, c1 in zip(stops, stops[1:]):
+    for (gi, _, _), (stops, opposite) in zip(windows, _cut_windows(windows)):
+        hs = [hpoint(c) for c in stops]
+        for k in range(len(stops) - 1):
             tested += 1
-            m = midpoint(c0, c1)
-            hm = hpoint(m)
+            hm = _hmid(hs[k], hs[k + 1])
             if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
                 continue
+            mx, my, mw = hm
             order = [last_good] + [j for j in range(len(gpts)) if j != last_good]
             for j in order:
-                if j != gi and vps[j].locate(m) == "in":
+                bx = vboxes[j]
+                if j != gi and bx[0] * mw <= mx <= bx[2] * mw \
+                        and bx[1] * mw <= my <= bx[3] * mw \
+                        and vps[j]._locate_h(hm) == "in":
                     last_good = j
                     break
             else:
-                return CoverageReport(False, _hidden_side_witness(poly, gpts, c0, c1),
-                                      "exact-union", tested)
-    return CoverageReport(True, None, "exact-union", tested)
+                return CoverageReport(
+                    False, _hidden_side_witness(poly, gpts, stops[k], stops[k + 1]),
+                    tested)
+    return CoverageReport(True, None, tested)
 
 
 def _cut_windows(windows):
@@ -128,50 +137,88 @@ def _cut_windows(windows):
     Cuts are the crossings and touches with other guards' windows and the
     ends of collinear overlaps.  Windows of one guard never cross (they
     are edges of one simple polygon).  Candidate pairs come from a sweep
-    over integer-rounded x-extents, then integer y-extents.
+    over integer-rounded x-extents, then integer y-extents, both taken
+    from the homogeneous triples.  Each window's cut points are
+    deduplicated in a dict keyed by their triple, which names a point
+    uniquely (`hpoint` is injective on reduced Fractions), and keep the
+    first Point object met.  They are sorted by the window's dominant
+    coordinate, x if |dx| >= |dy| and else y, in decreasing order if the
+    window runs that way: that coordinate is strictly monotone along the
+    window.
     """
     hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
-    boxes = [(floor(min(a.x, b.x)), floor(min(a.y, b.y)),
-              ceil(max(a.x, b.x)), ceil(max(a.y, b.y)))
-             for _, a, b in windows]
-    cuts = [[a, b] for _, a, b in windows]
+    boxes = [(min(ha[0] // ha[2], hb[0] // hb[2]),
+              min(ha[1] // ha[2], hb[1] // hb[2]),
+              max(-(-ha[0] // ha[2]), -(-hb[0] // hb[2])),
+              max(-(-ha[1] // ha[2]), -(-hb[1] // hb[2])))
+             for ha, hb in hs]
+    cuts = [{ha: a, hb: b} for (_, a, b), (ha, hb) in zip(windows, hs)]
+    # l . h has the sign of orient_h(a, b, h) for the line l through a, b
+    lines = [_hline(ha, hb) for ha, hb in hs]
     opposite: list[list] = [[] for _ in windows]
     active: list[int] = []
     for i in sorted(range(len(windows)), key=lambda i: boxes[i][0]):
         gi, a, b = windows[i]
+        ha, hb = hs[i]
+        li = lines[i]
         x0, y0, _, y1 = boxes[i]
         active = [j for j in active if boxes[j][2] >= x0]
-        for j in active:
-            gj, c, d = windows[j]
-            if gj == gi or boxes[j][3] < y0 or y1 < boxes[j][1]:
+        near = [j for j in active
+                if boxes[j][3] >= y0 and y1 >= boxes[j][1] and windows[j][0] != gi]
+        for j in near:
+            hc, hd = hs[j]
+            s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
+            s2 = li[0] * hd[0] + li[1] * hd[1] + li[2] * hd[2]
+            if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
                 continue
-            (ha, hb), (hc, hd) = hs[i], hs[j]
-            o1, o2 = orient_h(ha, hb, hc), orient_h(ha, hb, hd)
-            if o1 == 0 and o2 == 0:
-                cuts[i] += [q for q, hq in ((c, hc), (d, hd))
-                            if _on_segment_collinear(ha, hb, hq)]
-                cuts[j] += [q for q, hq in ((a, ha), (b, hb))
-                            if _on_segment_collinear(hc, hd, hq)]
-                if (b.x - a.x) * (d.x - c.x) + (b.y - a.y) * (d.y - c.y) < 0:
+            _, c, d = windows[j]
+            if s1 == 0 and s2 == 0:
+                for q, hq in ((c, hc), (d, hd)):
+                    if _on_segment_collinear(ha, hb, hq):
+                        cuts[i].setdefault(hq, q)
+                for q, hq in ((a, ha), (b, hb)):
+                    if _on_segment_collinear(hc, hd, hq):
+                        cuts[j].setdefault(hq, q)
+                if _dot_dirs(ha, hb, hc, hd) < 0:
                     opposite[i].append(hs[j])
                     opposite[j].append(hs[i])
                 continue
-            o3, o4 = orient_h(hc, hd, ha), orient_h(hc, hd, hb)
-            if o1 * o2 > 0 or o3 * o4 > 0:
+            lj = lines[j]
+            s3 = lj[0] * ha[0] + lj[1] * ha[1] + lj[2] * ha[2]
+            s4 = lj[0] * hb[0] + lj[1] * hb[1] + lj[2] * hb[2]
+            if (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0):
                 continue
             # an endpoint on the other line is the unique crossing
-            x = (c if o1 == 0 else d if o2 == 0 else a if o3 == 0
-                 else b if o4 == 0 else intersect_lines(a, b, c, d))
-            cuts[i].append(x)
-            cuts[j].append(x)
+            if s1 == 0:
+                x, hx = c, hc
+            elif s2 == 0:
+                x, hx = d, hd
+            elif s3 == 0:
+                x, hx = a, ha
+            elif s4 == 0:
+                x, hx = b, hb
+            else:
+                x = hpoint_to_point(_hmeet(li, lj))
+                hx = hpoint(x)
+            x = cuts[i].setdefault(hx, x)
+            cuts[j].setdefault(hx, x)
         active.append(i)
     out = []
-    for (_, a, b), pts, opp in zip(windows, cuts, opposite):
-        dx, dy = b.x - a.x, b.y - a.y
-        stops = sorted(dict.fromkeys(pts),
-                       key=lambda q: (q.x - a.x) * dx + (q.y - a.y) * dy)
+    for (ha, hb), pts, opp in zip(hs, cuts, opposite):
+        dx = hb[0] * ha[2] - ha[0] * hb[2]
+        dy = hb[1] * ha[2] - ha[1] * hb[2]
+        if abs(dx) >= abs(dy):
+            stops = sorted(pts.values(), key=lambda q: q.x, reverse=dx < 0)
+        else:
+            stops = sorted(pts.values(), key=lambda q: q.y, reverse=dy < 0)
         out.append((stops, opp))
     return out
+
+
+def _dot_dirs(ha, hb, hc, hd) -> int:
+    """A positive multiple of (b - a) . (d - c), on homogeneous points."""
+    return ((hb[0] * ha[2] - ha[0] * hb[2]) * (hd[0] * hc[2] - hc[0] * hd[2])
+            + (hb[1] * ha[2] - ha[1] * hb[2]) * (hd[1] * hc[2] - hc[1] * hd[2]))
 
 
 def _hidden_side_witness(poly: SimplePolygon, gpts, a: Point, b: Point) -> Point:
@@ -412,12 +459,13 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
             lines.append(f"FAIL on-face {x}: uncovered {rep.uncovered_witness}")
     offs = off_samples_for(g.formula, off_count, rng)
     for x in offs:
-        rep = covers(g, embed(g, x))
+        guards = embed(g, x)
+        rep = covers(g, guards)
         if rep.covered:
             lines.append(f"FAIL off-cell {x}: unexpectedly covered")
         else:
             w = rep.uncovered_witness
-            if any(visible(g.polygon, gp, w) for gp in embed(g, x).guards):
+            if any(visible(g.polygon, gp, w) for gp in guards.guards):
                 lines.append(f"FAIL off-cell witness not certified at {x}")
 
     sep_sq = g.separation_sq()

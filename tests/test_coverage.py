@@ -1,15 +1,18 @@
 """Exact coverage by the window test, checked against the triangle-subtraction
 check it replaced, against dense rational sampling, and on the degenerate
-configurations the window argument has to get right; and the visibility
+configurations the window argument has to get right; the visibility
 sweep, which stabs each cone with only its spanning edges, against the
-sweep that scanned every edge for every cone."""
+sweep that scanned every edge for every cone; and the integer point
+location, edge buckets and window cutting against their Fraction
+versions."""
 
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from math import ceil, floor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from topogallery import geom, verifier
 from topogallery.complexes import (
@@ -34,14 +37,17 @@ from topogallery.geom import (
     _dir_cmp,
     _nearer_on_ray,
     _nearest_hit_on_edge,
+    _on_segment_collinear,
     _projection_param,
     _ray_edge_hits,
     _reduce_dir,
     convex_minus_triangle,
     hpoint,
     hpoint_to_point,
+    intersect_lines,
     midpoint,
     orient,
+    orient_h,
     pt,
     triangulate,
     visibility_fan,
@@ -143,6 +149,127 @@ def _sweep_reference(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
     return raw
 
 
+def _cut_windows_reference(windows):
+    """`verifier._cut_windows` before it ran on the homogeneous triples:
+    boxes, cut points and their sort keys on Fractions."""
+    hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
+    boxes = [(floor(min(a.x, b.x)), floor(min(a.y, b.y)),
+              ceil(max(a.x, b.x)), ceil(max(a.y, b.y)))
+             for _, a, b in windows]
+    cuts = [[a, b] for _, a, b in windows]
+    opposite: list[list] = [[] for _ in windows]
+    active: list[int] = []
+    for i in sorted(range(len(windows)), key=lambda i: boxes[i][0]):
+        gi, a, b = windows[i]
+        x0, y0, _, y1 = boxes[i]
+        active = [j for j in active if boxes[j][2] >= x0]
+        for j in active:
+            gj, c, d = windows[j]
+            if gj == gi or boxes[j][3] < y0 or y1 < boxes[j][1]:
+                continue
+            (ha, hb), (hc, hd) = hs[i], hs[j]
+            o1, o2 = orient_h(ha, hb, hc), orient_h(ha, hb, hd)
+            if o1 == 0 and o2 == 0:
+                cuts[i] += [q for q, hq in ((c, hc), (d, hd))
+                            if _on_segment_collinear(ha, hb, hq)]
+                cuts[j] += [q for q, hq in ((a, ha), (b, hb))
+                            if _on_segment_collinear(hc, hd, hq)]
+                if (b.x - a.x) * (d.x - c.x) + (b.y - a.y) * (d.y - c.y) < 0:
+                    opposite[i].append(hs[j])
+                    opposite[j].append(hs[i])
+                continue
+            o3, o4 = orient_h(hc, hd, ha), orient_h(hc, hd, hb)
+            if o1 * o2 > 0 or o3 * o4 > 0:
+                continue
+            # an endpoint on the other line is the unique crossing
+            x = (c if o1 == 0 else d if o2 == 0 else a if o3 == 0
+                 else b if o4 == 0 else intersect_lines(a, b, c, d))
+            cuts[i].append(x)
+            cuts[j].append(x)
+        active.append(i)
+    out = []
+    for (_, a, b), pts, opp in zip(windows, cuts, opposite):
+        dx, dy = b.x - a.x, b.y - a.y
+        stops = sorted(dict.fromkeys(pts),
+                       key=lambda q: (q.x - a.x) * dx + (q.y - a.y) * dy)
+        out.append((stops, opp))
+    return out
+
+
+# `SimplePolygon.locate` and its y-buckets before they ran on the
+# homogeneous triples: edge boxes, bucket indices and the side tests on
+# Fractions
+
+def _edge_bboxes_reference(poly):
+    boxes = []
+    n = len(poly.vertices)
+    for i in range(n):
+        a = poly.vertices[i]
+        b = poly.vertices[(i + 1) % n]
+        boxes.append((min(a.x, b.x), min(a.y, b.y),
+                      max(a.x, b.x), max(a.y, b.y)))
+    return boxes
+
+
+def _ybucket_reference(scale, y: Fraction) -> int:
+    nb, n0, d0, k, m = scale
+    yd = y.denominator
+    return max(0, min(nb - 1, (y.numerator * d0 - n0 * yd) * k // (yd * m)))
+
+
+def _bucket_edges_reference(poly, nb: int):
+    boxes = _edge_bboxes_reference(poly)
+    y0, y1 = poly._bbox[1], poly._bbox[3]
+    span = y1 - y0
+    scale = (nb, y0.numerator, y0.denominator,
+             nb * span.denominator, y0.denominator * span.numerator)
+    buckets: list[list[int]] = [[] for _ in range(nb)]
+    for i in range(len(boxes)):
+        for b in range(_ybucket_reference(scale, boxes[i][1]),
+                       _ybucket_reference(scale, boxes[i][3]) + 1):
+            buckets[b].append(i)
+    return scale, buckets
+
+
+def _locate_index_reference(poly):
+    return (_edge_bboxes_reference(poly),
+            *_bucket_edges_reference(poly, min(len(poly), 4096)))
+
+
+def _locate_reference(poly, p: Point, index) -> str:
+    """`index` is (edge boxes, scale, buckets) of the polygon, built once
+    by `_locate_index_reference`."""
+    x0, y0, x1, y1 = poly._bbox
+    if p.x < x0 or p.x > x1 or p.y < y0 or p.y > y1:
+        return "out"
+    hp = hpoint(p)
+    hv = poly._h
+    n = len(hv)
+    boxes, scale, buckets = index
+    inside = False
+    for i in buckets[_ybucket_reference(scale, p.y)]:
+        bx = boxes[i]
+        if bx[1] > p.y or bx[3] < p.y:
+            continue
+        a = hv[i]
+        b = hv[(i + 1) % n]
+        # boundary test
+        if bx[0] <= p.x <= bx[2]:
+            if orient_h(a, b, hp) == 0 and _on_segment_collinear(a, b, hp):
+                return "on"
+        a_above = a[1] * hp[2] > hp[1] * a[2]
+        b_above = b[1] * hp[2] > hp[1] * b[2]
+        if a_above != b_above:
+            o = orient_h(a, b, hp)
+            if b_above:  # edge going up: count crossings strictly right
+                if o > 0:
+                    inside = not inside
+            else:
+                if o < 0:
+                    inside = not inside
+    return "in" if inside else "out"
+
+
 # the reference's own boundary pass, an interval cover of every edge; exact
 # covers needs none (see its docstring), so this lives only here
 
@@ -176,14 +303,14 @@ def _exact_boundary_cover(poly: SimplePolygon, gpts, fans=None) -> CoverageRepor
             b = verts[(i + 1) % n]
             w = Point(a.x + gap * (b.x - a.x), a.y + gap * (b.y - a.y))
             if all(not visible(poly, g, w) for g in gpts):
-                return CoverageReport(False, w, "exact-boundary", n)
+                return CoverageReport(False, w, n)
             intervals[i].append((gap, gap))
             gap2 = _interval_gap(intervals[i])
             if gap2 is not None:
                 w = Point(a.x + gap2 * (b.x - a.x), a.y + gap2 * (b.y - a.y))
                 if all(not visible(poly, g, w) for g in gpts):
-                    return CoverageReport(False, w, "exact-boundary", n)
-    return CoverageReport(True, None, "exact-boundary", n)
+                    return CoverageReport(False, w, n)
+    return CoverageReport(True, None, n)
 
 
 def _grazing_intervals(poly, g, a, b):
@@ -228,7 +355,6 @@ def _agree(poly, gpts):
     """Exact covers and the reference give the same verdict; an uncovered
     report carries a certified witness."""
     rep = covers(poly, GuardConfig(tuple(gpts)))
-    assert rep.method == "exact-union"
     assert rep.covered == _fragment_cover(poly, gpts)[0]
     if not rep.covered:
         _assert_certified(poly, gpts, rep.uncovered_witness)
@@ -532,3 +658,98 @@ def histogram_viewpoints(draw):
 @given(histogram_viewpoints())
 def test_sweep_matches_reference_on_histograms(case):
     _same_sweep(*case)
+
+
+# --- the integer fast paths against their Fraction references ----------------
+
+def _windows_of(poly, gpts):
+    """The windows `covers` cuts: (guard index, a, b) for every guard."""
+    views = [geom._visibility(poly, g) for g in gpts]
+    return [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
+
+
+@pytest.mark.parametrize("make_complex", [circle_complex, sphere_complex],
+                         ids=["circle", "sphere"])
+def test_cut_windows_matches_reference_on_galleries(make_complex):
+    # the benchmark's exact-coverage draws: 3 on-face and 3 off-cell points
+    k = make_complex()
+    g = _gallery(k)
+    rng = random.Random(7)
+    for x in on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng):
+        windows = _windows_of(g.polygon, embed(g, x).guards)
+        assert verifier._cut_windows(windows) == _cut_windows_reference(windows)
+
+
+def test_cut_windows_matches_reference_on_mobius():
+    k = mobius_complex()
+    g = _gallery(k)
+    x = on_face_samples(k, 1, random.Random(7))[0]
+    windows = _windows_of(g.polygon, embed(g, x).guards)
+    assert verifier._cut_windows(windows) == _cut_windows_reference(windows)
+
+
+@st.composite
+def star_polygons(draw):
+    """A polygon star-shaped around a rational centre: vertices at rational
+    distances along integer directions, every angular gap below pi."""
+    dirs = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+                         .filter(lambda d: d != (0, 0)),
+                         min_size=3, max_size=10))
+    dirs = sorted({_reduce_dir(*d) for d in dirs}, key=cmp_to_key(_dir_cmp))
+    m = len(dirs)
+    assume(m >= 3 and all(
+        dirs[i][0] * dirs[(i + 1) % m][1] - dirs[i][1] * dirs[(i + 1) % m][0] > 0
+        for i in range(m)))
+    cx = Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 5)))
+    cy = Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 5)))
+    verts = []
+    for dx, dy in dirs:
+        r = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        verts.append(Point(cx + r * dx, cy + r * dy))
+    try:
+        return SimplePolygon(verts)
+    except GeometryError:
+        assume(False)
+
+
+def _locate_queries(poly):
+    """Vertices, edge midpoints, and the points of the 1/8 grid over the
+    bounding box grown by 1/2 on every side."""
+    x0, y0, x1, y1 = poly._bbox
+    gx0, gy0 = floor(8 * x0) - 4, floor(8 * y0) - 4
+    gx1, gy1 = ceil(8 * x1) + 4, ceil(8 * y1) + 4
+    return (list(poly.vertices) + [midpoint(a, b) for a, b in poly.edges()]
+            + [Point(Fraction(i, 8), Fraction(j, 8))
+               for i in range(gx0, gx1 + 1) for j in range(gy0, gy1 + 1)])
+
+
+def _same_locate(poly):
+    index = _locate_index_reference(poly)
+    for q in _locate_queries(poly):
+        want = _locate_reference(poly, q, index)
+        assert poly.locate(q) == want, q
+        # directly on the triple, also unreduced and outside the box
+        x, y, w = hpoint(q)
+        assert poly._locate_h((x, y, w)) == want, q
+        assert poly._locate_h((3 * x, 3 * y, 3 * w)) == want, q
+
+
+def _same_buckets(poly):
+    n = len(poly)
+    for nb in (1, 2, 3, n, min(4 * n, 4096)):
+        assert poly._bucket_edges(nb) == _bucket_edges_reference(poly, nb)
+
+
+@settings(max_examples=60)
+@given(histograms())
+def test_locate_matches_reference_on_histograms(case):
+    poly, _ = case
+    _same_locate(poly)
+    _same_buckets(poly)
+
+
+@settings(max_examples=60)
+@given(star_polygons())
+def test_locate_matches_reference_on_star_polygons(poly):
+    _same_locate(poly)
+    _same_buckets(poly)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topogallery.geom import (
     GeometryError,
@@ -154,6 +155,34 @@ def test_hausdorff_examples():
 def test_hausdorff_empty_raises():
     with pytest.raises(GeometryError):
         hausdorff_distance_sq_max([], [pt(0, 0)])
+
+
+def _hausdorff_reference(a, b):
+    """The Fraction definition: max over both directions of the largest
+    nearest-point squared distance."""
+    def dist_sq(p, q):
+        return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+    def directed(src, dst):
+        return max(min(dist_sq(p, q) for q in dst) for p in src)
+
+    return max(directed(a, b), directed(b, a))
+
+
+rational_points = st.builds(
+    Point,
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12))
+
+
+@settings(max_examples=200)
+@given(st.lists(rational_points, min_size=1, max_size=6),
+       st.lists(rational_points, min_size=1, max_size=6))
+def test_hausdorff_matches_fraction_definition(a, b):
+    d = hausdorff_distance_sq_max(a, b)
+    assert type(d) is Fraction
+    assert d == _hausdorff_reference(a, b)
+    assert d == hausdorff_distance_sq_max(b, a)
 
 
 # --- polygon basics -------------------------------------------------------
@@ -346,3 +375,4 @@ def test_triangulate_with_straight_vertex():
     tris = triangulate(poly)
     total = sum(polygon_area2(list(t)) for t in tris)
     assert total == poly.area2
+

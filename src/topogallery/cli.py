@@ -14,7 +14,12 @@ from .compiler import (
     compile_surface,
     vertex_count,
 )
-from .complexes import ComplexError, complex_to_dnf, validate_complex
+from .complexes import (
+    ComplexError,
+    CubicalComplex,
+    complex_to_dnf,
+    validate_complex,
+)
 from .files import (
     CNF_HEADER,
     COMPLEX_HEADER,
@@ -64,21 +69,25 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _load_formula(path: str):
+def _read_input(path: str):
+    """The validated complex, or the formula, of a complex or cnf file; the
+    header is the first non-blank line, as the readers take it."""
     text = _read_text(path)
-    head = text.splitlines()[0].strip() if text.strip() else ""
+    head = next((l.strip() for l in text.splitlines() if l.strip()), "")
     if head == COMPLEX_HEADER:
-        k = validate_complex(read_complex(text))
-        return cnf_of_dnf_pruned(complex_to_dnf(k))
+        return validate_complex(read_complex(text))
     if head == CNF_HEADER:
         return read_cnf(text)
     raise FileFormatError(f"unrecognized input header {head!r}")
 
 
 def cmd_compile(args) -> int:
+    formula = _read_input(args.input)
+    if isinstance(formula, CubicalComplex):
+        formula = cnf_of_dnf_pruned(complex_to_dnf(formula))
     # _assemble is compile_gallery without its band-free restriction: a
     # banded CNF file (a surface formula) compiles like compile_surface
-    gallery = _assemble(_load_formula(args.input), args.epsilon)
+    gallery = _assemble(formula, args.epsilon)
     _write_text(args.output, write_gallery(gallery))
     return EXIT_OK
 
@@ -112,15 +121,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    text = _read_text(args.input)
-    head = text.splitlines()[0].strip() if text.strip() else ""
-    if head == COMPLEX_HEADER:
-        cell = complex_to_cell_complex(validate_complex(read_complex(text)))
-    elif head == CNF_HEADER:
-        formula = read_cnf(text)
-        cell = build_cell_complex(formula)
+    data = _read_input(args.input)
+    if isinstance(data, CubicalComplex):
+        cell = complex_to_cell_complex(data)
     else:
-        raise FileFormatError(f"unrecognized input header {head!r}")
+        cell = build_cell_complex(data)
     print(classify_surface(cell).describe())
     return EXIT_OK
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -216,12 +215,24 @@ def _segments_touch_h(ha, hb, hc, hd) -> bool:
     return False
 
 
-def _floor(f: Fraction) -> int:
-    return f.numerator // f.denominator
+def _ibox(hs) -> tuple[int, int, int, int]:
+    """The least box with integer corners around the homogeneous points
+    hs: (min floor x, min floor y, max ceil x, max ceil y)."""
+    return (min(x // w for x, _, w in hs), min(y // w for _, y, w in hs),
+            max(-(-x // w) for x, _, w in hs), max(-(-y // w) for _, y, w in hs))
 
 
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
+def _order_along(ha, hb, pts) -> list:
+    """The homogeneous points pts, all on segment ab, ordered from a to b.
+
+    The dominant coordinate of b - a (x if |dx| >= |dy|, else y) is
+    strictly monotone along ab, so the points are sorted by it, in
+    decreasing order if the segment runs that way."""
+    dx = hb[0] * ha[2] - ha[0] * hb[2]
+    dy = hb[1] * ha[2] - ha[1] * hb[2]
+    c, down = (0, dx < 0) if abs(dx) >= abs(dy) else (1, dy < 0)
+    return sorted(pts, key=cmp_to_key(lambda h, k: h[c] * k[2] - k[c] * h[2]),
+                  reverse=down)
 
 
 def polygon_area2(vertices: Sequence[Point]) -> Fraction:
@@ -289,12 +300,7 @@ class SimplePolygon:
         prefilter that avoids Fraction comparisons in hot loops."""
         if self._int_edge_bboxes is None:
             hv = self._h
-            lo = [(x // w, y // w) for x, y, w in hv]
-            hi = [(-(-x // w), -(-y // w)) for x, y, w in hv]
-            self._int_edge_bboxes = [
-                (min(la[0], lb[0]), min(la[1], lb[1]),
-                 max(ha[0], hb[0]), max(ha[1], hb[1]))
-                for la, lb, ha, hb in zip(lo, lo[1:] + lo[:1], hi, hi[1:] + hi[:1])]
+            self._int_edge_bboxes = [_ibox(e) for e in zip(hv, hv[1:] + hv[:1])]
         return self._int_edge_bboxes
 
     def _validate(self):
@@ -421,18 +427,17 @@ class SimplePolygon:
         return "in" if inside else "out"
 
 
-def _projection_param(a: Point, b: Point, p: Point) -> Fraction:
-    """Parameter t of the projection of p onto line ab (p assumed on the line)."""
-    dx, dy = b.x - a.x, b.y - a.y
-    return ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)
-
-
 def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     """True iff the closed segment pq lies inside the closed polygon.
 
     Grazing contact with the boundary counts as visible.  Raises
     GeometryError if either endpoint is outside the polygon (distinct
     from a plain 'not visible' answer).
+
+    pq is cut where it meets the boundary: at the polygon vertices on it
+    and at its proper crossings with edges.  Each piece between two cuts
+    lies on one side of every edge, so its midpoint decides it.  All of
+    this runs on the homogeneous triples.
     """
     lp = poly.locate(p)
     lq = poly.locate(q)
@@ -440,59 +445,30 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
         raise GeometryError("visibility query endpoint outside polygon")
     if p == q:
         return True
-    hp_, hq_ = hpoint(p), hpoint(q)
-    params = {Fraction(0), Fraction(1)}
-    minx = _floor(min(p.x, q.x))
-    maxx = _ceil(max(p.x, q.x))
-    miny = _floor(min(p.y, q.y))
-    maxy = _ceil(max(p.y, q.y))
-    verts = poly.vertices
+    hp, hq = hpoint(p), hpoint(q)
+    # each vertex on pq is the first end of one edge; vertices and p, q
+    # are hpoint triples, so the set keeps one copy of a vertex equal to p
+    # or q; a proper crossing is interior to pq and to one edge only
+    cuts = {hp, hq}
+    x0, y0, x1, y1 = _ibox((hp, hq))
+    lpq = _hline(hp, hq)
     hv = poly._h
-    n = len(verts)
+    n = len(hv)
     boxes = poly.int_edge_bboxes()
     for i in range(n):
         bx = boxes[i]
-        if bx[2] < minx or maxx < bx[0] or bx[3] < miny or maxy < bx[1]:
+        if bx[2] < x0 or x1 < bx[0] or bx[3] < y0 or y1 < bx[1]:
             continue
-        a, b = verts[i], verts[(i + 1) % n]
-        ha, hb = hv[i], hv[(i + 1) % n]
-        oa = orient_h(hp_, hq_, ha)
-        ob = orient_h(hp_, hq_, hb)
-        if oa == 0 and ob == 0:
-            # collinear edge: overlap endpoints subdivide pq
-            for e in (a, b):
-                t = _projection_param(p, q, e)
-                if 0 < t < 1:
-                    params.add(t)
-            continue
-        if oa == 0:
-            if _on_segment_collinear(hp_, hq_, ha):
-                params.add(_projection_param(p, q, a))
-            continue
-        if ob == 0:
-            if _on_segment_collinear(hp_, hq_, hb):
-                params.add(_projection_param(p, q, b))
-            continue
-        if oa * ob < 0:
-            op_ = orient_h(ha, hb, hp_)
-            oq_ = orient_h(ha, hb, hq_)
-            if op_ * oq_ < 0:
-                params.add(_crossing_param(a, b, p, q))
-            # op_ == 0 or oq_ == 0 would add t=0 or t=1, already present
-    ts = sorted(params)
-    for t0, t1 in zip(ts, ts[1:]):
-        tm = (t0 + t1) / 2
-        m = Point(p.x + tm * (q.x - p.x), p.y + tm * (q.y - p.y))
-        if poly.locate(m) == "out":
-            return False
-    return True
-
-
-def _crossing_param(a: Point, b: Point, p: Point, q: Point) -> Fraction:
-    """Parameter along pq of its proper crossing with line ab."""
-    num = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    den = (b.x - a.x) * (p.y - q.y) - (b.y - a.y) * (p.x - q.x)
-    return num / den
+        ha, hb = hv[i], hv[i + 1 if i + 1 < n else 0]
+        oa = orient_h(hp, hq, ha)
+        if oa == 0 and _on_segment_collinear(hp, hq, ha):
+            cuts.add(ha)
+        elif oa * orient_h(hp, hq, hb) < 0 \
+                and orient_h(ha, hb, hp) * orient_h(ha, hb, hq) < 0:
+            cuts.add(_hmeet(lpq, _hline(ha, hb)))
+    stops = _order_along(hp, hq, cuts)
+    return all(poly._locate_h(_hmid(h0, h1)) != "out"
+               for h0, h1 in zip(stops, stops[1:]))
 
 
 # --- visibility fan / polygon -------------------------------------------
@@ -776,8 +752,9 @@ def _windows(poly: SimplePolygon, p: Point, raw: list[FanPiece | None],
     windows, the rest lie on poly's boundary.
     """
     hp = hpoint(p)
-    on_ray: dict[tuple[int, int], list[Point]] = {}
-    for v, d in zip(poly.vertices, vdirs):
+    hv = poly._h
+    on_ray: dict[tuple[int, int], list[int]] = {}
+    for v, d in enumerate(vdirs):
         if d is not None:
             on_ray.setdefault(d, []).append(v)
     out = []
@@ -788,21 +765,145 @@ def _windows(poly: SimplePolygon, p: Point, raw: list[FanPiece | None],
         b = p if nxt is None else nxt.start
         if a == b:
             continue
-        hf = hpoint(b if a == p else a)
+        ha, hb = hpoint(a), hpoint(b)
+        hf = hb if a == p else ha
         d = _reduce_dir(hf[0] * hp[2] - hp[0] * hf[2],
                         hf[1] * hp[2] - hp[1] * hf[2])
-
-        # x (or y, if the ray is steeper) is strictly monotone along the ray
-        along = attrgetter("x" if abs(d[0]) >= abs(d[1]) else "y")
-        lo, hi = sorted((along(a), along(b)))
-        cuts = sorted((q for q in on_ray.get(d, ()) if lo < along(q) < hi),
-                      key=along, reverse=along(b) < along(a))
-        stops = [a, *cuts, b]
-        hs = [hpoint(c) for c in stops]
-        for j in range(len(stops) - 1):
-            if poly._locate_h(_hmid(hs[j], hs[j + 1])) == "in":
-                out.append((stops[j], stops[j + 1]))
+        stops = {ha: a, hb: b}
+        for v in on_ray.get(d, ()):
+            if _on_segment_collinear(ha, hb, hv[v]):
+                stops.setdefault(hv[v], poly.vertices[v])
+        hs = _order_along(ha, hb, stops)
+        for h0, h1 in zip(hs, hs[1:]):
+            if poly._locate_h(_hmid(h0, h1)) == "in":
+                out.append((stops[h0], stops[h1]))
     return out
+
+
+def window_test(poly: SimplePolygon, guards: Sequence[Point]
+                ) -> tuple[int, tuple[Point, Point] | None]:
+    """The window test of exact coverage: the number of window pieces
+    tested, and the first piece whose hidden side no other guard covers,
+    or None if there is no such piece.
+
+    Each guard g has a visibility polygon VP(g), closed and star-shaped;
+    its windows are the edges, or parts of edges, that run through the
+    polygon's interior, with VP(g) on their left.  Let U be the part of
+    the polygon P outside every VP(g).  The union of the closed VP(g) is
+    closed, so U is relatively open in P; if U is not empty it therefore
+    meets the interior of P, and there its frontier lies on windows: some
+    stretch of some window has U on its right (hidden) side.  A gap on
+    the boundary of P alone cannot exist, so testing every window piece
+    decides coverage of all of P, given at least one guard (with none, U
+    is all of P and has no frontier).  Each window is cut at every point
+    where another guard's window crosses, touches or stops on it.  Along
+    one piece, which other guard covers the right side cannot change, so
+    the midpoint m decides it: the side is covered iff m is inside another
+    VP(j), or m lies on a window of another guard that runs along the
+    piece in the opposite direction.  The guard that covered the last
+    piece is tried first.
+    """
+    views = [_visibility(poly, g) for g in guards]
+    vps = [vp for vp, _ in views]
+    vboxes = [_ibox(vp._h) for vp in vps]
+    windows = [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
+    tested = 0
+    last_good = 0
+    for (gi, _, _), (stops, opposite) in zip(windows, _cut_windows(windows)):
+        hs = [hpoint(c) for c in stops]
+        for k in range(len(stops) - 1):
+            tested += 1
+            hm = _hmid(hs[k], hs[k + 1])
+            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
+                continue
+            mx, my, mw = hm
+            order = [last_good] + [j for j in range(len(vps)) if j != last_good]
+            for j in order:
+                bx = vboxes[j]
+                if j != gi and bx[0] * mw <= mx <= bx[2] * mw \
+                        and bx[1] * mw <= my <= bx[3] * mw \
+                        and vps[j]._locate_h(hm) == "in":
+                    last_good = j
+                    break
+            else:
+                return tested, (stops[k], stops[k + 1])
+    return tested, None
+
+
+def _cut_windows(windows):
+    """For each window (guard index, a, b): its cut points ordered from a
+    to b, ends included, and the (homogeneous) windows of other guards
+    that lie along it in the opposite direction.
+
+    Cuts are the crossings and touches with other guards' windows and the
+    ends of collinear overlaps.  Windows of one guard never cross (they
+    are edges of one simple polygon).  Candidate pairs come from a sweep
+    over integer-rounded x-extents, then integer y-extents.  Each window's
+    cut points are deduplicated in a dict keyed by their triple, which
+    names a point uniquely (`hpoint` is injective on reduced Fractions),
+    and keep the first Point object met.
+    """
+    hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
+    boxes = [_ibox(h) for h in hs]
+    cuts = [{ha: a, hb: b} for (_, a, b), (ha, hb) in zip(windows, hs)]
+    # l . h has the sign of orient_h(a, b, h) for the line l through a, b
+    lines = [_hline(ha, hb) for ha, hb in hs]
+    opposite: list[list] = [[] for _ in windows]
+    active: list[int] = []
+    for i in sorted(range(len(windows)), key=lambda i: boxes[i][0]):
+        gi, a, b = windows[i]
+        ha, hb = hs[i]
+        li = lines[i]
+        x0, y0, _, y1 = boxes[i]
+        active = [j for j in active if boxes[j][2] >= x0]
+        near = [j for j in active
+                if boxes[j][3] >= y0 and y1 >= boxes[j][1] and windows[j][0] != gi]
+        for j in near:
+            hc, hd = hs[j]
+            s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
+            s2 = li[0] * hd[0] + li[1] * hd[1] + li[2] * hd[2]
+            if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
+                continue
+            _, c, d = windows[j]
+            if s1 == 0 and s2 == 0:
+                for q, hq in ((c, hc), (d, hd)):
+                    if _on_segment_collinear(ha, hb, hq):
+                        cuts[i].setdefault(hq, q)
+                for q, hq in ((a, ha), (b, hb)):
+                    if _on_segment_collinear(hc, hd, hq):
+                        cuts[j].setdefault(hq, q)
+                if _dot_dirs(ha, hb, hc, hd) < 0:
+                    opposite[i].append(hs[j])
+                    opposite[j].append(hs[i])
+                continue
+            lj = lines[j]
+            s3 = lj[0] * ha[0] + lj[1] * ha[1] + lj[2] * ha[2]
+            s4 = lj[0] * hb[0] + lj[1] * hb[1] + lj[2] * hb[2]
+            if (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0):
+                continue
+            # an endpoint on the other line is the unique crossing
+            if s1 == 0:
+                x, hx = c, hc
+            elif s2 == 0:
+                x, hx = d, hd
+            elif s3 == 0:
+                x, hx = a, ha
+            elif s4 == 0:
+                x, hx = b, hb
+            else:
+                x = hpoint_to_point(_hmeet(li, lj))
+                hx = hpoint(x)
+            x = cuts[i].setdefault(hx, x)
+            cuts[j].setdefault(hx, x)
+        active.append(i)
+    return [([pts[h] for h in _order_along(ha, hb, pts)], opp)
+            for (ha, hb), pts, opp in zip(hs, cuts, opposite)]
+
+
+def _dot_dirs(ha, hb, hc, hd) -> int:
+    """A positive multiple of (b - a) . (d - c), on homogeneous points."""
+    return ((hb[0] * ha[2] - ha[0] * hb[2]) * (hd[0] * hc[2] - hc[0] * hd[2])
+            + (hb[1] * ha[2] - ha[1] * hb[2]) * (hd[1] * hc[2] - hc[1] * hd[2]))
 
 
 # --- triangulation and convex clipping ------------------------------------

@@ -10,11 +10,16 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .compiler import Gallery, GuardConfig, embed
-from .complexes import CubicalComplex, complex_to_dnf, face_dim, validate_complex
+from .complexes import (
+    CubicalComplex,
+    complex_to_dnf,
+    face_dim,
+    subfaces,
+    validate_complex,
+)
 from .formulas import (
     Band,
     CnfFormula,
-    VarEq,
     _lit_true,
     eval_formula,
     grid_axes,
@@ -24,18 +29,10 @@ from .gadgets import CopyStrip
 from .geom import (
     Point,
     SimplePolygon,
-    _ceil,
-    _floor,
-    _hline,
-    _hmeet,
-    _hmid,
-    _on_segment_collinear,
-    _visibility,
     hausdorff_distance_sq_max,
-    hpoint,
-    hpoint_to_point,
     midpoint,
     visible,
+    window_test,
 )
 
 
@@ -62,22 +59,11 @@ def covers(poly_or_gallery, guards: GuardConfig,
 
     For a `Gallery` a certificate comes first: the clause witness points
     are tested with `visible`, and one that is in the polygon and seen by
-    no guard is returned at once.  Otherwise (and for a plain polygon)
-    the window test decides, by the argument of exact art gallery
-    solvers.  Each guard g has a visibility polygon VP(g), closed
-    and star-shaped; its windows are the edges, or parts of edges, that
-    run through the polygon's interior, with VP(g) on their left.  Let U
-    be the part of the polygon P outside every VP(g).  The union of the
-    closed VP(g) is closed, so U is relatively open in P; if U is not
-    empty it therefore meets the interior of P, and there its frontier
-    lies on windows: some stretch of some window has U on its right
-    (hidden) side.  A gap on the boundary of P alone cannot exist, so
-    testing every window piece decides coverage of all of P.  Each
-    window is cut at every point where another guard's window crosses,
-    touches or stops on it.  Along one piece, which other guard covers
-    the right side cannot change, so the midpoint m decides it: the side
-    is covered iff m is inside another VP(j), or m lies on a window of
-    another guard that runs along the piece in the opposite direction.
+    no guard is returned at once.  With no guard, a polygon vertex is
+    returned: nothing is seen.  Otherwise (and for a plain polygon) the
+    window test (`geom.window_test`) decides, by the argument of exact art
+    gallery solvers: cut every window at the windows of the other guards,
+    and test each piece's hidden side at its midpoint m.
     If a piece is not covered, the report carries a certificate: a point
     beside m on the hidden side, inside the polygon and seen by no guard.
     `witness_count` is the number of clause witness points plus window
@@ -100,125 +86,14 @@ def covers(poly_or_gallery, guards: GuardConfig,
             if poly.locate(w) != "out" and not any(visible(poly, g, w) for g in gpts):
                 return CoverageReport(False, w, tested)
 
-    views = [_visibility(poly, g) for g in gpts]
-    vps = [vp for vp, _ in views]
-    vboxes = [(_floor(x0), _floor(y0), _ceil(x1), _ceil(y1))
-              for x0, y0, x1, y1 in (vp._bbox for vp in vps)]
-    windows = [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
-    last_good = 0
-    for (gi, _, _), (stops, opposite) in zip(windows, _cut_windows(windows)):
-        hs = [hpoint(c) for c in stops]
-        for k in range(len(stops) - 1):
-            tested += 1
-            hm = _hmid(hs[k], hs[k + 1])
-            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
-                continue
-            mx, my, mw = hm
-            order = [last_good] + [j for j in range(len(gpts)) if j != last_good]
-            for j in order:
-                bx = vboxes[j]
-                if j != gi and bx[0] * mw <= mx <= bx[2] * mw \
-                        and bx[1] * mw <= my <= bx[3] * mw \
-                        and vps[j]._locate_h(hm) == "in":
-                    last_good = j
-                    break
-            else:
-                return CoverageReport(
-                    False, _hidden_side_witness(poly, gpts, stops[k], stops[k + 1]),
-                    tested)
-    return CoverageReport(True, None, tested)
-
-
-def _cut_windows(windows):
-    """For each window (guard index, a, b): its cut points sorted from a to
-    b, ends included, and the (homogeneous) windows of other guards that
-    lie along it in the opposite direction.
-
-    Cuts are the crossings and touches with other guards' windows and the
-    ends of collinear overlaps.  Windows of one guard never cross (they
-    are edges of one simple polygon).  Candidate pairs come from a sweep
-    over integer-rounded x-extents, then integer y-extents, both taken
-    from the homogeneous triples.  Each window's cut points are
-    deduplicated in a dict keyed by their triple, which names a point
-    uniquely (`hpoint` is injective on reduced Fractions), and keep the
-    first Point object met.  They are sorted by the window's dominant
-    coordinate, x if |dx| >= |dy| and else y, in decreasing order if the
-    window runs that way: that coordinate is strictly monotone along the
-    window.
-    """
-    hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
-    boxes = [(min(ha[0] // ha[2], hb[0] // hb[2]),
-              min(ha[1] // ha[2], hb[1] // hb[2]),
-              max(-(-ha[0] // ha[2]), -(-hb[0] // hb[2])),
-              max(-(-ha[1] // ha[2]), -(-hb[1] // hb[2])))
-             for ha, hb in hs]
-    cuts = [{ha: a, hb: b} for (_, a, b), (ha, hb) in zip(windows, hs)]
-    # l . h has the sign of orient_h(a, b, h) for the line l through a, b
-    lines = [_hline(ha, hb) for ha, hb in hs]
-    opposite: list[list] = [[] for _ in windows]
-    active: list[int] = []
-    for i in sorted(range(len(windows)), key=lambda i: boxes[i][0]):
-        gi, a, b = windows[i]
-        ha, hb = hs[i]
-        li = lines[i]
-        x0, y0, _, y1 = boxes[i]
-        active = [j for j in active if boxes[j][2] >= x0]
-        near = [j for j in active
-                if boxes[j][3] >= y0 and y1 >= boxes[j][1] and windows[j][0] != gi]
-        for j in near:
-            hc, hd = hs[j]
-            s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
-            s2 = li[0] * hd[0] + li[1] * hd[1] + li[2] * hd[2]
-            if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
-                continue
-            _, c, d = windows[j]
-            if s1 == 0 and s2 == 0:
-                for q, hq in ((c, hc), (d, hd)):
-                    if _on_segment_collinear(ha, hb, hq):
-                        cuts[i].setdefault(hq, q)
-                for q, hq in ((a, ha), (b, hb)):
-                    if _on_segment_collinear(hc, hd, hq):
-                        cuts[j].setdefault(hq, q)
-                if _dot_dirs(ha, hb, hc, hd) < 0:
-                    opposite[i].append(hs[j])
-                    opposite[j].append(hs[i])
-                continue
-            lj = lines[j]
-            s3 = lj[0] * ha[0] + lj[1] * ha[1] + lj[2] * ha[2]
-            s4 = lj[0] * hb[0] + lj[1] * hb[1] + lj[2] * hb[2]
-            if (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0):
-                continue
-            # an endpoint on the other line is the unique crossing
-            if s1 == 0:
-                x, hx = c, hc
-            elif s2 == 0:
-                x, hx = d, hd
-            elif s3 == 0:
-                x, hx = a, ha
-            elif s4 == 0:
-                x, hx = b, hb
-            else:
-                x = hpoint_to_point(_hmeet(li, lj))
-                hx = hpoint(x)
-            x = cuts[i].setdefault(hx, x)
-            cuts[j].setdefault(hx, x)
-        active.append(i)
-    out = []
-    for (ha, hb), pts, opp in zip(hs, cuts, opposite):
-        dx = hb[0] * ha[2] - ha[0] * hb[2]
-        dy = hb[1] * ha[2] - ha[1] * hb[2]
-        if abs(dx) >= abs(dy):
-            stops = sorted(pts.values(), key=lambda q: q.x, reverse=dx < 0)
-        else:
-            stops = sorted(pts.values(), key=lambda q: q.y, reverse=dy < 0)
-        out.append((stops, opp))
-    return out
-
-
-def _dot_dirs(ha, hb, hc, hd) -> int:
-    """A positive multiple of (b - a) . (d - c), on homogeneous points."""
-    return ((hb[0] * ha[2] - ha[0] * hb[2]) * (hd[0] * hc[2] - hc[0] * hd[2])
-            + (hb[1] * ha[2] - ha[1] * hb[2]) * (hd[1] * hc[2] - hc[1] * hd[2]))
+    if not gpts:
+        # the window argument needs a guard; with none, nothing is seen
+        return CoverageReport(False, poly.vertices[0], tested)
+    pieces, bad = window_test(poly, gpts)
+    if bad is not None:
+        return CoverageReport(False, _hidden_side_witness(poly, gpts, *bad),
+                              tested + pieces)
+    return CoverageReport(True, None, tested + pieces)
 
 
 def _hidden_side_witness(poly: SimplePolygon, gpts, a: Point, b: Point) -> Point:
@@ -540,22 +415,25 @@ def complex_to_cell_complex(k: CubicalComplex) -> CellComplex2:
     validate_complex(k)
     if k.dimension() > 2:
         raise VerifyError("only 2-dimensional complexes classify as surfaces")
-    c0, c1, c2 = [], [], []
-    for f in sorted(k.faces, key=str):
+    cells: tuple[list, list, list] = ([], [], [])
+    bnd1: dict = {}
+    bnd2: dict = {}
+    _add_face_cells(k.faces, lambda f: ("f", f), cells, bnd1, bnd2)
+    return CellComplex2(*map(tuple, cells), bnd1, bnd2)
+
+
+def _add_face_cells(faces, tag, cells, bnd1, bnd2):
+    """Append one cell per cubical face of dimension <= 2, in str order of
+    the faces, to cells[dimension], with its boundary in bnd1 or bnd2;
+    tag(face) is the cell's id."""
+    for f in sorted(faces, key=str):
         d = face_dim(f)
-        (c0, c1, c2)[d].append(("f", f))
-    bnd1 = {}
-    bnd2 = {}
-    from .complexes import subfaces
-    for tag in c1:
-        _, f = tag
-        subs = sorted(set(subfaces(f)), key=str)
-        bnd1[tag] = tuple(("f", s) for s in subs)
-    for tag in c2:
-        _, f = tag
-        edges = sorted(set(subfaces(f)), key=str)
-        bnd2[tag] = _square_cycle(f, [(e, ("f", e)) for e in edges])
-    return CellComplex2(tuple(c0), tuple(c1), tuple(c2), bnd1, bnd2)
+        cells[d].append(tag(f))
+        if d == 1:
+            bnd1[tag(f)] = tuple(tag(s) for s in sorted(set(subfaces(f)), key=str))
+        elif d == 2:
+            edges = sorted(set(subfaces(f)), key=str)
+            bnd2[tag(f)] = _square_cycle(f, [(e, tag(e)) for e in edges])
 
 
 def _square_cycle(face, tagged_edges):
@@ -586,28 +464,24 @@ def build_cell_complex(f: CnfFormula) -> CellComplex2:
     nb = len(ks) - 1
     sub_n = f.n - 1
 
+    # each face with its (index, value) pairs; the pair of a free
+    # coordinate, (index, None), matches no literal
+    all_faces = [(face, frozenset(enumerate(face)))
+                 for face in product((0, 1, None), repeat=sub_n)]
+
     def slice_complex(x0: Fraction) -> CubicalComplex:
         # restrict to x0: drop the clauses an x0 literal satisfies and
-        # shift the rest, deduplicated, onto x1..xn; a clause left empty
-        # empties the slice
-        clauses = []
-        for cl in f.clauses:
-            if any(_on_x0(lit) and _lit_true(lit, (x0,), ks) for lit in cl):
-                continue
-            rest = tuple(VarEq(lit.var - 1, lit.const)
-                         for lit in cl if not _on_x0(lit))
-            if not rest:
-                clauses = None
-                break
-            clauses.append(rest)
-        faces = set()
-        if clauses is not None:
-            reduced = CnfFormula(sub_n, tuple(dict.fromkeys(clauses)))
-            for face in _all_faces(sub_n, sub_n):
-                rep = [Fraction(1, 2) if v is None else Fraction(v)
-                       for v in face]
-                if eval_formula(reduced, rep):
-                    faces.add(face)
+        # shift the rest, deduplicated, onto x1..xn.  A face satisfies a
+        # shifted literal iff it fixes that coordinate to the constant (a
+        # free coordinate is 1/2 on the face, never 0 or 1), so a clause
+        # left empty empties the slice
+        clauses = {frozenset((lit.var - 1, lit.const)
+                             for lit in cl if not _on_x0(lit))
+                   for cl in f.clauses
+                   if not any(_on_x0(lit) and _lit_true(lit, (x0,), ks)
+                              for lit in cl)}
+        faces = [face for face, pairs in all_faces
+                 if all(not pairs.isdisjoint(cl) for cl in clauses)]
         k = CubicalComplex(sub_n, frozenset(faces))
         validate_complex(k)
         return k
@@ -615,21 +489,13 @@ def build_cell_complex(f: CnfFormula) -> CellComplex2:
     point_slices = [slice_complex(kv) for kv in ks]
     band_slices = [slice_complex((ks[b] + ks[b + 1]) / 2) for b in range(nb)]
 
-    cells0, cells1, cells2 = [], [], []
-    bnd1, bnd2 = {}, {}
-    from .complexes import subfaces
+    cells: tuple[list, list, list] = ([], [], [])
+    bnd1: dict = {}
+    bnd2: dict = {}
     for b, sl in enumerate(point_slices):
         if sl.dimension() > 2:
             raise VerifyError("point slice has dimension above 2")
-        for face in sorted(sl.faces, key=str):
-            tag = ("pt", b, face)
-            d = face_dim(face)
-            (cells0, cells1, cells2)[d].append(tag)
-            if d == 1:
-                bnd1[tag] = tuple(("pt", b, s) for s in sorted(set(subfaces(face)), key=str))
-            if d == 2:
-                edges = [(e, ("pt", b, e)) for e in sorted(set(subfaces(face)), key=str)]
-                bnd2[tag] = _square_cycle(face, edges)
+        _add_face_cells(sl.faces, lambda f, b=b: ("pt", b, f), cells, bnd1, bnd2)
     for b, sl in enumerate(band_slices):
         if sl.dimension() > 1:
             raise VerifyError(
@@ -641,24 +507,18 @@ def build_cell_complex(f: CnfFormula) -> CellComplex2:
             d = face_dim(face)
             tag = ("band", b, face)
             if d == 0:
-                cells1.append(tag)
+                cells[1].append(tag)
                 bnd1[tag] = (("pt", b, face), ("pt", b + 1, face))
             else:
-                cells2.append(tag)
+                cells[2].append(tag)
                 subs = sorted(set(subfaces(face)), key=str)
                 bnd2[tag] = (("pt", b, face), ("band", b, subs[1]),
                              ("pt", b + 1, face), ("band", b, subs[0]))
-    return CellComplex2(tuple(cells0), tuple(cells1), tuple(cells2), bnd1, bnd2)
+    return CellComplex2(*map(tuple, cells), bnd1, bnd2)
 
 
 def _on_x0(lit) -> bool:
     return isinstance(lit, Band) or lit.var == 0
-
-
-def _all_faces(n: int, max_dim: int):
-    for dims in product((0, 1, None), repeat=n):
-        if sum(1 for v in dims if v is None) <= max_dim:
-            yield tuple(dims)
 
 
 def classify_surface(c: CellComplex2) -> SurfaceType:
@@ -678,8 +538,8 @@ def classify_surface(c: CellComplex2) -> SurfaceType:
             raise VerifyError(f"dangling 1-cell {e}")
     closed = not boundary_edges
 
-    _check_connected(c)
-    _check_vertex_links(c, inc)
+    _check_connected(c, inc)
+    _check_vertex_links(c)
 
     orientable = _orientable(c, inc)
     chi = c.euler_characteristic()
@@ -695,32 +555,34 @@ def classify_surface(c: CellComplex2) -> SurfaceType:
     return SurfaceType(closed, orientable, chi, genus, circles)
 
 
-def _check_connected(c: CellComplex2):
+def _check_connected(c: CellComplex2, inc):
     if not c.cells2:
         raise VerifyError("no 2-cells to classify")
-    adj: dict = {f: set() for f in c.cells2}
-    by_edge: dict = {}
-    for f in c.cells2:
-        for e in c.bnd2[f]:
-            by_edge.setdefault(e, []).append(f)
-    for fs in by_edge.values():
-        for a in fs:
-            for b in fs:
-                if a != b:
-                    adj[a].add(b)
-    seen = set()
-    todo = [c.cells2[0]]
-    while todo:
-        f = todo.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        todo.extend(adj[f])
-    if len(seen) != len(c.cells2):
+    adj = {f: [f2 for e in c.bnd2[f] for f2 in inc[e]] for f in c.cells2}
+    if _component_count(c.cells2, adj) != 1:
         raise VerifyError("surface is not connected")
 
 
-def _check_vertex_links(c: CellComplex2, inc):
+def _component_count(nodes, nbrs) -> int:
+    """The number of connected components of the graph on nodes in which
+    nbrs[u] lists the neighbours of u."""
+    seen = set()
+    count = 0
+    for start in nodes:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        todo = [start]
+        while todo:
+            for u in nbrs[todo.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+    return count
+
+
+def _check_vertex_links(c: CellComplex2):
     # the link of each 0-cell must be a single cycle (interior) or path
     edges_at: dict = {v: set() for v in c.cells0}
     for e in c.cells1:
@@ -744,16 +606,7 @@ def _check_vertex_links(c: CellComplex2, inc):
             link_adj[b].add(a)
         if not link_adj:
             raise VerifyError(f"isolated vertex {v}")
-        start = next(iter(link_adj))
-        seen = {start}
-        todo = [start]
-        while todo:
-            e = todo.pop()
-            for e2 in link_adj[e]:
-                if e2 not in seen:
-                    seen.add(e2)
-                    todo.append(e2)
-        if len(seen) != len(link_adj):
+        if _component_count(link_adj, link_adj) != 1:
             raise VerifyError(f"pinched vertex {v}: link is disconnected")
 
 
@@ -803,26 +656,9 @@ def _orientable(c: CellComplex2, inc) -> bool:
 
 
 def _boundary_circle_count(c: CellComplex2, boundary_edges) -> int:
-    if not boundary_edges:
-        return 0
-    adj: dict = {}
+    at: dict = {}
     for e in boundary_edges:
         for v in c.bnd1[e]:
-            adj.setdefault(v, set()).add(e)
-    circles = 0
-    seen = set()
-    for e in boundary_edges:
-        if e in seen:
-            continue
-        circles += 1
-        todo = [e]
-        while todo:
-            cur = todo.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for v in c.bnd1[cur]:
-                for e2 in adj[v]:
-                    if e2 not in seen:
-                        todo.append(e2)
-    return circles
+            at.setdefault(v, []).append(e)
+    adj = {e: [e2 for v in c.bnd1[e] for e2 in at[v]] for e in boundary_edges}
+    return _component_count(boundary_edges, adj)

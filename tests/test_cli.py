@@ -189,6 +189,17 @@ def test_cli_classify_complex(tmp_path, capsys):
     assert "non-orientable" in out
 
 
+@pytest.mark.parametrize("command", ["compile", "classify"])
+def test_cli_header_after_blank_lines(tmp_path, capsys, command):
+    # the readers skip blank lines, and so does the header check
+    cpath = tmp_path / "mobius.complex"
+    cpath.write_text("\n  \n" + write_complex(mobius_complex()))
+    assert main([command, str(cpath), "-o", str(tmp_path / "out")]
+                if command == "compile" else [command, str(cpath)]) == 0
+    if command == "classify":
+        assert "1 boundary circle" in capsys.readouterr().out
+
+
 def test_cli_compile_surface_and_classify(tmp_path, capsys):
     gpath = tmp_path / "g2.gallery"
     assert main(["compile-surface", "--genus", "2", "--orientable",

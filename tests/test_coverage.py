@@ -3,8 +3,8 @@ check it replaced, against dense rational sampling, and on the degenerate
 configurations the window argument has to get right; the visibility
 sweep, which stabs each cone with only its spanning edges, against the
 sweep that scanned every edge for every cone; and the integer point
-location, edge buckets and window cutting against their Fraction
-versions."""
+location, edge buckets, window cutting and `visible` against their
+Fraction versions."""
 
 import random
 from fractions import Fraction
@@ -38,7 +38,6 @@ from topogallery.geom import (
     _nearer_on_ray,
     _nearest_hit_on_edge,
     _on_segment_collinear,
-    _projection_param,
     _ray_edge_hits,
     _reduce_dir,
     convex_minus_triangle,
@@ -150,7 +149,7 @@ def _sweep_reference(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
 
 
 def _cut_windows_reference(windows):
-    """`verifier._cut_windows` before it ran on the homogeneous triples:
+    """`geom._cut_windows` before it ran on the homogeneous triples:
     boxes, cut points and their sort keys on Fractions."""
     hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
     boxes = [(floor(min(a.x, b.x)), floor(min(a.y, b.y)),
@@ -194,6 +193,76 @@ def _cut_windows_reference(windows):
                        key=lambda q: (q.x - a.x) * dx + (q.y - a.y) * dy)
         out.append((stops, opp))
     return out
+
+
+def _projection_param(a: Point, b: Point, p: Point) -> Fraction:
+    """Parameter t of the projection of p onto line ab (p assumed on the line)."""
+    dx, dy = b.x - a.x, b.y - a.y
+    return ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)
+
+
+def _crossing_param(a: Point, b: Point, p: Point, q: Point) -> Fraction:
+    """Parameter along pq of its proper crossing with line ab."""
+    num = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    den = (b.x - a.x) * (p.y - q.y) - (b.y - a.y) * (p.x - q.x)
+    return num / den
+
+
+def _visible_reference(poly: SimplePolygon, p: Point, q: Point) -> bool:
+    """`geom.visible` before it cut pq on the homogeneous triples: cut
+    parameters and piece midpoints on Fractions."""
+    lp = poly.locate(p)
+    lq = poly.locate(q)
+    if lp == "out" or lq == "out":
+        raise GeometryError("visibility query endpoint outside polygon")
+    if p == q:
+        return True
+    hp_, hq_ = hpoint(p), hpoint(q)
+    params = {Fraction(0), Fraction(1)}
+    minx = floor(min(p.x, q.x))
+    maxx = ceil(max(p.x, q.x))
+    miny = floor(min(p.y, q.y))
+    maxy = ceil(max(p.y, q.y))
+    verts = poly.vertices
+    hv = poly._h
+    n = len(verts)
+    boxes = poly.int_edge_bboxes()
+    for i in range(n):
+        bx = boxes[i]
+        if bx[2] < minx or maxx < bx[0] or bx[3] < miny or maxy < bx[1]:
+            continue
+        a, b = verts[i], verts[(i + 1) % n]
+        ha, hb = hv[i], hv[(i + 1) % n]
+        oa = orient_h(hp_, hq_, ha)
+        ob = orient_h(hp_, hq_, hb)
+        if oa == 0 and ob == 0:
+            # collinear edge: overlap endpoints subdivide pq
+            for e in (a, b):
+                t = _projection_param(p, q, e)
+                if 0 < t < 1:
+                    params.add(t)
+            continue
+        if oa == 0:
+            if _on_segment_collinear(hp_, hq_, ha):
+                params.add(_projection_param(p, q, a))
+            continue
+        if ob == 0:
+            if _on_segment_collinear(hp_, hq_, hb):
+                params.add(_projection_param(p, q, b))
+            continue
+        if oa * ob < 0:
+            op_ = orient_h(ha, hb, hp_)
+            oq_ = orient_h(ha, hb, hq_)
+            if op_ * oq_ < 0:
+                params.add(_crossing_param(a, b, p, q))
+            # op_ == 0 or oq_ == 0 would add t=0 or t=1, already present
+    ts = sorted(params)
+    for t0, t1 in zip(ts, ts[1:]):
+        tm = (t0 + t1) / 2
+        m = Point(p.x + tm * (q.x - p.x), p.y + tm * (q.y - p.y))
+        if poly.locate(m) == "out":
+            return False
+    return True
 
 
 # `SimplePolygon.locate` and its y-buckets before they ran on the
@@ -571,7 +640,7 @@ def test_one_sweep_per_guard(monkeypatch):
 
 
 def test_cut_windows_at_crossings_touches_and_overlap_ends():
-    from topogallery.verifier import _cut_windows
+    from topogallery.geom import _cut_windows
     windows = [
         (0, pt(0, 0), pt(4, 0)),
         (1, pt(3, 0), pt(1, 0)),   # collinear, opposite, inside window 0
@@ -677,7 +746,7 @@ def test_cut_windows_matches_reference_on_galleries(make_complex):
     rng = random.Random(7)
     for x in on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng):
         windows = _windows_of(g.polygon, embed(g, x).guards)
-        assert verifier._cut_windows(windows) == _cut_windows_reference(windows)
+        assert geom._cut_windows(windows) == _cut_windows_reference(windows)
 
 
 def test_cut_windows_matches_reference_on_mobius():
@@ -685,7 +754,7 @@ def test_cut_windows_matches_reference_on_mobius():
     g = _gallery(k)
     x = on_face_samples(k, 1, random.Random(7))[0]
     windows = _windows_of(g.polygon, embed(g, x).guards)
-    assert verifier._cut_windows(windows) == _cut_windows_reference(windows)
+    assert geom._cut_windows(windows) == _cut_windows_reference(windows)
 
 
 @st.composite
@@ -753,3 +822,57 @@ def test_locate_matches_reference_on_histograms(case):
 def test_locate_matches_reference_on_star_polygons(poly):
     _same_locate(poly)
     _same_buckets(poly)
+
+
+# --- visible against its Fraction reference ------------------------------------
+
+def _same_visible(poly, pairs):
+    for p, q in pairs:
+        try:
+            want = _visible_reference(poly, p, q)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                visible(poly, p, q)
+            continue
+        assert visible(poly, p, q) == want, (p, q)
+
+
+def _visible_pairs(poly, rnd):
+    """Every pair of vertices and edge midpoints, and 200 pairs drawn from
+    those and the 1/8 grid of `_locate_queries` (outside points included)."""
+    pts = _locate_queries(poly)
+    ends = pts[:2 * len(poly)]
+    return ([(p, q) for p in ends for q in ends]
+            + [(rnd.choice(pts), rnd.choice(pts)) for _ in range(200)])
+
+
+@settings(max_examples=40)
+@given(histograms(), st.randoms(use_true_random=False))
+def test_visible_matches_reference_on_histograms(case, rnd):
+    poly, gpts = case
+    _same_visible(poly, _visible_pairs(poly, rnd)
+                  + [(g, q) for g in gpts for q in poly.vertices])
+
+
+@settings(max_examples=40)
+@given(star_polygons(), st.randoms(use_true_random=False))
+def test_visible_matches_reference_on_star_polygons(poly, rnd):
+    _same_visible(poly, _visible_pairs(poly, rnd))
+
+
+@pytest.mark.parametrize("make_complex", [circle_complex, mobius_complex],
+                         ids=["circle", "mobius"])
+def test_visible_matches_reference_on_galleries(make_complex):
+    # the queries `covers` and `verify` make: embedded guards against
+    # clause witnesses and vertices, and vertex against vertex
+    k = make_complex()
+    g = _gallery(k)
+    verts = g.polygon.vertices
+    n = len(verts)
+    rng = random.Random(5)
+    xs = on_face_samples(k, 2, rng) + off_samples_for(g.formula, 2, rng)
+    gpts = [q for x in xs for q in embed(g, x).guards]
+    targets = [cg.witness_point for cg in g.clause_gadgets] + list(verts[::9])
+    pairs = [(q, w) for q in gpts for w in targets]
+    pairs += [(verts[i], verts[(i + s) % n]) for i in range(n) for s in (2, 7)]
+    _same_visible(g.polygon, pairs)

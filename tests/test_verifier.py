@@ -1,6 +1,7 @@
 """Tests for coverage checking, gadget verification, brute force search,
 solution-space sampling, and surface classification."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,7 @@ from topogallery.compiler import (
     canonical_removed_faces,
     compile_gallery,
     embed,
+    surface_fixture,
     surface_formula,
 )
 from topogallery.formulas import Band, CnfFormula, cnf, eval_formula
@@ -85,6 +87,15 @@ def test_covers_l_shape():
 def test_covers_guard_outside_raises():
     with pytest.raises(VerifyError):
         covers(square(), GuardConfig((pt(10, 10),)))
+
+
+def test_covers_no_guards_is_uncovered():
+    # with no guard there is no window to test; nothing is seen, and a
+    # polygon vertex is the witness
+    rep = covers(square(), GuardConfig(()))
+    assert not rep.covered
+    assert rep.uncovered_witness in square().vertices
+    assert rep.witness_count == 0
 
 
 def test_covers_mode_is_exact_only():
@@ -330,3 +341,27 @@ def test_build_cell_complex_rejects_solid_band():
     f = cnf(3, [[("band", 0)]], band_constants=[0, 1])
     with pytest.raises(VerifyError, match="dimension above 1"):
         build_cell_complex(f)
+
+
+# build_cell_complex's output for genus 2..32 in both families, pinned as
+# the sha256 of a canonical text (cells in order, boundaries sorted) taken
+# when each slice was still tested face by face with eval_formula
+
+CELL_COMPLEX_DIGESTS = {
+    True: "9854a9de1eabd02c6329fe52f04f0461f74d685be4eaca72542898e58f582d1c",
+    False: "5a90a5d927e558e2315793b034cc5a50cc33c55bc639b6022b1c7dab94c2d761",
+}
+
+
+@pytest.mark.parametrize("orientable", [True, False],
+                         ids=["orientable", "non-orientable"])
+def test_build_cell_complex_pinned(orientable):
+    fixture = surface_fixture(orientable)
+    f1, f2 = canonical_removed_faces(fixture)
+    h = hashlib.sha256()
+    for n in range(2, 33):
+        c = build_cell_complex(surface_formula(fixture, f1, f2, n))
+        h.update(repr((c.cells0, c.cells1, c.cells2,
+                       sorted(c.bnd1.items(), key=repr),
+                       sorted(c.bnd2.items(), key=repr))).encode())
+    assert h.hexdigest() == CELL_COMPLEX_DIGESTS[orientable]

@@ -36,7 +36,6 @@ from topogallery.geom import (
     SimplePolygon,
     _dir_cmp,
     _nearer_on_ray,
-    _nearest_hit_on_edge,
     _on_segment_collinear,
     _ray_edge_hits,
     _reduce_dir,
@@ -95,9 +94,28 @@ def _fragment_cover(poly, gpts):
     return boundary.covered, boundary.uncovered_witness
 
 
+def _nearest_hit_on_edge(hp, d, poly: SimplePolygon, e: int) -> Point:
+    """The hit of ray(p, d) on edge e of poly nearest to p, from the full
+    list of the ray's hits on the edge.  A hit at an end of the edge is
+    that vertex of poly itself, not a copy."""
+    k = (e + 1) % len(poly._h)
+    ha, hb = poly._h[e], poly._h[k]
+    hits = _ray_edge_hits(hp, d, ha, hb)
+    if not hits:
+        raise GeometryError("sweep invariant violated: event ray misses its edge")
+    best = hits[0]
+    for h in hits[1:]:
+        if _nearer_on_ray(hp, d, h, best):
+            best = h
+    if best is ha or best is hb:
+        return poly.vertices[e if best is ha else k]
+    return hpoint_to_point(best)
+
+
 def _sweep_reference(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
     """The O(n*m) sweep that `geom._sweep` replaced: every cone's
-    representative ray is intersected with every edge."""
+    representative ray is intersected with every edge, and each visible
+    cone's ends are the nearest hits of its boundary rays on its edge."""
     if poly.locate(p) == "out":
         raise GeometryError("viewpoint outside polygon")
     hp = hpoint(p)

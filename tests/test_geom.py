@@ -2,18 +2,27 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topogallery.complexes import complex_to_dnf, mobius_complex
+from topogallery.compiler import compile_gallery, compile_surface
+from topogallery.formulas import dnf_to_cnf, simplify_cnf
 from topogallery.geom import (
     GeometryError,
     Point,
     SimplePolygon,
+    _dot_h,
+    _segments_touch_h,
+    hpoint,
     hausdorff_distance_sq_max,
     intersect_lines,
     invert_through,
     orient,
+    orient_h,
     polygon_area2,
     pt,
     triangulate,
@@ -221,6 +230,241 @@ def test_polygon_rejection_names_the_fault(verts, message):
     with pytest.raises(GeometryError) as err:
         SimplePolygon(verts)
     assert str(err.value) == message
+
+
+# --- validation against its Fraction version ------------------------------
+
+def _validate_reference(verts):
+    """`SimplePolygon` validation as it was before it compared integer
+    boxes: Fraction bounding and edge boxes, and a set of the edge pairs
+    already met."""
+    if len(verts) < 3:
+        raise GeometryError("polygon needs at least 3 vertices")
+    hv = [hpoint(v) for v in verts]
+    n = len(verts)
+    if len(set(hv)) != n:
+        raise GeometryError("repeated vertex in polygon")
+    terms = {}
+    for i in range(n):
+        a, b = hv[i - 1], hv[i]
+        den = a[2] * b[2]
+        terms[den] = terms.get(den, 0) + a[0] * b[1] - b[0] * a[1]
+    if sum(Fraction(t, den) for den, t in terms.items()) <= 0:
+        raise GeometryError("polygon must be counterclockwise with positive area")
+    for i in range(n):
+        a, b, c = hv[i - 1], hv[i], hv[(i + 1) % n]
+        if orient_h(a, b, c) == 0 and _dot_h(a, b, c) <= 0:
+            raise GeometryError(f"fold-back at vertex {verts[i]}")
+    boxes = []
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        boxes.append((min(a.x, b.x), min(a.y, b.y),
+                      max(a.x, b.x), max(a.y, b.y)))
+    xs = [v.x for v in verts]
+    ys = [v.y for v in verts]
+    shell = SimpleNamespace(_h=hv, _bbox=(min(xs), min(ys), max(xs), max(ys)))
+    buckets = SimplePolygon._bucket_edges(shell, min(4 * n, 4096))[1]
+    checked = set()
+    for bucket in buckets:
+        for a in range(len(bucket)):
+            i = bucket[a]
+            bx = boxes[i]
+            ai, bi = hv[i], hv[(i + 1) % n]
+            for b in range(a + 1, len(bucket)):
+                j = bucket[b]
+                if (i, j) in checked:
+                    continue
+                checked.add((i, j))
+                lo_, hi_ = (i, j) if i < j else (j, i)
+                if hi_ == lo_ + 1 or (lo_ == 0 and hi_ == n - 1):
+                    continue
+                by = boxes[j]
+                if bx[2] < by[0] or by[2] < bx[0] or bx[3] < by[1] or by[3] < bx[1]:
+                    continue
+                if _segments_touch_h(ai, bi, hv[j], hv[(j + 1) % n]):
+                    raise GeometryError(
+                        f"edges {i} and {j} of polygon intersect")
+    return shell._bbox
+
+
+def _same_verdict(verts):
+    """SimplePolygon accepts verts iff the reference does, rejects them
+    with the same message, and has the Fraction bounding box."""
+    try:
+        want = _validate_reference(verts)
+    except GeometryError as err:
+        with pytest.raises(GeometryError) as got:
+            SimplePolygon(verts)
+        assert str(got.value) == str(err)
+        return False
+    assert SimplePolygon(verts)._bbox == want
+    return True
+
+
+grid_points = st.builds(
+    Point,
+    st.fractions(min_value=0, max_value=4, max_denominator=2),
+    st.fractions(min_value=0, max_value=4, max_denominator=2))
+
+# integer directions in ccw order, for star-shaped polygons around 0
+STAR_DIRS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1),
+             (-2, 1), (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1),
+             (1, -2), (1, -1), (2, -1)]
+
+
+@st.composite
+def star_polygons(draw):
+    """Vertices r * d over a ccw subset of STAR_DIRS: simple when no two
+    consecutive directions are pi or more apart, and one vertex may be
+    moved onto another edge, or onto another vertex, to make it touch."""
+    dirs = draw(st.lists(st.sampled_from(STAR_DIRS), min_size=3,
+                         max_size=10, unique=True))
+    dirs.sort(key=STAR_DIRS.index)
+    verts = []
+    for dx, dy in dirs:
+        r = draw(st.fractions(min_value=Fraction(1, 4), max_value=4,
+                              max_denominator=4))
+        verts.append(Point(r * dx, r * dy))
+    if draw(st.booleans()):
+        n = len(verts)
+        k = draw(st.integers(0, n - 1))
+        e = draw(st.integers(0, n - 1))
+        t = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2)]))
+        a, b = verts[e], verts[(e + 1) % n]
+        verts[k] = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    return verts
+
+
+@st.composite
+def orthogonal_polygons(draw):
+    """Histograms over unit columns; a column of height 0 touches the
+    base, and the tops may also be cut by a step of one half."""
+    heights = draw(st.lists(st.integers(0, 4), min_size=2, max_size=7))
+    w = len(heights)
+    half = draw(st.booleans())
+    verts = [pt(0, 0), pt(w, 0)]
+    for c in range(w - 1, -1, -1):
+        h = heights[c] + (Fraction(1, 2) if half and c % 2 else 0)
+        for v in (pt(c + 1, h), pt(c, h)):
+            if v != verts[-1]:
+                verts.append(v)
+    if verts[-1] == verts[0]:
+        verts.pop()
+    return verts
+
+
+@st.composite
+def long_rooms(draw):
+    """A long, thin room with coordinates of 60 to 200 bits: a wall rising
+    from the floor, a spike from the left side that stops short of the
+    wall, and a spike from the ceiling that stops short of the floor.  The
+    gaps are below 2^-64, zero or negative, so the integer boxes meet
+    where the exact boxes may not."""
+    den = 3 ** draw(st.integers(0, 80))
+
+    def coord(lo, hi):
+        return Fraction(draw(st.integers(lo * den, hi * den)), den)
+
+    def gap():
+        return Fraction(draw(st.integers(-2, 3)), 2 ** draw(st.integers(64, 90)))
+
+    length = coord(10 ** 8, 2 * 10 ** 8)
+    height = coord(2000, 3000)
+    a = coord(10 ** 6, 10 ** 7)
+    w = coord(1, 100)
+    wall = coord(1000, 1900)
+    y1 = coord(10, 400)
+    y2 = y1 + coord(1, 500)
+    c = coord(10 ** 7, 9 * 10 ** 7)
+    w2 = coord(1, 10 ** 6)
+    verts = [Point(Fraction(0), Fraction(0)), Point(a, Fraction(0)),
+             Point(a, wall), Point(a + w, wall), Point(a + w, Fraction(0)),
+             Point(length, Fraction(0)), Point(length, height),
+             Point(c + w2, height), Point(c, gap()), Point(c - w2, height),
+             Point(Fraction(0), height), Point(Fraction(0), y2),
+             Point(a - gap(), (y1 + y2) / 2), Point(Fraction(0), y1)]
+    return verts
+
+
+@settings(max_examples=300)
+@given(st.lists(grid_points, min_size=3, max_size=9, unique=True))
+def test_validation_matches_reference_on_random_vertex_lists(verts):
+    _same_verdict(verts)
+
+
+@settings(max_examples=300)
+@given(star_polygons())
+def test_validation_matches_reference_on_star_polygons(verts):
+    _same_verdict(verts)
+
+
+@settings(max_examples=200)
+@given(orthogonal_polygons())
+def test_validation_matches_reference_on_orthogonal_polygons(verts):
+    _same_verdict(verts)
+
+
+@settings(max_examples=200)
+@given(long_rooms())
+def test_validation_matches_reference_on_long_rooms(verts):
+    _same_verdict(verts)
+
+
+def test_long_room_gaps_below_integer_box_resolution():
+    # floor 0 and a ceiling spike whose tip is 2^-70 above it: the integer
+    # boxes meet, the segments do not; at gap 0 the tip touches the floor
+    def room(tip):
+        return [pt(0, 0), pt(10 ** 8, 0), pt(10 ** 8, 3000), pt(6, 3000),
+                Point(Fraction(5), tip), pt(4, 3000), pt(0, 3000)]
+
+    assert _same_verdict(room(Fraction(1, 2 ** 70)))
+    assert not _same_verdict(room(Fraction(0)))
+    assert not _same_verdict(room(Fraction(-1, 2 ** 70)))
+
+
+@lru_cache(maxsize=None)
+def _gallery_polygon(name):
+    if name == "mobius":
+        k = mobius_complex()
+        return compile_gallery(simplify_cnf(dnf_to_cnf(complex_to_dnf(k)))).polygon
+    genus, orientable = {"orientable 2": (2, True),
+                         "non-orientable 8": (8, False)}[name]
+    return compile_surface(genus, orientable).polygon
+
+
+@pytest.mark.parametrize("name", ["mobius", "orientable 2", "non-orientable 8"])
+def test_validation_matches_reference_on_galleries(name):
+    assert _same_verdict(list(_gallery_polygon(name).vertices))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_validation_matches_reference_on_damaged_mobius(data):
+    # one vertex of the Moebius gallery moved onto another edge or vertex
+    verts = list(_gallery_polygon("mobius").vertices)
+    n = len(verts)
+    k = data.draw(st.integers(0, n - 1))
+    e = data.draw(st.integers(0, n - 1))
+    t = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
+    a, b = verts[e], verts[(e + 1) % n]
+    verts[k] = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    _same_verdict(verts)
+
+
+def test_construction_makes_no_fraction_comparison(monkeypatch):
+    polys = [_gallery_polygon("mobius"), _gallery_polygon("orientable 2")]
+    counts = dict.fromkeys(("__lt__", "__le__", "__gt__", "__ge__"), 0)
+    for name in counts:
+        def counted(a, b, _name=name, _orig=getattr(Fraction, name)):
+            counts[_name] += 1
+            return _orig(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    for poly in polys:
+        SimplePolygon(poly.vertices)
+    assert counts == dict.fromkeys(counts, 0)
+    assert Fraction(1, 2) < Fraction(2, 3)
+    assert counts["__lt__"] == 1  # the counters are live
 
 
 def test_polygon_allows_straight_vertex():

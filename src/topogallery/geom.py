@@ -12,6 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -71,6 +72,18 @@ def hpoint(p: Point) -> tuple[int, int, int]:
 
 def hpoint_to_point(h: tuple[int, int, int]) -> Point:
     return Point(Fraction(h[0], h[2]), Fraction(h[1], h[2]))
+
+
+def _hcanon(h) -> tuple[int, int, int]:
+    """`hpoint(hpoint_to_point(h))` without the Fractions: the triple of
+    (X, Y, W), W != 0, in hpoint's form (xn * yd, yn * xd, xd * yd) for
+    the reduced X / W = xn / xd and Y / W = yn / yd, so equal points give
+    equal triples.  xd and yd take the sign of W, which therefore cancels
+    in each product."""
+    x, y, w = h
+    gx, gy = gcd(x, w), gcd(y, w)
+    xd, yd = w // gx, w // gy
+    return (x // gx * yd, y // gy * xd, xd * yd)
 
 
 def _hmid(a, b) -> tuple[int, int, int]:
@@ -259,6 +272,23 @@ def _ybucket_h(scale, y, w) -> int:
 _BOX_BITS = 64
 
 
+def _sum_sign(terms: dict[int, int]) -> int:
+    """The sign of the sum of t / d over the items (d, t) of terms, d > 0.
+
+    Each term is rounded down to a multiple of 2^-_BOX_BITS in integers,
+    so the sum lies in [lo, lo + len(terms)) in those units; only a sum
+    that close to zero is added up exactly.  One common denominator for
+    all terms would be their product, thousands of bits per term on the
+    larger galleries, and Fraction addition reduces by a gcd of that size
+    at every step."""
+    lo = sum((t << _BOX_BITS) // d for d, t in terms.items())
+    if lo > 0:
+        return 1
+    if lo + len(terms) <= 0:
+        return -1
+    return _sign(sum(Fraction(t, d) for d, t in terms.items()).numerator)
+
+
 def _extreme(keys, hv, c, sign) -> int:
     """The index of a vertex whose coordinate c (0 for x, 1 for y) is least
     (sign -1) or greatest (sign +1) among the homogeneous points hv.  keys
@@ -344,7 +374,7 @@ class SimplePolygon:
             a, b = hv[i - 1], hv[i]
             den = a[2] * b[2]
             terms[den] = terms.get(den, 0) + a[0] * b[1] - b[0] * a[1]
-        if sum(Fraction(t, den) for den, t in terms.items()).numerator <= 0:
+        if _sum_sign(terms) <= 0:
             raise GeometryError("polygon must be counterclockwise with positive area")
         # fold-backs at shared vertices
         for i in range(n):
@@ -528,7 +558,6 @@ def _dir_cmp(d1, d2) -> int:
 
 
 def _reduce_dir(dx: int, dy: int) -> tuple[int, int]:
-    from math import gcd
     g = gcd(abs(dx), abs(dy))
     return (dx // g, dy // g)
 
@@ -817,7 +846,7 @@ def _windows(poly: SimplePolygon, p: Point, raw: list[FanPiece | None],
     return out
 
 
-def window_test(poly: SimplePolygon, guards: Sequence[Point]
+def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
                 ) -> tuple[int, tuple[Point, Point] | None]:
     """The window test of exact coverage: the number of window pieces
     tested, and the first piece whose hidden side no other guard covers,
@@ -838,77 +867,115 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point]
     the midpoint m decides it: the side is covered iff m is inside another
     VP(j), or m lies on a window of another guard that runs along the
     piece in the opposite direction.  The guard that covered the last
-    piece is tried first.
+    piece is tried first.  Pieces are tested on the cut triples; Points
+    are made only for the uncovered piece returned.
+
+    `views`, if given, maps a guard's `hpoint` triple to its view, the
+    (visibility polygon, windows) pair of `_visibility` for this polygon.
+    A guard found there is not swept again; a guard missing from it is
+    swept and its view added.  A caller checking many configurations of
+    one polygon passes one mapping to all of them, and removes each view
+    after the last configuration that places a guard there.
     """
-    views = [_visibility(poly, g) for g in guards]
-    vps = [vp for vp, _ in views]
+    if views is None:
+        views = {}
+    vps = []
+    windows = []
+    for gi, g in enumerate(guards):
+        h = hpoint(g)
+        view = views.get(h)
+        if view is None:
+            view = views[h] = _visibility(poly, g)
+        vps.append(view[0])
+        windows += [(gi, a, b) for a, b in view[1]]
     vboxes = [_ibox(vp._h) for vp in vps]
-    windows = [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
     tested = 0
-    last_good = 0
-    for (gi, _, _), (stops, opposite) in zip(windows, _cut_windows(windows)):
-        hs = [hpoint(c) for c in stops]
-        for k in range(len(stops) - 1):
+    # the guards in the order tried: the last good one, then the others
+    order = list(range(len(vps)))
+    for (gi, _, _), (hs, opposite) in zip(windows, _cut_windows(windows)):
+        for k in range(len(hs) - 1):
             tested += 1
             hm = _hmid(hs[k], hs[k + 1])
-            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
+            if opposite and any(_on_segment_collinear(hc, hd, hm)
+                                for hc, hd in opposite):
                 continue
             mx, my, mw = hm
-            order = [last_good] + [j for j in range(len(vps)) if j != last_good]
             for j in order:
                 bx = vboxes[j]
                 if j != gi and bx[0] * mw <= mx <= bx[2] * mw \
                         and bx[1] * mw <= my <= bx[3] * mw \
                         and vps[j]._locate_h(hm) == "in":
-                    last_good = j
+                    if j != order[0]:
+                        order = [j] + [i for i in range(len(vps)) if i != j]
                     break
             else:
-                return tested, (stops[k], stops[k + 1])
+                return tested, (hpoint_to_point(hs[k]), hpoint_to_point(hs[k + 1]))
     return tested, None
 
 
 def _cut_windows(windows):
-    """For each window (guard index, a, b): its cut points ordered from a
-    to b, ends included, and the (homogeneous) windows of other guards
-    that lie along it in the opposite direction.
+    """For each window (guard index, a, b): its cut points as `hpoint`
+    triples ordered from a to b, ends included, and the (homogeneous)
+    windows of other guards that lie along it in the opposite direction.
 
     Cuts are the crossings and touches with other guards' windows and the
     ends of collinear overlaps.  Windows of one guard never cross (they
-    are edges of one simple polygon).  Candidate pairs come from a sweep
-    over integer-rounded x-extents, then integer y-extents.  Each window's
-    cut points are deduplicated in a dict keyed by their triple, which
-    names a point uniquely (`hpoint` is injective on reduced Fractions),
-    and keep the first Point object met.
+    are edges of one simple polygon).  The candidate pairs are the
+    windows of different guards whose boxes meet, on the integer keys
+    floor(coordinate * 2^_BOX_BITS); on the Moebius gallery nearly every
+    pair left is a touch or a crossing.  A sweep over y finds them: there
+    it meets 30 times fewer active windows than a sweep over x, whose
+    extents overlap far more.  The windows are then visited in the order
+    of floor(least x), ties by index (their rank), and each meets its
+    lower-ranked candidates in rank order, so every cut list and
+    `opposite` list, order included, is that of a sweep over x.  A
+    crossing is put in hpoint's form (`_hcanon`), which names a point
+    uniquely, so each window's set of cuts holds each point once.
     """
     hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
-    boxes = [_ibox(h) for h in hs]
-    cuts = [{ha: a, hb: b} for (_, a, b), (ha, hb) in zip(windows, hs)]
+    # boxes on the keys floor(coordinate * 2^_BOX_BITS), which never
+    # decrease, so boxes that meet give key boxes that meet
+    boxes = []
+    for (ax, ay, aw), (bx, by, bw) in hs:
+        kx, ky = (ax << _BOX_BITS) // aw, (ay << _BOX_BITS) // aw
+        lx, ly = (bx << _BOX_BITS) // bw, (by << _BOX_BITS) // bw
+        boxes.append((min(kx, lx), min(ky, ly), max(kx, lx), max(ky, ly)))
+    # the rank orders the windows by floor(least x), ties by index
+    order = sorted(range(len(windows)), key=lambda i: boxes[i][0] >> _BOX_BITS)
+    rank = [0] * len(windows)
+    for r, i in enumerate(order):
+        rank[i] = r
+    # the ranks of each window's candidates of lower rank
+    earlier: list[list[int]] = [[] for _ in windows]
+    active: list[int] = []
+    for i in sorted(range(len(windows)), key=lambda i: boxes[i][1]):
+        x0, y0, x1, _ = boxes[i]
+        gi, ri = windows[i][0], rank[i]
+        active = [j for j in active if boxes[j][3] >= y0]
+        for j in active:
+            bj = boxes[j]
+            if bj[0] <= x1 and x0 <= bj[2] and windows[j][0] != gi:
+                if rank[j] < ri:
+                    earlier[i].append(rank[j])
+                else:
+                    earlier[j].append(ri)
+        active.append(i)
+    cuts = [{ha, hb} for ha, hb in hs]
     # l . h has the sign of orient_h(a, b, h) for the line l through a, b
     lines = [_hline(ha, hb) for ha, hb in hs]
     opposite: list[list] = [[] for _ in windows]
-    active: list[int] = []
-    for i in sorted(range(len(windows)), key=lambda i: boxes[i][0]):
-        gi, a, b = windows[i]
+    for i in order:
         ha, hb = hs[i]
         li = lines[i]
-        x0, y0, _, y1 = boxes[i]
-        active = [j for j in active if boxes[j][2] >= x0]
-        near = [j for j in active
-                if boxes[j][3] >= y0 and y1 >= boxes[j][1] and windows[j][0] != gi]
-        for j in near:
+        for j in map(order.__getitem__, sorted(earlier[i])):
             hc, hd = hs[j]
             s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
             s2 = li[0] * hd[0] + li[1] * hd[1] + li[2] * hd[2]
             if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
                 continue
-            _, c, d = windows[j]
             if s1 == 0 and s2 == 0:
-                for q, hq in ((c, hc), (d, hd)):
-                    if _on_segment_collinear(ha, hb, hq):
-                        cuts[i].setdefault(hq, q)
-                for q, hq in ((a, ha), (b, hb)):
-                    if _on_segment_collinear(hc, hd, hq):
-                        cuts[j].setdefault(hq, q)
+                cuts[i].update(h for h in (hc, hd) if _on_segment_collinear(ha, hb, h))
+                cuts[j].update(h for h in (ha, hb) if _on_segment_collinear(hc, hd, h))
                 if _dot_dirs(ha, hb, hc, hd) < 0:
                     opposite[i].append(hs[j])
                     opposite[j].append(hs[i])
@@ -919,21 +986,11 @@ def _cut_windows(windows):
             if (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0):
                 continue
             # an endpoint on the other line is the unique crossing
-            if s1 == 0:
-                x, hx = c, hc
-            elif s2 == 0:
-                x, hx = d, hd
-            elif s3 == 0:
-                x, hx = a, ha
-            elif s4 == 0:
-                x, hx = b, hb
-            else:
-                x = hpoint_to_point(_hmeet(li, lj))
-                hx = hpoint(x)
-            x = cuts[i].setdefault(hx, x)
-            cuts[j].setdefault(hx, x)
-        active.append(i)
-    return [([pts[h] for h in _order_along(ha, hb, pts)], opp)
+            hx = (hc if s1 == 0 else hd if s2 == 0 else ha if s3 == 0
+                  else hb if s4 == 0 else _hcanon(_hmeet(li, lj)))
+            cuts[i].add(hx)
+            cuts[j].add(hx)
+    return [(_order_along(ha, hb, pts), opp)
             for (ha, hb), pts, opp in zip(hs, cuts, opposite)]
 
 

@@ -5,6 +5,7 @@ surface classification."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,6 +31,7 @@ from .geom import (
     Point,
     SimplePolygon,
     hausdorff_distance_sq_max,
+    hpoint,
     midpoint,
     visible,
     window_test,
@@ -71,6 +73,12 @@ def covers(poly_or_gallery, guards: GuardConfig,
     """
     if mode != "exact":
         raise VerifyError(f"unknown coverage mode {mode!r}")
+    return _covers(poly_or_gallery, guards)
+
+
+def _covers(poly_or_gallery, guards: GuardConfig, views=None) -> CoverageReport:
+    """`covers`, with `views` passed on to `window_test`: one mapping
+    shared by many calls sweeps each guard point once."""
     gallery = poly_or_gallery if isinstance(poly_or_gallery, Gallery) else None
     poly = gallery.polygon if gallery else poly_or_gallery
     gpts = list(guards.guards)
@@ -89,7 +97,7 @@ def covers(poly_or_gallery, guards: GuardConfig,
     if not gpts:
         # the window argument needs a guard; with none, nothing is seen
         return CoverageReport(False, poly.vertices[0], tested)
-    pieces, bad = window_test(poly, gpts)
+    pieces, bad = window_test(poly, gpts, views)
     if bad is not None:
         return CoverageReport(False, _hidden_side_witness(poly, gpts, *bad),
                               tested + pieces)
@@ -308,6 +316,12 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
     `covers` proves for each sample; an off-cell witness is rechecked
     against every guard.  Embedded pairs respect the Hausdorff sup-norm
     equality.  Deterministic for a fixed seed.
+
+    The on-face configurations are embedded first, and the uses of each
+    guard point (its `hpoint` triple) are counted.  Their window tests
+    share one mapping of views, so each point is swept once; its view is
+    dropped after its last use, so the views held at once are those of
+    points still to be used, not of every point sampled.
     """
     validate_complex(k)
     if k.n != g.formula.n:
@@ -324,14 +338,26 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
                         "is on the complex but fails the formula"))
 
     ons = on_face_samples(k, on_count, rng)
+    configs = []
     for x in ons:
         if not k.contains_point(x):
             raise VerifyError(f"sampled point {x} not on the complex")
         if not eval_formula(g.formula, x):
             raise VerifyError(f"gallery formula false on complex point {x}")
-        rep = covers(g, embed(g, x))
+        configs.append(embed(g, x))
+    # the on-face configurations share guard points: each point is swept
+    # once, and its view is dropped after the last configuration using it
+    uses = Counter(hpoint(p) for c in configs for p in c.guards)
+    views: dict = {}
+    for x, guards in zip(ons, configs):
+        rep = _covers(g, guards, views)
         if not rep.covered:
             lines.append(f"FAIL on-face {x}: uncovered {rep.uncovered_witness}")
+        for p in guards.guards:
+            h = hpoint(p)
+            uses[h] -= 1
+            if not uses[h]:
+                views.pop(h, None)
     offs = off_samples_for(g.formula, off_count, rng)
     for x in offs:
         guards = embed(g, x)

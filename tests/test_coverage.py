@@ -7,6 +7,7 @@ location, edge buckets, window cutting and `visible` against their
 Fraction versions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor
@@ -657,6 +658,36 @@ def test_one_sweep_per_guard(monkeypatch):
     assert calls == list(three.guards)
 
 
+def test_sample_solution_space_sweeps_each_guard_point_once(monkeypatch):
+    # the on-face configurations share guard points: each distinct point
+    # is swept once, all calls share one mapping of views, and every view
+    # is dropped after its last use
+    swept = []
+    sweep = geom._sweep
+    monkeypatch.setattr(geom, "_sweep",
+                        lambda poly, p, *vdirs:
+                        swept.append(hpoint(p)) or sweep(poly, p, *vdirs))
+    shared = []
+    window_test = verifier.window_test
+
+    def recording(poly, guards, views=None):
+        shared.append(views)
+        return window_test(poly, guards, views)
+
+    monkeypatch.setattr(verifier, "window_test", recording)
+    k = mobius_complex()
+    g = _gallery(k)
+    report = verifier.sample_solution_space(g, k, on_count=6, off_count=0,
+                                            seed=3, pair_count=0)
+    assert report.passed
+    uses = Counter(hpoint(p) for x in on_face_samples(k, 6, random.Random(3))
+                   for p in embed(g, x).guards)
+    assert len(uses) < sum(uses.values())  # the samples do share points
+    assert sorted(swept) == sorted(uses)
+    assert len(shared) == 6 and all(v is shared[0] for v in shared)
+    assert shared[0] == {}
+
+
 def test_cut_windows_at_crossings_touches_and_overlap_ends():
     from topogallery.geom import _cut_windows
     windows = [
@@ -668,16 +699,35 @@ def test_cut_windows_at_crossings_touches_and_overlap_ends():
         (0, pt(_q(1, 2), 1), pt(_q(1, 2), -1)),  # same guard as window 0
     ]
     cut = _cut_windows(windows)
-    assert cut[0][0] == [pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0), pt(4, 0)]
-    assert cut[1][0] == [pt(3, 0), pt(2, 0), pt(1, 0)]
-    assert cut[2][0] == [pt(2, 1), pt(2, 0), pt(2, -1)]
-    assert cut[3][0] == [pt(5, 0), pt(4, 0), pt(3, 0)]
-    assert cut[4][0] == [pt(0, 0), pt(_q(1, 2), 0)] + cut[0][0][1:]
-    assert cut[5][0] == [pt(_q(1, 2), 1), pt(_q(1, 2), 0), pt(_q(1, 2), -1)]
+    stops = [[geom.hpoint_to_point(h) for h in hs] for hs, _ in cut]
+    assert stops[0] == [pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0), pt(4, 0)]
+    assert stops[1] == [pt(3, 0), pt(2, 0), pt(1, 0)]
+    assert stops[2] == [pt(2, 1), pt(2, 0), pt(2, -1)]
+    assert stops[3] == [pt(5, 0), pt(4, 0), pt(3, 0)]
+    assert stops[4] == [pt(0, 0), pt(_q(1, 2), 0)] + stops[0][1:]
+    assert stops[5] == [pt(_q(1, 2), 1), pt(_q(1, 2), 0), pt(_q(1, 2), -1)]
+    # the stops are hpoint's triples
+    assert [hs for hs, _ in cut] == [[geom.hpoint(p) for p in ps] for ps in stops]
+    assert cut == _hpoint_stops(_cut_windows_reference(windows))
     hs = [(geom.hpoint(a), geom.hpoint(b)) for _, a, b in windows]
     assert cut[0][1] == [hs[1], hs[3]]
     assert cut[1][1] == [hs[0], hs[4]]
     assert cut[4][1] == [hs[1], hs[3]]
+
+
+def test_cut_windows_meets_candidates_in_rank_order():
+    # on a falling line the sweep over y meets windows in the reverse of
+    # their x order; window 2 runs against 0 and 1, which it must list in
+    # rank (x) order, as a sweep over x does
+    windows = [
+        (1, pt(0, 0), pt(2, -2)),
+        (2, pt(1, -1), pt(3, -3)),
+        (0, pt(3, -3), pt(1, -1)),
+    ]
+    cut = geom._cut_windows(windows)
+    hs = [(geom.hpoint(a), geom.hpoint(b)) for _, a, b in windows]
+    assert cut[2][1] == [hs[0], hs[1]]
+    assert cut == _hpoint_stops(_cut_windows_reference(windows))
 
 
 # --- the stabbing sweep against the full scan ----------------------------------
@@ -755,6 +805,12 @@ def _windows_of(poly, gpts):
     return [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
 
 
+def _hpoint_stops(cut):
+    """The reference's cut lists with each stop Point mapped through
+    hpoint, which is injective, so equal lists mean equal stops."""
+    return [([geom.hpoint(p) for p in stops], opp) for stops, opp in cut]
+
+
 @pytest.mark.parametrize("make_complex", [circle_complex, sphere_complex],
                          ids=["circle", "sphere"])
 def test_cut_windows_matches_reference_on_galleries(make_complex):
@@ -764,15 +820,17 @@ def test_cut_windows_matches_reference_on_galleries(make_complex):
     rng = random.Random(7)
     for x in on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng):
         windows = _windows_of(g.polygon, embed(g, x).guards)
-        assert geom._cut_windows(windows) == _cut_windows_reference(windows)
+        assert geom._cut_windows(windows) == \
+            _hpoint_stops(_cut_windows_reference(windows))
 
 
 def test_cut_windows_matches_reference_on_mobius():
     k = mobius_complex()
     g = _gallery(k)
-    x = on_face_samples(k, 1, random.Random(7))[0]
-    windows = _windows_of(g.polygon, embed(g, x).guards)
-    assert geom._cut_windows(windows) == _cut_windows_reference(windows)
+    for x in on_face_samples(k, 2, random.Random(7)):
+        windows = _windows_of(g.polygon, embed(g, x).guards)
+        assert geom._cut_windows(windows) == \
+            _hpoint_stops(_cut_windows_reference(windows))
 
 
 @st.composite

@@ -6,7 +6,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topogallery.complexes import complex_to_dnf, mobius_complex
 from topogallery.compiler import compile_gallery, compile_surface
@@ -16,8 +16,11 @@ from topogallery.geom import (
     Point,
     SimplePolygon,
     _dot_h,
+    _hcanon,
     _segments_touch_h,
+    _sum_sign,
     hpoint,
+    hpoint_to_point,
     hausdorff_distance_sq_max,
     intersect_lines,
     invert_through,
@@ -48,6 +51,34 @@ def rand_frac(rng, lo=-8, hi=8, den=16):
 
 def rand_point(rng, lo=-8, hi=8):
     return Point(rand_frac(rng, lo, hi), rand_frac(rng, lo, hi))
+
+
+# --- homogeneous triples ----------------------------------------------------
+
+COORD = st.one_of(st.just(0), st.integers(-10**30, 10**30))
+
+
+@settings(max_examples=300)
+@given(COORD, COORD, COORD.filter(bool), st.integers(1, 10**6))
+@example(0, 0, -7, 1)
+@example(6, -4, -2, 12)
+@example(0, 5, 10, 3)
+def test_hcanon_is_hpoint_of_the_point(x, y, w, f):
+    # a common factor f and a negative w give other triples of one point
+    for h in ((x, y, w), (x * f, y * f, w * f), (-x * f, -y * f, -w * f)):
+        assert _hcanon(h) == hpoint(hpoint_to_point(h))
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.integers(1, 2**90), st.integers(-2**90, 2**90),
+                       min_size=1, max_size=6))
+@example({3: 1, 6: -2})        # zero
+@example({2**80: 1})           # below the 2^-64 step: summed exactly
+@example({2**80: -1})
+@example({3: 2**70, 7: -(2**70 * 7 // 3)})
+def test_sum_sign_matches_fraction_sum(terms):
+    total = sum(Fraction(t, d) for d, t in terms.items())
+    assert _sum_sign(terms) == (total > 0) - (total < 0)
 
 
 # --- orient ---------------------------------------------------------------

@@ -87,9 +87,6 @@ class GuardConfig:
     def __len__(self):
         return len(self.guards)
 
-    def as_set(self) -> frozenset:
-        return frozenset(self.guards)
-
 
 @dataclass(frozen=True)
 class CopyPair:

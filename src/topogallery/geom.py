@@ -1,7 +1,8 @@
 """Exact rational plane geometry: predicates, intersections, visibility.
 
 Points hold Python Fractions; no floating point is used anywhere.  Hot
-predicates, point location and polygon validation run on homogeneous
+predicates, point location, polygon validation and the visibility layer
+(sweep, visibility polygons, windows and their cuts) run on homogeneous
 integer triples (X, Y, W) so the inner loops do integer multiplication
 instead of repeated Fraction normalization.
 """
@@ -18,9 +19,6 @@ from typing import Iterable, Sequence
 
 class GeometryError(ValueError):
     """Degenerate input or violated precondition."""
-
-
-Rat = Fraction
 
 
 def rat(v) -> Fraction:
@@ -205,13 +203,9 @@ def _on_segment_collinear(a, b, p) -> bool:
         _between_1d(a[1], a[2], b[1], b[2], p[1], p[2])
 
 
-def segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff closed segments ab and cd share at least one point."""
-    return _segments_touch_h(hpoint(a), hpoint(b), hpoint(c), hpoint(d))
-
-
 def _segments_touch_h(ha, hb, hc, hd) -> bool:
-    """`segments_touch` on homogeneous points."""
+    """True iff the closed segments ab and cd, given as homogeneous
+    points, share at least one point."""
     o1 = orient_h(ha, hb, hc)
     o2 = orient_h(ha, hb, hd)
     o3 = orient_h(hc, hd, ha)
@@ -289,19 +283,19 @@ def _sum_sign(terms: dict[int, int]) -> int:
     return _sign(sum(Fraction(t, d) for d, t in terms.items()).numerator)
 
 
-def _extreme(keys, hv, c, sign) -> int:
-    """The index of a vertex whose coordinate c (0 for x, 1 for y) is least
-    (sign -1) or greatest (sign +1) among the homogeneous points hv.  keys
-    are that coordinate rounded to integers on one scale, which is monotone,
-    so the extreme lies among the vertices with the extreme key; ties are
-    broken by cross-multiplying the triples."""
+def _extreme(keys, hv, c, sign) -> Fraction:
+    """The least (sign -1) or greatest (sign +1) coordinate c (0 for x, 1
+    for y) of the homogeneous points hv.  keys are that coordinate rounded
+    to integers on one scale, which is monotone, so the extreme lies among
+    the vertices with the extreme key; ties are broken by cross-multiplying
+    the triples."""
     k = max(keys) if sign > 0 else min(keys)
     best = None
     for i, key in enumerate(keys):
         if key == k and (best is None or sign * (
                 hv[i][c] * hv[best][2] - hv[best][c] * hv[i][2]) > 0):
             best = i
-    return best
+    return Fraction(hv[best][c], hv[best][2])
 
 
 class SimplePolygon:
@@ -310,36 +304,57 @@ class SimplePolygon:
     Validation rejects repeated vertices, clockwise or self-touching
     boundaries, and fold-backs; collinear straight-through vertices are
     allowed (they occur naturally in assembled galleries).
+
+    The polygon is held as the `hpoint` triples of its vertices (`_h`).
+    `vertices`, the Points, is made on first read for a polygon built
+    from triples (`_of_h`, as the visibility layer builds them), so
+    polygons that are only located in never make a Point.
     """
 
-    __slots__ = ("vertices", "_h", "_bbox", "_ybuckets", "_int_edge_bboxes")
+    __slots__ = ("_vertices", "_h", "_bbox", "_ybuckets", "_int_edge_bboxes")
 
     def __init__(self, vertices: Sequence[Point]):
-        verts = tuple(vertices)
-        if len(verts) < 3:
+        self._vertices = tuple(vertices)
+        self._init_h([hpoint(v) for v in self._vertices])
+
+    @classmethod
+    def _of_h(cls, hv) -> SimplePolygon:
+        """The polygon with vertex triples hv, each in `hpoint`'s form,
+        validated as `SimplePolygon(points)` is."""
+        poly = cls.__new__(cls)
+        poly._vertices = None
+        poly._init_h(list(hv))
+        return poly
+
+    def _init_h(self, hv):
+        """Set up and validate the polygon on its vertex triples hv."""
+        if len(hv) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
-        self.vertices = verts
-        hv = self._h = [hpoint(v) for v in verts]
+        self._h = hv
         # floor(coordinate * 2^_BOX_BITS) of each vertex: integer keys
         # that never decrease as the coordinate grows
         fx = [(x << _BOX_BITS) // w for x, _, w in hv]
         fy = [(y << _BOX_BITS) // w for _, y, w in hv]
-        self._bbox = (verts[_extreme(fx, hv, 0, -1)].x,
-                      verts[_extreme(fy, hv, 1, -1)].y,
-                      verts[_extreme(fx, hv, 0, 1)].x,
-                      verts[_extreme(fy, hv, 1, 1)].y)
+        self._bbox = (_extreme(fx, hv, 0, -1), _extreme(fy, hv, 1, -1),
+                      _extreme(fx, hv, 0, 1), _extreme(fy, hv, 1, 1))
         self._ybuckets = None
         self._int_edge_bboxes = None
         self._validate(fx, fy)
 
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(map(hpoint_to_point, self._h))
+        return self._vertices
+
     def __len__(self):
-        return len(self.vertices)
+        return len(self._h)
 
     def __eq__(self, other):
-        return isinstance(other, SimplePolygon) and self.vertices == other.vertices
+        return isinstance(other, SimplePolygon) and self._h == other._h
 
     def __repr__(self):
-        return f"SimplePolygon({len(self.vertices)} vertices)"
+        return f"SimplePolygon({len(self._h)} vertices)"
 
     @property
     def area2(self) -> Fraction:
@@ -360,10 +375,9 @@ class SimplePolygon:
 
     def _validate(self, fx, fy):
         """Raise GeometryError unless the polygon is simple and ccw.  fx
-        and fy are the vertices' integer keys (see `__init__`)."""
-        verts = self.vertices
+        and fy are the vertices' integer keys (see `_init_h`)."""
         hv = self._h
-        n = len(verts)
+        n = len(hv)
         # hpoint is injective on reduced Fractions
         if len(set(hv)) != n:
             raise GeometryError("repeated vertex in polygon")
@@ -380,7 +394,8 @@ class SimplePolygon:
         for i in range(n):
             a, b, c = hv[i - 1], hv[i], hv[(i + 1) % n]
             if orient_h(a, b, c) == 0 and _dot_h(a, b, c) <= 0:
-                raise GeometryError(f"fold-back at vertex {verts[i]}")
+                raise GeometryError(
+                    f"fold-back at vertex {hpoint_to_point(b)}")
         # pairwise edge disjointness; candidate pairs found by bucketing the
         # edges' y-intervals so large polygons stay near-linear in practice.
         # Each bucket lists its edges in index order, and a pair is tested
@@ -446,7 +461,7 @@ class SimplePolygon:
         test and the horizontal crossing count only involve edges whose
         y-interval contains the query height."""
         if self._ybuckets is None:
-            self._ybuckets = self._bucket_edges(min(len(self.vertices), 4096))
+            self._ybuckets = self._bucket_edges(min(len(self._h), 4096))
         return self._ybuckets
 
     def locate(self, p: Point) -> str:
@@ -608,24 +623,25 @@ def _nearer_on_ray(hp, d, h1, h2) -> bool:
     return f1 * h2[2] < f2 * h1[2]
 
 
-def _cone_side_hit(poly: SimplePolygon, hp, vdirs, e: int, d) -> Point:
+def _cone_side_hit(poly: SimplePolygon, hp, vdirs, e: int, d):
     """Where the ray from p (homogeneous hp) in direction d meets edge e
-    of poly, for an edge that spans a cone with d on its boundary.  The
-    edge is not on a line through p and spans the closed cone, so the ray
-    meets it exactly once: at the end vertex in direction d (that vertex
-    of poly itself, not a copy), or else where the two lines meet."""
+    of poly, for an edge that spans a cone with d on its boundary, as a
+    triple in `hpoint`'s form.  The edge is not on a line through p and
+    spans the closed cone, so the ray meets it exactly once: at the end
+    vertex in direction d (that vertex's triple in poly), or else where
+    the two lines meet."""
     k = e + 1 if e + 1 < len(vdirs) else 0
     if vdirs[e] == d:
-        return poly.vertices[e]
+        return poly._h[e]
     if vdirs[k] == d:
-        return poly.vertices[k]
+        return poly._h[k]
     lray = _hline(hp, (hp[0] + d[0] * hp[2], hp[1] + d[1] * hp[2], hp[2]))
     m = _hmeet(lray, _hline(poly._h[e], poly._h[k]))
     # ahead of p: dot(d, m - p) > 0
     if m[2] == 0 or d[0] * (m[0] * hp[2] - hp[0] * m[2]) \
             + d[1] * (m[1] * hp[2] - hp[1] * m[2]) <= 0:
         raise GeometryError("sweep invariant violated: event ray misses its edge")
-    return hpoint_to_point(m)
+    return _hcanon(m)
 
 
 def _vertex_dirs(poly: SimplePolygon, hp) -> list[tuple[int, int] | None]:
@@ -639,13 +655,14 @@ def _vertex_dirs(poly: SimplePolygon, hp) -> list[tuple[int, int] | None]:
     return out
 
 
-def _sweep(poly: SimplePolygon, p: Point,
-           vdirs: list[tuple[int, int] | None] | None = None
-           ) -> list[FanPiece | None]:
-    """Angular sweep around p.  One entry per cone between consecutive
-    vertex directions: a FanPiece for visible cones, None for cones that
-    point into the exterior (possible only for boundary viewpoints).
-    `vdirs` is `_vertex_dirs(poly, hpoint(p))`, computed here if not given.
+def _sweep(poly: SimplePolygon, hp,
+           vdirs: list[tuple[int, int] | None] | None = None) -> list:
+    """Angular sweep around the viewpoint p, given as its `hpoint` triple
+    hp.  One entry per cone between consecutive vertex directions: for a
+    visible cone the triple (edge index, start, end), the ends in
+    `hpoint`'s form, as a `FanPiece` holds them; None for a cone that
+    points into the exterior (possible only for boundary viewpoints).
+    `vdirs` is `_vertex_dirs(poly, hp)`, computed here if not given.
 
     Each cone is probed by one representative ray strictly inside it, and
     tests only the edges that span it.  An edge ab with orient(p, a, b) > 0
@@ -665,10 +682,9 @@ def _sweep(poly: SimplePolygon, p: Point,
     each (`_cone_side_hit`).  Cost: O(n log n) for the directions plus the
     total number of (cone, spanning edge) pairs, instead of n per cone.
     """
-    where = poly.locate(p)
+    where = poly._locate_h(hp)
     if where == "out":
         raise GeometryError("viewpoint outside polygon")
-    hp = hpoint(p)
     hv = poly._h
     n = len(hv)
     if vdirs is None:
@@ -694,7 +710,7 @@ def _sweep(poly: SimplePolygon, p: Point,
             stabbed[i].append(e)
             i = i + 1 if i + 1 < m else 0
 
-    raw: list[FanPiece | None] = []
+    raw: list = []
     for i in range(m):
         u = sorted_dirs[i]
         w = sorted_dirs[(i + 1) % m]
@@ -718,13 +734,11 @@ def _sweep(poly: SimplePolygon, p: Point,
             continue
         # from an interior p the open segment to the first hit is interior;
         # only a boundary viewpoint can look into the exterior
-        if where == "on" and \
-                poly.locate(midpoint(p, hpoint_to_point(best))) == "out":
+        if where == "on" and poly._locate_h(_hmid(hp, best)) == "out":
             raw.append(None)
             continue
-        raw.append(FanPiece(best_edge,
-                            _cone_side_hit(poly, hp, vdirs, best_edge, u),
-                            _cone_side_hit(poly, hp, vdirs, best_edge, w)))
+        raw.append((best_edge, _cone_side_hit(poly, hp, vdirs, best_edge, u),
+                    _cone_side_hit(poly, hp, vdirs, best_edge, w)))
     return raw
 
 
@@ -739,7 +753,8 @@ def visibility_fan(poly: SimplePolygon, p: Point) -> list[FanPiece]:
     Exact coverage does not read the fan; the coverage tests' reference
     does, and the benchmark's tracer wraps this function by name.
     """
-    return [pc for pc in _sweep(poly, p) if pc is not None]
+    return [FanPiece(e, hpoint_to_point(a), hpoint_to_point(b))
+            for e, a, b in filter(None, _sweep(poly, hpoint(p)))]
 
 
 def visibility_polygon(poly: SimplePolygon, p: Point) -> SimplePolygon:
@@ -749,67 +764,54 @@ def visibility_polygon(poly: SimplePolygon, p: Point) -> SimplePolygon:
     whiskers) are dropped: the result is the closure of the 2-dimensional
     visible region.
     """
-    return _star_polygon(p, _sweep(poly, p))
+    hp = hpoint(p)
+    return _star_polygon(hp, _sweep(poly, hp))
 
 
-def _star_polygon(p: Point, raw: list[FanPiece | None]) -> SimplePolygon:
-    """The visibility polygon traced by the sweep `raw` around p."""
+def _star_polygon(hp, raw: list) -> SimplePolygon:
+    """The visibility polygon traced by the sweep `raw` around the
+    viewpoint hp.  The triples are all in `hpoint`'s form, so equal
+    points are equal triples."""
     if all(pc is None for pc in raw):
         raise GeometryError("no visible area from viewpoint")
 
-    out: list[Point] = []
-
-    def push(v: Point):
-        if not out or out[-1] != v:
-            out.append(v)
-
+    # from the first visible cone round: each cone's two ends, and the
+    # viewpoint once for each run of exterior cones (a gap)
     start = next(i for i, pc in enumerate(raw) if pc is not None)
-    prev_was_gap = False
-    k = len(raw)
-    for off in range(k + 1):
-        pc = raw[(start + off) % k]
-        if pc is None:
-            prev_was_gap = True
-            continue
-        if off == k:
-            # wrapped around to the first piece: close up
-            if prev_was_gap:
-                push(p)
-            break
-        if prev_was_gap:
-            push(p)
-            prev_was_gap = False
-        push(pc.start)
-        push(pc.end)
+    out: list = []
+    for pc in raw[start:] + raw[:start]:
+        for h in (hp,) if pc is None else pc[1:]:
+            if not out or out[-1] != h:
+                out.append(h)
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
 
     # remove straight-through vertices introduced at cone boundaries
-    hs = [hpoint(v) for v in out]
-    cleaned: list[Point] = []
+    cleaned = []
     nn = len(out)
     for i in range(nn):
-        a, b, c = hs[i - 1], hs[i], hs[(i + 1) % nn]
+        a, b, c = out[i - 1], out[i], out[(i + 1) % nn]
         if orient_h(a, b, c) == 0 and _dot_h(a, b, c) > 0:
             continue
-        cleaned.append(out[i])
-    return SimplePolygon(cleaned)
+        cleaned.append(b)
+    return SimplePolygon._of_h(cleaned)
 
 
-def _visibility(poly: SimplePolygon, p: Point):
-    """One sweep around p, read two ways for exact coverage: the
-    visibility polygon and its windows.  Both share one pass over the
-    vertex directions."""
-    vdirs = _vertex_dirs(poly, hpoint(p))
-    raw = _sweep(poly, p, vdirs)
-    return _star_polygon(p, raw), _windows(poly, p, raw, vdirs)
+def _visibility(poly: SimplePolygon, hp):
+    """One sweep around the viewpoint hp (an `hpoint` triple), read two
+    ways for exact coverage: the visibility polygon and its windows.  Both
+    share one pass over the vertex directions."""
+    vdirs = _vertex_dirs(poly, hp)
+    raw = _sweep(poly, hp, vdirs)
+    return _star_polygon(hp, raw), _windows(poly, hp, raw, vdirs)
 
 
-def _windows(poly: SimplePolygon, p: Point, raw: list[FanPiece | None],
-             vdirs: list[tuple[int, int] | None]) -> list[tuple[Point, Point]]:
-    """The windows of the visibility polygon traced by `raw`: the parts of
-    its boundary inside poly's interior, each directed so that the visible
-    side is on its left.
+def _windows(poly: SimplePolygon, hp, raw: list,
+             vdirs: list[tuple[int, int] | None]) -> list:
+    """The windows of the visibility polygon traced by `raw` around the
+    viewpoint hp: the parts of its boundary inside poly's interior, each
+    directed so that the visible side is on its left, as pairs (a, b) of
+    triples in `hpoint`'s form.
 
     Between two consecutive cones the boundary runs along the ray from p
     through their shared vertex direction, from one cone's far end (or p,
@@ -817,7 +819,6 @@ def _windows(poly: SimplePolygon, p: Point, raw: list[FanPiece | None],
     polygon vertices on it; the parts whose midpoint is inside poly are
     windows, the rest lie on poly's boundary.
     """
-    hp = hpoint(p)
     hv = poly._h
     on_ray: dict[tuple[int, int], list[int]] = {}
     for v, d in enumerate(vdirs):
@@ -827,22 +828,20 @@ def _windows(poly: SimplePolygon, p: Point, raw: list[FanPiece | None],
     k = len(raw)
     for i in range(k):
         cur, nxt = raw[i], raw[(i + 1) % k]
-        a = p if cur is None else cur.end
-        b = p if nxt is None else nxt.start
-        if a == b:
+        ha = hp if cur is None else cur[2]
+        hb = hp if nxt is None else nxt[1]
+        if ha == hb:
             continue
-        ha, hb = hpoint(a), hpoint(b)
-        hf = hb if a == p else ha
+        hf = hb if ha == hp else ha
         d = _reduce_dir(hf[0] * hp[2] - hp[0] * hf[2],
                         hf[1] * hp[2] - hp[1] * hf[2])
-        stops = {ha: a, hb: b}
+        stops = {ha, hb}
         for v in on_ray.get(d, ()):
             if _on_segment_collinear(ha, hb, hv[v]):
-                stops.setdefault(hv[v], poly.vertices[v])
+                stops.add(hv[v])
         hs = _order_along(ha, hb, stops)
-        for h0, h1 in zip(hs, hs[1:]):
-            if poly._locate_h(_hmid(h0, h1)) == "in":
-                out.append((stops[h0], stops[h1]))
+        out += [(h0, h1) for h0, h1 in zip(hs, hs[1:])
+                if poly._locate_h(_hmid(h0, h1)) == "in"]
     return out
 
 
@@ -867,15 +866,17 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
     the midpoint m decides it: the side is covered iff m is inside another
     VP(j), or m lies on a window of another guard that runs along the
     piece in the opposite direction.  The guard that covered the last
-    piece is tried first.  Pieces are tested on the cut triples; Points
-    are made only for the uncovered piece returned.
+    piece is tried first.  Each guard is turned into its `hpoint` triple
+    once; the sweep, the windows, the cuts and the piece tests all run on
+    triples, and Points are made only for the uncovered piece returned.
 
     `views`, if given, maps a guard's `hpoint` triple to its view, the
-    (visibility polygon, windows) pair of `_visibility` for this polygon.
-    A guard found there is not swept again; a guard missing from it is
-    swept and its view added.  A caller checking many configurations of
-    one polygon passes one mapping to all of them, and removes each view
-    after the last configuration that places a guard there.
+    pair of `_visibility` for this polygon: the visibility polygon and its
+    windows, each window a pair of triples.  A guard found there is not
+    swept again; a guard missing from it is swept and its view added.  A
+    caller checking many configurations of one polygon passes one mapping
+    to all of them, and removes each view after the last configuration
+    that places a guard there.
     """
     if views is None:
         views = {}
@@ -885,9 +886,9 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
         h = hpoint(g)
         view = views.get(h)
         if view is None:
-            view = views[h] = _visibility(poly, g)
+            view = views[h] = _visibility(poly, h)
         vps.append(view[0])
-        windows += [(gi, a, b) for a, b in view[1]]
+        windows += [(gi, ha, hb) for ha, hb in view[1]]
     vboxes = [_ibox(vp._h) for vp in vps]
     tested = 0
     # the guards in the order tried: the last good one, then the others
@@ -914,9 +915,10 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
 
 
 def _cut_windows(windows):
-    """For each window (guard index, a, b): its cut points as `hpoint`
-    triples ordered from a to b, ends included, and the (homogeneous)
-    windows of other guards that lie along it in the opposite direction.
+    """For each window (guard index, a, b), a and b triples in `hpoint`'s
+    form: its cut points, triples in that form, ordered from a to b, ends
+    included, and the windows (a, b) of other guards that lie along it in
+    the opposite direction.
 
     Cuts are the crossings and touches with other guards' windows and the
     ends of collinear overlaps.  Windows of one guard never cross (they
@@ -932,7 +934,7 @@ def _cut_windows(windows):
     crossing is put in hpoint's form (`_hcanon`), which names a point
     uniquely, so each window's set of cuts holds each point once.
     """
-    hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
+    hs = [(ha, hb) for _, ha, hb in windows]
     # boxes on the keys floor(coordinate * 2^_BOX_BITS), which never
     # decrease, so boxes that meet give key boxes that meet
     boxes = []

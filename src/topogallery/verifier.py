@@ -297,11 +297,18 @@ def on_face_samples(k: CubicalComplex, count: int, rng: random.Random):
     return out
 
 
-def off_samples_for(f: CnfFormula, count: int, rng: random.Random):
-    """Representatives of grid cells where the formula is false."""
+def _off_cells(f: CnfFormula) -> list[tuple]:
+    """The representatives of the grid cells where the formula is false."""
     cells = [xs for xs in product(*grid_axes(f)) if not eval_formula(f, xs)]
     if not cells:
         raise VerifyError("formula is a tautology on the cube; no off cells")
+    return cells
+
+
+def off_samples_for(f: CnfFormula, count: int, rng: random.Random):
+    """Representatives of grid cells where the formula is false, count
+    draws with replacement."""
+    cells = _off_cells(f)
     return [list(cells[rng.randrange(len(cells))]) for _ in range(count)]
 
 
@@ -314,8 +321,11 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
     grid check decides.  The guards of sampled on-face points must cover
     the gallery and those of off-cell grid representatives must not, as
     `covers` proves for each sample; an off-cell witness is rechecked
-    against every guard.  Embedded pairs respect the Hausdorff sup-norm
-    equality.  Deterministic for a fixed seed.
+    against every guard.  The off cells are drawn with replacement
+    (`off_samples_for`), and each distinct cell drawn is checked once, in
+    the order of its first draw; `off_checked` counts those cells.
+    Embedded pairs respect the Hausdorff sup-norm equality.  Deterministic
+    for a fixed seed.
 
     The on-face configurations are embedded first, and the uses of each
     guard point (its `hpoint` triple) are counted.  Their window tests
@@ -358,7 +368,8 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
             uses[h] -= 1
             if not uses[h]:
                 views.pop(h, None)
-    offs = off_samples_for(g.formula, off_count, rng)
+    offs = [list(xs) for xs in dict.fromkeys(
+        map(tuple, off_samples_for(g.formula, off_count, rng)))]
     for x in offs:
         guards = embed(g, x)
         rep = covers(g, guards)
@@ -394,7 +405,8 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
     if passed:
         lines = ["PASS complex equals gallery formula (exact grid check)",
                  f"PASS on-face coverage ({len(ons)} points)",
-                 f"PASS off-cell non-coverage ({len(offs)} points)",
+                 f"PASS off-cell non-coverage ({len(offs)} distinct cells "
+                 f"of {len(_off_cells(g.formula))})",
                  f"PASS embed metric/injectivity ({pair_checked} pairs)"]
     return SampleReport(len(ons), len(offs), pair_checked, seed, passed,
                         tuple(lines))

@@ -151,7 +151,8 @@ def test_criterion_4_end_to_end_mobius(mobius_gallery):
         assert rep.covered, f"exact mode uncovered at {x}: {rep.uncovered_witness}"
     exact_elapsed = time.monotonic() - t0
     assert exact_elapsed < 1800.0, f"exact recheck took {exact_elapsed:.0f}s"
-    _report(4, f"k=17; exact sampling (120 on, 100 off) in "
+    _report(4, f"k=17; exact sampling (120 on-face points, "
+               f"{report.off_checked} distinct off cells in 100 draws) in "
                f"{sampling_elapsed:.0f}s; 10 exact-union rechecks in "
                f"{exact_elapsed:.0f}s")
 

@@ -601,8 +601,9 @@ def test_collinear_windows_with_facing_hidden_sides():
     poly = SimplePolygon([pt(0, 0), pt(3, 0), pt(3, 1), pt(4, 1), pt(4, 2),
                           pt(1, 2), pt(1, 1), pt(0, 1)])
     gpts = [pt(0, 1), pt(4, 1)]
-    windows = [geom._visibility(poly, g)[1] for g in gpts]
-    assert windows == [[(pt(3, 1), pt(1, 1))], [(pt(1, 1), pt(3, 1))]]
+    windows = [geom._visibility(poly, hpoint(g))[1] for g in gpts]
+    assert windows == [[(hpoint(pt(3, 1)), hpoint(pt(1, 1)))],
+                       [(hpoint(pt(1, 1)), hpoint(pt(3, 1)))]]
     rep = _agree(poly, gpts)
     assert rep.covered and rep.witness_count == 2
     assert not covers(poly, GuardConfig((gpts[0],))).covered
@@ -646,8 +647,9 @@ def test_one_sweep_per_guard(monkeypatch):
     calls = []
     sweep = geom._sweep
     monkeypatch.setattr(geom, "_sweep",
-                        lambda poly, p, *vdirs:
-                        calls.append(p) or sweep(poly, p, *vdirs))
+                        lambda poly, hp, *vdirs:
+                        calls.append(hpoint_to_point(hp))
+                        or sweep(poly, hp, *vdirs))
     poly = l_shape()
     two = GuardConfig((pt(_q(7, 4), _q(1, 2)), pt(_q(1, 4), _q(7, 4))))
     assert covers(poly, two).covered
@@ -665,8 +667,8 @@ def test_sample_solution_space_sweeps_each_guard_point_once(monkeypatch):
     swept = []
     sweep = geom._sweep
     monkeypatch.setattr(geom, "_sweep",
-                        lambda poly, p, *vdirs:
-                        swept.append(hpoint(p)) or sweep(poly, p, *vdirs))
+                        lambda poly, hp, *vdirs:
+                        swept.append(hp) or sweep(poly, hp, *vdirs))
     shared = []
     window_test = verifier.window_test
 
@@ -688,6 +690,33 @@ def test_sample_solution_space_sweeps_each_guard_point_once(monkeypatch):
     assert shared[0] == {}
 
 
+def test_window_layer_makes_points_only_at_the_edge(monkeypatch):
+    # one Moebius on-face configuration with a fresh views mapping: each
+    # guard is made a triple once, and the sweeps, windows, cuts and piece
+    # tests of a covered configuration make no Point; a visibility polygon
+    # makes its Points when they are first read
+    k = mobius_complex()
+    g = _gallery(k)
+    guards = list(embed(g, on_face_samples(k, 1, random.Random(7))[0]).guards)
+    calls = Counter()
+    for name in ("hpoint", "hpoint_to_point"):
+        def counted(h, _name=name, _orig=getattr(geom, name)):
+            calls[_name] += 1
+            return _orig(h)
+        monkeypatch.setattr(geom, name, counted)
+    built = []
+    init = Point.__init__
+    monkeypatch.setattr(Point, "__init__",
+                        lambda self, x, y: built.append(1) or init(self, x, y))
+    tested, bad = geom.window_test(g.polygon, guards, {})
+    assert bad is None and tested > 0
+    assert calls == {"hpoint": len(guards)} and built == []
+    vp = geom.visibility_polygon(g.polygon, guards[0])
+    assert built == []
+    verts = vp.vertices
+    assert len(built) == len(verts) == len(vp) and vp.vertices is verts
+
+
 def test_cut_windows_at_crossings_touches_and_overlap_ends():
     from topogallery.geom import _cut_windows
     windows = [
@@ -698,7 +727,7 @@ def test_cut_windows_at_crossings_touches_and_overlap_ends():
         (3, pt(0, 0), pt(4, 0)),   # collinear, same direction
         (0, pt(_q(1, 2), 1), pt(_q(1, 2), -1)),  # same guard as window 0
     ]
-    cut = _cut_windows(windows)
+    cut = _cut_windows(_hwindows(windows))
     stops = [[geom.hpoint_to_point(h) for h in hs] for hs, _ in cut]
     assert stops[0] == [pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0), pt(4, 0)]
     assert stops[1] == [pt(3, 0), pt(2, 0), pt(1, 0)]
@@ -724,7 +753,7 @@ def test_cut_windows_meets_candidates_in_rank_order():
         (2, pt(1, -1), pt(3, -3)),
         (0, pt(3, -3), pt(1, -1)),
     ]
-    cut = geom._cut_windows(windows)
+    cut = geom._cut_windows(_hwindows(windows))
     hs = [(geom.hpoint(a), geom.hpoint(b)) for _, a, b in windows]
     assert cut[2][1] == [hs[0], hs[1]]
     assert cut == _hpoint_stops(_cut_windows_reference(windows))
@@ -733,8 +762,12 @@ def test_cut_windows_meets_candidates_in_rank_order():
 # --- the stabbing sweep against the full scan ----------------------------------
 
 def _same_sweep(poly, gpts):
+    # the reference's FanPieces with their ends mapped through hpoint
     for g in gpts:
-        assert geom._sweep(poly, g) == _sweep_reference(poly, g), g
+        assert geom._sweep(poly, hpoint(g)) == [
+            None if pc is None
+            else (pc.edge_index, hpoint(pc.start), hpoint(pc.end))
+            for pc in _sweep_reference(poly, g)], g
 
 
 @pytest.mark.parametrize("make_complex", [circle_complex, sphere_complex],
@@ -800,9 +833,17 @@ def test_sweep_matches_reference_on_histograms(case):
 # --- the integer fast paths against their Fraction references ----------------
 
 def _windows_of(poly, gpts):
-    """The windows `covers` cuts: (guard index, a, b) for every guard."""
-    views = [geom._visibility(poly, g) for g in gpts]
-    return [(gi, a, b) for gi, (_, ws) in enumerate(views) for a, b in ws]
+    """The windows `covers` cuts: (guard index, a, b) for every guard,
+    with the ends as Points, as the reference takes them."""
+    views = [geom._visibility(poly, hpoint(g)) for g in gpts]
+    return [(gi, hpoint_to_point(a), hpoint_to_point(b))
+            for gi, (_, ws) in enumerate(views) for a, b in ws]
+
+
+def _hwindows(windows):
+    """Windows (guard index, a, b) with Point ends as `_cut_windows` takes
+    them: the ends as hpoint triples."""
+    return [(gi, hpoint(a), hpoint(b)) for gi, a, b in windows]
 
 
 def _hpoint_stops(cut):
@@ -820,7 +861,7 @@ def test_cut_windows_matches_reference_on_galleries(make_complex):
     rng = random.Random(7)
     for x in on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng):
         windows = _windows_of(g.polygon, embed(g, x).guards)
-        assert geom._cut_windows(windows) == \
+        assert geom._cut_windows(_hwindows(windows)) == \
             _hpoint_stops(_cut_windows_reference(windows))
 
 
@@ -829,7 +870,7 @@ def test_cut_windows_matches_reference_on_mobius():
     g = _gallery(k)
     for x in on_face_samples(k, 2, random.Random(7)):
         windows = _windows_of(g.polygon, embed(g, x).guards)
-        assert geom._cut_windows(windows) == \
+        assert geom._cut_windows(_hwindows(windows)) == \
             _hpoint_stops(_cut_windows_reference(windows))
 
 

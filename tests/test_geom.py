@@ -424,10 +424,29 @@ def test_validation_matches_reference_on_random_vertex_lists(verts):
     _same_verdict(verts)
 
 
+def _same_of_h(verts):
+    """`SimplePolygon._of_h` on the vertices' hpoint triples builds the
+    polygon that SimplePolygon builds on the triples' Points (same
+    vertices, box and ==), or rejects them with the same message."""
+    hv = [hpoint(v) for v in verts]
+    try:
+        want = SimplePolygon([hpoint_to_point(h) for h in hv])
+    except GeometryError as err:
+        with pytest.raises(GeometryError) as got:
+            SimplePolygon._of_h(hv)
+        assert str(got.value) == str(err)
+        return
+    got = SimplePolygon._of_h(hv)
+    assert got.vertices == want.vertices
+    assert got._bbox == want._bbox
+    assert got == want
+
+
 @settings(max_examples=300)
 @given(star_polygons())
 def test_validation_matches_reference_on_star_polygons(verts):
     _same_verdict(verts)
+    _same_of_h(verts)
 
 
 @settings(max_examples=200)

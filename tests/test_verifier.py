@@ -2,11 +2,13 @@
 solution-space sampling, and surface classification."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from topogallery import verifier
 from topogallery.complexes import (
     circle_complex,
     mobius_complex,
@@ -33,6 +35,7 @@ from topogallery.verifier import (
     classify_surface,
     complex_to_cell_complex,
     covers,
+    off_samples_for,
     sample_solution_space,
     verify_copy_gadget,
     _orientable,
@@ -140,6 +143,27 @@ def test_gallery_sample_solution_space():
     rep = sample_solution_space(g, k, on_count=18, off_count=20, seed=7,
                                 pair_count=20)
     assert rep.passed, rep.lines
+
+
+def test_sample_checks_each_distinct_off_cell_once(monkeypatch):
+    # at seed 2 two of the 8 off-cell draws hit one cell: each distinct
+    # cell is checked once, in the order of its first draw, and the report
+    # counts distinct cells, out of the formula's 45 off cells
+    g = compile_gallery(mobius_eq1())
+    k = mobius_complex()
+    draws = off_samples_for(g.formula, 8, random.Random(2))
+    distinct = [list(x) for x in dict.fromkeys(map(tuple, draws))]
+    assert len(distinct) == 7
+    checked = []
+    cover = verifier.covers
+    monkeypatch.setattr(verifier, "covers", lambda gal, guards:
+                        checked.append(guards) or cover(gal, guards))
+    rep = sample_solution_space(g, k, on_count=0, off_count=8, seed=2,
+                                pair_count=0)
+    assert rep.passed, rep.lines
+    assert checked == [embed(g, x) for x in distinct]
+    assert rep.off_checked == 7
+    assert "PASS off-cell non-coverage (7 distinct cells of 45)" in rep.lines
 
 
 def test_sample_report_deterministic():

@@ -51,9 +51,36 @@ EXIT_INFEASIBLE = 3
 EPSILON_ENV = "TOPOGALLERY_EPSILON"
 
 
+def _positive_frac(raw: str) -> Fraction:
+    try:
+        v = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        v = Fraction(0)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive rational, got {raw!r}")
+    return v
+
+
+def _count(raw: str) -> int:
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {raw!r}")
+    return n
+
+
 def _default_epsilon() -> Fraction:
     raw = os.environ.get(EPSILON_ENV)
-    return parse_frac(raw) if raw else Fraction(1, 4)
+    if not raw:
+        return Fraction(1, 4)
+    try:
+        return _positive_frac(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise FileFormatError(f"{EPSILON_ENV}: {exc}") from None
 
 
 def _read_text(path: str) -> str:
@@ -159,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="complex or cnf file -> gallery file")
     c.add_argument("input")
     c.add_argument("-o", "--output", default="-")
-    c.add_argument("--epsilon", type=parse_frac, default=_default_epsilon())
+    c.add_argument("--epsilon", type=_positive_frac)
     c.set_defaults(func=cmd_compile)
 
     cs = sub.add_parser("compile-surface",
@@ -170,16 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--non-orientable", dest="orientable",
                        action="store_false")
     cs.add_argument("-o", "--output", default="-")
-    cs.add_argument("--epsilon", type=parse_frac, default=_default_epsilon())
+    cs.add_argument("--epsilon", type=_positive_frac)
     cs.set_defaults(func=cmd_compile_surface)
 
     v = sub.add_parser("verify", help="gallery (+ complex) -> report")
     v.add_argument("gallery")
     v.add_argument("--complex")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--on-samples", type=int, default=24)
-    v.add_argument("--off-samples", type=int, default=20)
-    v.add_argument("--pair-samples", type=int, default=20)
+    v.add_argument("--on-samples", type=_count, default=24)
+    v.add_argument("--off-samples", type=_count, default=20)
+    v.add_argument("--pair-samples", type=_count, default=20)
     v.add_argument("-o", "--output", default="-")
     v.set_defaults(func=cmd_verify)
 
@@ -206,6 +233,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand reads the variable, so a malformed one exits 2
+        env_epsilon = _default_epsilon()
+        if getattr(args, "epsilon", env_epsilon) is None:
+            args.epsilon = env_epsilon
         return args.func(args)
     except (FileFormatError, ComplexError, FormulaError, GenusError,
             OSError) as exc:

@@ -51,8 +51,9 @@ from .geom import (
     Point,
     Segment,
     SimplePolygon,
-    intersect_lines,
     rat,
+    x_at,
+    y_at,
 )
 
 
@@ -264,34 +265,28 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
             ruler_offsets[i] = seg.a.y - mouth_y[0]
 
     # rows: one per clause literal
-    rows: list[dict] = []
+    records: list[GuardSegmentRecord] = []
     for j, clause in enumerate(f.clauses):
         cg = gadgets[j]
         for pos, lit in enumerate(clause):
             if isinstance(lit, Band):
-                i = lit.index + 1
-                y = mouth_y[j] + ruler_offsets[i]
-                lo, hi = col[0]
-                rows.append(dict(clause=j, pos=pos, var=0,
-                                 designation="band", band=lit.index,
-                                 y=y, endpoint=None))
+                v, designation, band, endpoint = 0, "band", lit.index, None
+                y = mouth_y[j] + ruler_offsets[lit.index + 1]
             else:
-                v = lit.var
-                lo, hi = col[v]
+                v, band = lit.var, None
                 if lit.const == 1:
-                    p = intersect_lines(*cg.low_line(),
-                                        Point(hi, 0), Point(hi, 1))
-                    rows.append(dict(clause=j, pos=pos, var=v,
-                                     designation="right", band=None,
-                                     y=p.y, endpoint=p))
+                    designation, x, line = "right", col[v][1], cg.low_line()
                 else:
-                    p = intersect_lines(*cg.up_line(),
-                                        Point(lo, 0), Point(lo, 1))
-                    rows.append(dict(clause=j, pos=pos, var=v,
-                                     designation="left", band=None,
-                                     y=p.y, endpoint=p))
+                    designation, x, line = "left", col[v][0], cg.up_line()
+                y = y_at(*line, x)
+                endpoint = Point(x, y)
+            lo, hi = col[v]
+            records.append(GuardSegmentRecord(
+                index=len(records), clause=j, literal_pos=pos, var=v,
+                designation=designation, band=band,
+                segment=Segment(Point(lo, y), Point(hi, y)), endpoint=endpoint))
 
-    ys = sorted(r["y"] for r in rows)
+    order, ys = _rows_by_height(records)
     if len(set(ys)) != len(ys):
         raise CompileError("clearance infeasible: two rows share a height; "
                            "retry with a different epsilon")
@@ -301,29 +296,13 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
     if ys[0] <= floor_sentinel + 1:
         raise CompileError("layout error: rows leave no floor margin")
     ceil_sentinel = min(mouth_y.values()) - 1
-    if ys and ys[-1] >= ceil_sentinel:
+    if ys[-1] >= ceil_sentinel:
         raise CompileError("rows collide with the clause zone")
 
     # neighbour gaps from the global row order (sentinels at the margins)
-    order = sorted(range(len(rows)), key=lambda idx: rows[idx]["y"])
-    gap_below = {}
-    gap_above = {}
-    for pos_in_order, idx in enumerate(order):
-        y = rows[idx]["y"]
-        below = rows[order[pos_in_order - 1]]["y"] if pos_in_order > 0 else floor_sentinel
-        above = (rows[order[pos_in_order + 1]]["y"]
-                 if pos_in_order + 1 < len(order) else ceil_sentinel)
-        gap_below[idx] = y - below
-        gap_above[idx] = above - y
-
-    records: list[GuardSegmentRecord] = []
-    for idx, r in enumerate(rows):
-        lo, hi = col[r["var"]]
-        seg = Segment(Point(lo, r["y"]), Point(hi, r["y"]))
-        records.append(GuardSegmentRecord(
-            index=idx, clause=r["clause"], literal_pos=r["pos"], var=r["var"],
-            designation=r["designation"], band=r["band"], segment=seg,
-            endpoint=r["endpoint"]))
+    bounds = [floor_sentinel] + ys + [ceil_sentinel]
+    gap_below = {idx: ys[k] - bounds[k] for k, idx in enumerate(order)}
+    gap_above = {idx: bounds[k + 2] - ys[k] for k, idx in enumerate(order)}
 
     # copy chains per variable (top to bottom)
     chains: dict[int, list[int]] = {}
@@ -401,30 +380,20 @@ def _strip_interval_on_row(cg: ClauseGadget, seg: Segment):
     """Parameters along a horizontal segment cut by a clause strip."""
     y = seg.a.y
     w = seg.b.x - seg.a.x
-    apex, hi = cg.low_line()
-    r1 = (apex.x - hi.x) / (apex.y - hi.y)
-    x_low = apex.x + r1 * (y - apex.y)
-    apex2, lo = cg.up_line()
-    r2 = (apex2.x - lo.x) / (apex2.y - lo.y)
-    x_up = apex2.x + r2 * (y - apex2.y)
-    return (x_low - seg.a.x) / w, (x_up - seg.a.x) / w
+    return ((x_at(*cg.low_line(), y) - seg.a.x) / w,
+            (x_at(*cg.up_line(), y) - seg.a.x) / w)
 
 
 def _strip_heights(g: Gallery) -> dict:
     """Per variable, per clause gadget: the closed height range
     [y_lo, y_hi] in which the clause strip meets the variable's column."""
-    slopes = []
     for cg in g.clause_gadgets:
-        apex, mhi = cg.low_line()
-        apex2, mlo = cg.up_line()
-        r1 = (apex.x - mhi.x) / (apex.y - mhi.y)
-        r2 = (apex2.x - mlo.x) / (apex2.y - mlo.y)
-        if r1 <= 0 or r2 <= 0:
-            raise CompileError(
-                f"strip of clause {cg.index} does not rise to the right")
-        slopes.append((apex, r1, apex2, r2))
-    return {v: [(apex2.y + (lo - apex2.x) / r2, apex.y + (hi - apex.x) / r1)
-                for apex, r1, apex2, r2 in slopes]
+        for apex, mouth in (cg.low_line(), cg.up_line()):
+            if (apex.x - mouth.x) * (apex.y - mouth.y) <= 0:
+                raise CompileError(
+                    f"strip of clause {cg.index} does not rise to the right")
+    return {v: [(y_at(*cg.up_line(), lo), y_at(*cg.low_line(), hi))
+                for cg in g.clause_gadgets]
             for v, (lo, hi) in g.columns.items()}
 
 
@@ -463,9 +432,7 @@ def _audit(g: Gallery):
     from .gadgets import clause_family_disjoint
     span = Fraction(0)
     for cg in g.clause_gadgets:
-        apex, hi = cg.low_line()
-        r1 = (apex.x - hi.x) / (apex.y - hi.y)
-        span = max(span, r1 * apex.y)
+        span = max(span, cg.witness_point.x - x_at(*cg.low_line(), 0))
     if not clause_family_disjoint(list(g.clause_gadgets), span):
         raise CompileError("clause visibility regions overlap within the room")
 
@@ -488,8 +455,9 @@ def _audit(g: Gallery):
         if a2 <= b1:
             raise CompileError("forced slivers of two rows overlap in y")
 
-    _audit_j_wedges(g, rows)
-    _audit_chambers(g, rows)
+    far_right = max(rec.segment.b.x for rec in records)
+    _audit_j_wedges(g, rows, far_right)
+    _audit_chambers(g, rows, far_right)
 
     # copy pair alignment sanity
     for pair in g.copy_pairs:
@@ -541,11 +509,10 @@ def _check_strip(g: Gallery, cg: ClauseGadget, rec: GuardSegmentRecord):
             f"{rec.designation if designated else 'foreign'})")
 
 
-def _audit_j_wedges(g: Gallery, rows):
+def _audit_j_wedges(g: Gallery, rows, far_right):
     """J wedges touch no foreign segment (the wedge opens downward from J)."""
     records = g.segments
     order, ys = rows
-    far_right = max(rec.segment.b.x for rec in records)
     for idx, vg in enumerate(g.variable_gadgets):
         jj = vg.J
         ga, gb = vg.guard_segment.a, vg.guard_segment.b
@@ -553,7 +520,7 @@ def _audit_j_wedges(g: Gallery, rows):
         if jj.x < ga.x < gb.x and ga.y == gb.y < jj.y:
             # at y < J.y the wedge is [xG(y), xH(y)] and xG grows as y
             # falls: below y_clear, where xG = far_right, every row is clear
-            y_clear = jj.y + (far_right - jj.x) * (ga.y - jj.y) / (ga.x - jj.x)
+            y_clear = y_at(jj, ga, far_right)
             start = bisect_left(ys, y_clear)
         for i in sorted(order[start:bisect_left(ys, jj.y)]):
             if records[i].index != idx:
@@ -569,19 +536,17 @@ def _check_j_wedge(vg: VariableGadget, idx: int, rec: GuardSegmentRecord):
     # inside only if the wedge's rays cross its row between the endpoints
     jj = vg.J
     for target in (vg.guard_segment.a, vg.guard_segment.b):
-        r = (target.x - jj.x) / (target.y - jj.y)
-        xh = jj.x + r * (s.a.y - jj.y)
+        xh = x_at(jj, target, s.a.y)
         if s.a.x <= xh <= s.b.x:
             raise CompileError(
                 f"forcing wedge boundary of row {idx} crosses "
                 f"segment {rec.index}")
 
 
-def _audit_chambers(g: Gallery, rows):
+def _audit_chambers(g: Gallery, rows, far_right):
     """Chamber razor mouths: no foreign segment can sight the deep edges."""
     records = g.segments
     order, ys = rows
-    far_right = max(rec.segment.b.x for rec in records)
     left_end = min(rec.segment.a.x for rec in records)
     for pair in g.copy_pairs:
         cg = pair.gadget
@@ -620,11 +585,8 @@ def _check_chamber_blocked(cg: CopyGadget, rec: GuardSegmentRecord, which: str):
     edge, mouth_lo, mouth_hi = ((cg.A, cg.B), cg.D.y, cg.C.y) if which == "AB" \
         else ((cg.U, cg.V), cg.T.y, cg.S.y)
     wall_x = cg.C.x
-    crossings = []
-    for gp in (rec.segment.a, rec.segment.b):
-        for ep in edge:
-            t = (wall_x - gp.x) / (ep.x - gp.x)
-            crossings.append(gp.y + t * (ep.y - gp.y))
+    crossings = [y_at(gp, ep, wall_x)
+                 for gp in (rec.segment.a, rec.segment.b) for ep in edge]
     if not (max(crossings) <= mouth_lo or min(crossings) >= mouth_hi):
         raise CompileError(
             f"segment {rec.index} (variable {rec.var}) can sight chamber "
@@ -726,13 +688,10 @@ def compile_surface(n: int, orientable: bool, epsilon=Fraction(1, 4)) -> Gallery
     """Gallery whose solution space is the closed surface of genus n."""
     if n < 0:
         raise GenusError("genus must be nonnegative")
-    if n == 0:
-        if not orientable:
-            raise GenusError("there is no non-orientable surface of genus 0")
-        return _assemble(cnf_of_dnf_pruned(complex_to_dnf(sphere_complex())),
-                         rat(epsilon))
-    if n == 1:
-        fixture = surface_fixture(orientable)
+    if n == 0 and not orientable:
+        raise GenusError("there is no non-orientable surface of genus 0")
+    if n < 2:
+        fixture = sphere_complex() if n == 0 else surface_fixture(orientable)
         return _assemble(cnf_of_dnf_pruned(complex_to_dnf(fixture)), rat(epsilon))
     fixture = surface_fixture(orientable)
     f1, f2 = canonical_removed_faces(fixture)

@@ -20,6 +20,8 @@ from .geom import (
     invert_through,
     orient,
     rat,
+    x_at,
+    y_at,
 )
 
 
@@ -172,8 +174,8 @@ def make_variable_gadget(guard_segment: Segment, wall_side: str = "left",
                     tag + "I")
 
     j = Point(lw - depth, y0 + rise)
-    jm_g = intersect_lines(j, g, Point(lw, 0), Point(lw, 1))
-    jm_h = intersect_lines(j, h, Point(lw, 0), Point(lw, 1))
+    jm_g = Point(lw, y_at(j, g, lw))
+    jm_h = Point(lw, y_at(j, h, lw))
     if not (y0 < jm_g.y < jm_h.y):
         raise GadgetError("J mouth corners out of order")
     notch_j = Niche("left", (jm_h, j, jm_g), tag + "J")
@@ -500,13 +502,8 @@ class Wedge:
         if self.apex.y <= self.low_pt.y or self.apex.y <= self.up_pt.y:
             raise GadgetError("wedge apex must sit above both ray points")
 
-    def x_low(self, y) -> Fraction:
-        r = (self.apex.x - self.low_pt.x) / (self.apex.y - self.low_pt.y)
-        return self.apex.x + r * (rat(y) - self.apex.y)
-
     def x_up(self, y) -> Fraction:
-        r = (self.apex.x - self.up_pt.x) / (self.apex.y - self.up_pt.y)
-        return self.apex.x + r * (rat(y) - self.apex.y)
+        return x_at(self.apex, self.up_pt, y)
 
 
 @dataclass(frozen=True)
@@ -549,7 +546,7 @@ def make_wedge_segments(n: int, wedge: Wedge, left_x) -> WedgeFamily:
     segments = []
     for i in range(1, n):
         # lower line crosses at parameter k_{i-1}
-        y_i = apex.y + (left_x + ks[i - 1] * s - apex.x) / r1
+        y_i = y_at(apex, wedge.low_pt, left_x + ks[i - 1] * s)
         if wedge.x_up(y_i) != left_x + ks[i] * s:
             raise GadgetError("wedge recurrence failed to close")
         segments.append(Segment(Point(left_x, y_i), Point(left_x + s, y_i)))

@@ -146,6 +146,30 @@ def intersect_lines(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
     return hpoint_to_point(m)
 
 
+def x_at(p: Point, q: Point, y) -> Fraction:
+    """Exact x of the line through p and q at height y.
+
+    Raises GeometryError when the line is horizontal or p == q.
+    """
+    a, b, c = _hline(hpoint(p), hpoint(q))   # a*x + b*y + c = 0
+    if a == 0:
+        raise GeometryError(f"line through {p} and {q} is horizontal or degenerate")
+    y = rat(y)
+    return Fraction(-(b * y.numerator + c * y.denominator), a * y.denominator)
+
+
+def y_at(p: Point, q: Point, x) -> Fraction:
+    """Exact y of the line through p and q at abscissa x.
+
+    Raises GeometryError when the line is vertical or p == q.
+    """
+    a, b, c = _hline(hpoint(p), hpoint(q))   # a*x + b*y + c = 0
+    if b == 0:
+        raise GeometryError(f"line through {p} and {q} is vertical or degenerate")
+    x = rat(x)
+    return Fraction(-(a * x.numerator + c * x.denominator), b * x.denominator)
+
+
 def invert_through(z: Point, p: Point, target_y) -> Point:
     """Image of p under inversion through z onto the horizontal line y=target_y.
 
@@ -157,8 +181,7 @@ def invert_through(z: Point, p: Point, target_y) -> Point:
         raise GeometryError("pivot lies on the source line")
     if not ((p.y < z.y < target_y) or (target_y < z.y < p.y)):
         raise GeometryError("pivot not strictly between source and target lines")
-    t = (target_y - p.y) / (z.y - p.y)
-    return Point(p.x + t * (z.x - p.x), target_y)
+    return Point(x_at(p, z, target_y), target_y)
 
 
 def hausdorff_distance_sq_max(g0: Iterable[Point], g1: Iterable[Point]) -> Fraction:

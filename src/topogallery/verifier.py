@@ -158,7 +158,7 @@ def verify_copy_gadget(strip: CopyStrip, seed: int = 0, samples: int = 32,
     """Mechanical Lemma-3 contract check on an isolated strip.
 
     (a) no single grid guard sees all four apexes F, I, M, P;
-    (b) same-parameter pairs see each of the strip's sample points;
+    (b) same-parameter pairs cover the strip (exact `covers`);
     (c) mismatched pairs leave a certified uncovered point on AB or UV.
     """
     poly = strip.polygon
@@ -171,14 +171,12 @@ def verify_copy_gadget(strip: CopyStrip, seed: int = 0, samples: int = 32,
         if all(visible(poly, p, q) for q in four):
             raise VerifyError(f"single guard at {p} sees all four apexes")
 
-    points = _strip_samples(strip)
     for _ in range(samples):
         t = Fraction(rng.randint(0, 128), 128)
-        up, lo = strip.guards_at(t)
-        for w in points:
-            if not (visible(poly, up, w) or visible(poly, lo, w)):
-                raise VerifyError(
-                    f"equal parameters t={t} leave sample point {w} unseen")
+        report = covers(poly, GuardConfig(strip.guards_at(t)))
+        if not report.covered:
+            raise VerifyError(f"equal parameters t={t} leave point "
+                              f"{report.uncovered_witness} unseen")
 
     mism = 0
     while mism < samples:
@@ -198,17 +196,6 @@ def verify_copy_gadget(strip: CopyStrip, seed: int = 0, samples: int = 32,
             raise VerifyError(
                 f"mismatch t={t}, t'={t2}: witness {w} unexpectedly covered")
     return CopyGadgetReport(len(candidates), samples, mism, True)
-
-
-def _strip_samples(strip: CopyStrip) -> list[Point]:
-    pts = list(strip.polygon.vertices)
-    pts.extend(strip.apexes.values())
-    cg = strip.copy
-    for k in range(17):
-        t = Fraction(k, 16)
-        pts.append(cg.ab_image(t))
-        pts.append(cg.uv_image(t))
-    return list(dict.fromkeys(pts))
 
 
 # --- brute force minimal guards ------------------------------------------

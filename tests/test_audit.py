@@ -75,10 +75,11 @@ def _outcome(check, *args):
 
 def _assert_pruned_checks_agree(g):
     rows = _rows_by_height(g.segments)
+    far_right = max(rec.segment.b.x for rec in g.segments)
     pairs = [
         ((_audit_strips, g, rows, _strip_heights(g)), (_all_pairs_strips, g)),
-        ((_audit_j_wedges, g, rows), (_all_pairs_j_wedges, g)),
-        ((_audit_chambers, g, rows), (_all_pairs_chambers, g)),
+        ((_audit_j_wedges, g, rows, far_right), (_all_pairs_j_wedges, g)),
+        ((_audit_chambers, g, rows, far_right), (_all_pairs_chambers, g)),
     ]
     for fast, reference in pairs:
         assert _outcome(*fast) == _outcome(*reference), fast[0].__name__

@@ -401,3 +401,31 @@ def test_cli_epsilon_env_default(tmp_path, monkeypatch):
     assert main(["compile", str(cpath), "-o", str(gpath)]) == 0
     g = rg(gpath.read_text())
     assert g.epsilon == Fraction(1, 8)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1/4"])
+def test_cli_malformed_epsilon_env_is_input_error(tmp_path, capsys,
+                                                  monkeypatch, raw):
+    gpath = tmp_path / "one.gallery"
+    gpath.write_text(_gallery_text())
+    monkeypatch.setenv("TOPOGALLERY_EPSILON", raw)
+    assert main(["stats", str(gpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: TOPOGALLERY_EPSILON: ")
+    assert repr(raw) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "x.gallery", "--on-samples=-3"],
+    ["verify", "x.gallery", "--off-samples=-1"],
+    ["verify", "x.gallery", "--pair-samples=-2"],
+    ["compile", "x.cnf", "--epsilon=0"],
+    ["compile-surface", "--genus", "1", "--orientable", "--epsilon=-1/4"],
+], ids=["on-samples", "off-samples", "pair-samples", "epsilon-zero",
+        "epsilon-negative"])
+def test_cli_rejects_negative_counts_and_nonpositive_epsilon(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    option = argv[-1].split("=")[0]
+    assert f"argument {option}: expected a " in capsys.readouterr().err

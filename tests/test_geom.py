@@ -32,6 +32,8 @@ from topogallery.geom import (
     visibility_fan,
     visibility_polygon,
     visible,
+    x_at,
+    y_at,
 )
 
 
@@ -223,6 +225,36 @@ def test_hausdorff_matches_fraction_definition(a, b):
     assert type(d) is Fraction
     assert d == _hausdorff_reference(a, b)
     assert d == hausdorff_distance_sq_max(b, a)
+
+
+# --- x_at / y_at ---------------------------------------------------------
+
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@settings(max_examples=300)
+@given(rational_points, rational_points, rationals)
+def test_x_at_y_at_match_axis_parallel_intersection(p, q, c):
+    zero, one = Fraction(0), Fraction(1)
+    if p.y != q.y:
+        x = x_at(p, q, c)
+        assert type(x) is Fraction
+        assert x == intersect_lines(p, q, Point(zero, c), Point(one, c)).x
+        assert orient(p, q, Point(x, c)) == 0
+    if p.x != q.x:
+        y = y_at(p, q, c)
+        assert type(y) is Fraction
+        assert y == intersect_lines(p, q, Point(c, zero), Point(c, one)).y
+        assert orient(p, q, Point(c, y)) == 0
+
+
+@given(rational_points, rationals, rationals)
+def test_x_at_y_at_reject_axis_parallel_lines(p, other, c):
+    # `other == p.x` or `p.y` makes the two points coincide
+    with pytest.raises(GeometryError):
+        x_at(p, Point(other, p.y), c)
+    with pytest.raises(GeometryError):
+        y_at(p, Point(p.x, other), c)
 
 
 # --- polygon basics -------------------------------------------------------

@@ -3,6 +3,7 @@ solution-space sampling, and surface classification."""
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -25,8 +26,8 @@ from topogallery.compiler import (
     surface_formula,
 )
 from topogallery.formulas import Band, CnfFormula, cnf, eval_formula
-from topogallery.gadgets import build_copy_strip
-from topogallery.geom import SimplePolygon, pt, visible
+from topogallery.gadgets import CopyStrip, Niche, assemble_room, build_copy_strip
+from topogallery.geom import Point, SimplePolygon, pt, visible
 from topogallery.verifier import (
     CellComplex2,
     VerifyError,
@@ -182,6 +183,25 @@ def test_verify_copy_gadget_canonical():
     strip = build_copy_strip()
     report = verify_copy_gadget(strip, seed=5, samples=8, grid=(12, 10))
     assert report.passed
+
+
+@pytest.mark.parametrize("mouth, message", [
+    ("widened", "unexpectedly covered"),   # mismatched pairs now see AB
+    ("narrowed", "equal parameters"),      # equal pairs leave a gap on AB
+])
+def test_verify_copy_gadget_rejects_tampered_mouth(mouth, message):
+    strip = build_copy_strip()
+    cg = strip.copy
+    dy = (cg.C.y - cg.D.y) / 4
+    c, d = ((cg.C, Point(cg.D.x, cg.D.y - dy)) if mouth == "widened"
+            else (Point(cg.C.x, cg.C.y - dy), cg.D))
+    tampered = replace(cg, C=c, D=d,
+                       slit_AB=Niche("left", (c, cg.B, cg.A, d), "AB"))
+    niches = tampered.niches() + strip.upper.niches() + strip.lower.niches()
+    poly = assemble_room(0, 14, cg.T.y - 2, cg.A.y + 2, niches)
+    with pytest.raises(VerifyError, match=message):
+        verify_copy_gadget(CopyStrip(poly, strip.upper, strip.lower, tampered),
+                           seed=5, samples=8, grid=(12, 10))
 
 
 def test_copy_strip_brute_force_two_guards():

@@ -25,7 +25,6 @@ from .files import (
     COMPLEX_HEADER,
     FileFormatError,
     REPORT_HEADER,
-    parse_frac,
     read_cnf,
     read_complex,
     read_gallery,
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("render", help="gallery file -> svg")
     r.add_argument("gallery")
     r.add_argument("-o", "--output", default="-")
-    r.add_argument("--stroke", type=parse_frac, default=Fraction(1, 2))
+    r.add_argument("--stroke", type=_positive_frac, default=Fraction(1, 2))
     r.add_argument("--plain", action="store_true",
                    help="omit guard segment and witness highlights")
     r.set_defaults(func=cmd_render)

@@ -334,7 +334,8 @@ class SimplePolygon:
     polygons that are only located in never make a Point.
     """
 
-    __slots__ = ("_vertices", "_h", "_bbox", "_ybuckets", "_int_edge_bboxes")
+    __slots__ = ("_vertices", "_h", "_bbox", "_ybuckets", "_int_edge_bboxes",
+                 "_edge_lines")
 
     def __init__(self, vertices: Sequence[Point]):
         self._vertices = tuple(vertices)
@@ -362,6 +363,7 @@ class SimplePolygon:
                       _extreme(fx, hv, 0, 1), _extreme(fy, hv, 1, 1))
         self._ybuckets = None
         self._int_edge_bboxes = None
+        self._edge_lines = None
         self._validate(fx, fy)
 
     @property
@@ -395,6 +397,13 @@ class SimplePolygon:
             hv = self._h
             self._int_edge_bboxes = [_ibox(e) for e in zip(hv, hv[1:] + hv[:1])]
         return self._int_edge_bboxes
+
+    def edge_lines(self):
+        """The line `_hline(a, b)` of each edge ab, built on first use."""
+        if self._edge_lines is None:
+            hv = self._h
+            self._edge_lines = [_hline(a, b) for a, b in zip(hv, hv[1:] + hv[:1])]
+        return self._edge_lines
 
     def _validate(self, fx, fy):
         """Raise GeometryError unless the polygon is simple and ccw.  fx
@@ -555,6 +564,7 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     hv = poly._h
     n = len(hv)
     boxes = poly.int_edge_bboxes()
+    lines = poly.edge_lines()
     for i in range(n):
         bx = boxes[i]
         if bx[2] < x0 or x1 < bx[0] or bx[3] < y0 or y1 < bx[1]:
@@ -565,7 +575,7 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
             cuts.add(ha)
         elif oa * orient_h(hp, hq, hb) < 0 \
                 and orient_h(ha, hb, hp) * orient_h(ha, hb, hq) < 0:
-            cuts.add(_hmeet(lpq, _hline(ha, hb)))
+            cuts.add(_hmeet(lpq, lines[i]))
     stops = _order_along(hp, hq, cuts)
     return all(poly._locate_h(_hmid(h0, h1)) != "out"
                for h0, h1 in zip(stops, stops[1:]))
@@ -600,42 +610,40 @@ def _reduce_dir(dx: int, dy: int) -> tuple[int, int]:
     return (dx // g, dy // g)
 
 
-def _ray_edge_hits(hp, d, ha, hb):
+def _ray_line(hp, d) -> tuple[int, int, int]:
+    """The line through p (homogeneous hp) in direction d, oriented as
+    `_hline(p, p + d)`: l . h has the sign of cross(d, h - p)."""
+    return (-d[1] * hp[2], d[0] * hp[2], hp[0] * d[1] - hp[1] * d[0])
+
+
+def _ray_edge_hits(hp, d, lray, ha, hb, ledge):
     """Intersections of ray(p, d) with closed edge ab, as homogeneous points.
 
-    Returns a list of hit points with strictly positive ray parameter.
-    Collinear overlaps return both in-range endpoints.
+    lray is `_ray_line(hp, d)` and ledge is `_hline(ha, hb)`.  Returns a
+    list of hit points with strictly positive ray parameter.  Collinear
+    overlaps return both in-range endpoints.
     """
     # sides of a and b relative to the ray's supporting line
-    ax = ha[0] * hp[2] - hp[0] * ha[2]
-    ay = ha[1] * hp[2] - hp[1] * ha[2]
-    bx = hb[0] * hp[2] - hp[0] * hb[2]
-    by = hb[1] * hp[2] - hp[1] * hb[2]
-    sa = _sign(d[0] * ay - d[1] * ax)
-    sb = _sign(d[0] * by - d[1] * bx)
-    hits = []
-    if sa == 0 and sb == 0:
-        for h, fx, fy in ((ha, ax, ay), (hb, bx, by)):
-            if d[0] * fx + d[1] * fy > 0:
-                hits.append(h)
-        return hits
+    sa = _sign(lray[0] * ha[0] + lray[1] * ha[1] + lray[2] * ha[2])
+    sb = _sign(lray[0] * hb[0] + lray[1] * hb[1] + lray[2] * hb[2])
     if sa * sb > 0:
         return []
+    if sa == 0 and sb == 0:
+        return [h for h in (ha, hb) if d[0] * (h[0] * hp[2] - hp[0] * h[2])
+                + d[1] * (h[1] * hp[2] - hp[1] * h[2]) > 0]
     if sa == 0:
         cand = ha
     elif sb == 0:
         cand = hb
     else:
-        lray = _hline(hp, (hp[0] + d[0] * hp[2], hp[1] + d[1] * hp[2], hp[2]))
-        cand = _hmeet(lray, _hline(ha, hb))
+        cand = _hmeet(lray, ledge)
         if cand[2] == 0:
             return []
     # forward test: dot(d, cand - p) > 0
-    fx = cand[0] * hp[2] - hp[0] * cand[2]
-    fy = cand[1] * hp[2] - hp[1] * cand[2]
-    if d[0] * fx + d[1] * fy > 0:
-        hits.append(cand)
-    return hits
+    if d[0] * (cand[0] * hp[2] - hp[0] * cand[2]) \
+            + d[1] * (cand[1] * hp[2] - hp[1] * cand[2]) > 0:
+        return [cand]
+    return []
 
 
 def _nearer_on_ray(hp, d, h1, h2) -> bool:
@@ -658,8 +666,7 @@ def _cone_side_hit(poly: SimplePolygon, hp, vdirs, e: int, d):
         return poly._h[e]
     if vdirs[k] == d:
         return poly._h[k]
-    lray = _hline(hp, (hp[0] + d[0] * hp[2], hp[1] + d[1] * hp[2], hp[2]))
-    m = _hmeet(lray, _hline(poly._h[e], poly._h[k]))
+    m = _hmeet(_ray_line(hp, d), poly.edge_lines()[e])
     # ahead of p: dot(d, m - p) > 0
     if m[2] == 0 or d[0] * (m[0] * hp[2] - hp[0] * m[2]) \
             + d[1] * (m[1] * hp[2] - hp[1] * m[2]) <= 0:
@@ -709,6 +716,7 @@ def _sweep(poly: SimplePolygon, hp,
     if where == "out":
         raise GeometryError("viewpoint outside polygon")
     hv = poly._h
+    lines = poly.edge_lines()
     n = len(hv)
     if vdirs is None:
         vdirs = _vertex_dirs(poly, hp)
@@ -744,11 +752,12 @@ def _sweep(poly: SimplePolygon, hp,
             rep = (-u[1], u[0])  # cone of angle exactly pi
         else:
             rep = (-u[0], -u[1])  # reflex cone: the antipode of u is inside
+        lray = _ray_line(hp, rep)
         best = None
         best_edge = -1
         for e in stabbed[i]:
-            ha, hb = hv[e], hv[(e + 1) % n]
-            for cand in _ray_edge_hits(hp, rep, ha, hb):
+            for cand in _ray_edge_hits(hp, rep, lray, hv[e],
+                                       hv[e + 1 if e + 1 < n else 0], lines[e]):
                 if best is None or _nearer_on_ray(hp, rep, cand, best):
                     best = cand
                     best_edge = e
@@ -888,10 +897,21 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
     one piece, which other guard covers the right side cannot change, so
     the midpoint m decides it: the side is covered iff m is inside another
     VP(j), or m lies on a window of another guard that runs along the
-    piece in the opposite direction.  The guard that covered the last
-    piece is tried first.  Each guard is turned into its `hpoint` triple
-    once; the sweep, the windows, the cuts and the piece tests all run on
-    triples, and Points are made only for the uncovered piece returned.
+    piece in the opposite direction.
+
+    Pieces are decided in runs along each window.  A window's relative
+    interior lies in P's interior, where the boundary of VP(j) runs only
+    along windows of j; so membership in VP(j) changes along a window only
+    at cuts from j's windows.  If piece k is inside VP(j), piece k + 1 is
+    too unless j's bit is set on the cut between them (`_cut_windows`
+    records the guards whose windows pass through each cut), so the guard
+    that covered the last piece is carried to the next without a locate.
+    A piece decided by an opposite window carries nothing, and each
+    window starts afresh.  Otherwise the guard that covered the last
+    located piece is tried first.  Each guard is turned into its `hpoint`
+    triple once; the sweep, the windows, the cuts and the piece tests all
+    run on triples, and Points are made only for the uncovered piece
+    returned.
 
     `views`, if given, maps a guard's `hpoint` triple to its view, the
     pair of `_visibility` for this polygon: the visibility polygon and its
@@ -916,9 +936,13 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
     tested = 0
     # the guards in the order tried: the last good one, then the others
     order = list(range(len(vps)))
-    for (gi, _, _), (hs, opposite) in zip(windows, _cut_windows(windows)):
+    for (gi, _, _), (hs, masks, opposite) in zip(windows, _cut_windows(windows)):
+        carried = -1  # the guard whose VP held the last piece, or -1
         for k in range(len(hs) - 1):
             tested += 1
+            if carried >= 0 and not masks[k] >> carried & 1:
+                continue
+            carried = -1
             hm = _hmid(hs[k], hs[k + 1])
             if opposite and any(_on_segment_collinear(hc, hd, hm)
                                 for hc, hd in opposite):
@@ -931,6 +955,7 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
                         and vps[j]._locate_h(hm) == "in":
                     if j != order[0]:
                         order = [j] + [i for i in range(len(vps)) if i != j]
+                    carried = j
                     break
             else:
                 return tested, (hpoint_to_point(hs[k]), hpoint_to_point(hs[k + 1]))
@@ -939,9 +964,11 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
 
 def _cut_windows(windows):
     """For each window (guard index, a, b), a and b triples in `hpoint`'s
-    form: its cut points, triples in that form, ordered from a to b, ends
-    included, and the windows (a, b) of other guards that lie along it in
-    the opposite direction.
+    form, the triple (stops, masks, opposite): its cut points, triples in
+    that form, ordered from a to b, ends included; for each cut point the
+    bitmask of the other guards that have a window through it (bit gi for
+    guard index gi); and the windows (a, b) of other guards that lie
+    along it in the opposite direction.
 
     Cuts are the crossings and touches with other guards' windows and the
     ends of collinear overlaps.  Windows of one guard never cross (they
@@ -955,7 +982,10 @@ def _cut_windows(windows):
     lower-ranked candidates in rank order, so every cut list and
     `opposite` list, order included, is that of a sweep over x.  A
     crossing is put in hpoint's form (`_hcanon`), which names a point
-    uniquely, so each window's set of cuts holds each point once.
+    uniquely, so each window's set of cuts holds each point once.  A
+    crossing or a touch sets the other guard's bit at that point; a window
+    of another guard on the same line sets its bit at every cut point of
+    the stretch they share, the ends of the overlap included.
     """
     hs = [(ha, hb) for _, ha, hb in windows]
     # boxes on the keys floor(coordinate * 2^_BOX_BITS), which never
@@ -985,13 +1015,18 @@ def _cut_windows(windows):
                 else:
                     earlier[j].append(ri)
         active.append(i)
-    cuts = [{ha, hb} for ha, hb in hs]
+    bits = [1 << gi for gi, _, _ in windows]
+    # each window's cut points, each with the guard bits found there
+    cuts = [{ha: 0, hb: 0} for ha, hb in hs]
     # l . h has the sign of orient_h(a, b, h) for the line l through a, b
     lines = [_hline(ha, hb) for ha, hb in hs]
     opposite: list[list] = [[] for _ in windows]
+    # the windows of other guards on each window's line whose boxes meet it
+    along: list[list[int]] = [[] for _ in windows]
     for i in order:
         ha, hb = hs[i]
         li = lines[i]
+        ci = cuts[i]
         for j in map(order.__getitem__, sorted(earlier[i])):
             hc, hd = hs[j]
             s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
@@ -999,8 +1034,14 @@ def _cut_windows(windows):
             if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
                 continue
             if s1 == 0 and s2 == 0:
-                cuts[i].update(h for h in (hc, hd) if _on_segment_collinear(ha, hb, h))
-                cuts[j].update(h for h in (ha, hb) if _on_segment_collinear(hc, hd, h))
+                for h in (hc, hd):
+                    if _on_segment_collinear(ha, hb, h):
+                        ci.setdefault(h, 0)
+                for h in (ha, hb):
+                    if _on_segment_collinear(hc, hd, h):
+                        cuts[j].setdefault(h, 0)
+                along[i].append(j)
+                along[j].append(i)
                 if _dot_dirs(ha, hb, hc, hd) < 0:
                     opposite[i].append(hs[j])
                     opposite[j].append(hs[i])
@@ -1013,10 +1054,20 @@ def _cut_windows(windows):
             # an endpoint on the other line is the unique crossing
             hx = (hc if s1 == 0 else hd if s2 == 0 else ha if s3 == 0
                   else hb if s4 == 0 else _hcanon(_hmeet(li, lj)))
-            cuts[i].add(hx)
-            cuts[j].add(hx)
-    return [(_order_along(ha, hb, pts), opp)
-            for (ha, hb), pts, opp in zip(hs, cuts, opposite)]
+            ci[hx] = ci.get(hx, 0) | bits[j]
+            cuts[j][hx] = cuts[j].get(hx, 0) | bits[i]
+    out = []
+    for (ha, hb), pts, opp, col in zip(hs, cuts, opposite, along):
+        stops = _order_along(ha, hb, pts)
+        masks = [pts[h] for h in stops]
+        # a collinear window through a cut holds it on its whole overlap
+        for j in col:
+            hc, hd = hs[j]
+            for k, h in enumerate(stops):
+                if _on_segment_collinear(hc, hd, h):
+                    masks[k] |= bits[j]
+        out.append((stops, masks, opp))
+    return out
 
 
 def _dot_dirs(ha, hb, hc, hd) -> int:

@@ -429,3 +429,15 @@ def test_cli_rejects_negative_counts_and_nonpositive_epsilon(capsys, argv):
     assert exc.value.code == 2
     option = argv[-1].split("=")[0]
     assert f"argument {option}: expected a " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stroke", ["-1", "0"])
+def test_cli_render_rejects_nonpositive_stroke(tmp_path, capsys, stroke):
+    gpath = tmp_path / "one.gallery"
+    spath = tmp_path / "one.svg"
+    gpath.write_text(_gallery_text())
+    with pytest.raises(SystemExit) as exc:
+        main(["render", str(gpath), "-o", str(spath), f"--stroke={stroke}"])
+    assert exc.value.code == 2
+    assert "argument --stroke: expected a positive rational" in capsys.readouterr().err
+    assert not spath.exists()

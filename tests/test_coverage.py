@@ -36,9 +36,11 @@ from topogallery.geom import (
     Point,
     SimplePolygon,
     _dir_cmp,
+    _hline,
     _nearer_on_ray,
     _on_segment_collinear,
     _ray_edge_hits,
+    _ray_line,
     _reduce_dir,
     convex_minus_triangle,
     hpoint,
@@ -101,7 +103,7 @@ def _nearest_hit_on_edge(hp, d, poly: SimplePolygon, e: int) -> Point:
     that vertex of poly itself, not a copy."""
     k = (e + 1) % len(poly._h)
     ha, hb = poly._h[e], poly._h[k]
-    hits = _ray_edge_hits(hp, d, ha, hb)
+    hits = _ray_edge_hits(hp, d, _ray_line(hp, d), ha, hb, _hline(ha, hb))
     if not hits:
         raise GeometryError("sweep invariant violated: event ray misses its edge")
     best = hits[0]
@@ -150,7 +152,8 @@ def _sweep_reference(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
         best_edge = -1
         for e in range(n):
             ha, hb = hv[e], hv[(e + 1) % n]
-            for cand in _ray_edge_hits(hp, rep, ha, hb):
+            for cand in _ray_edge_hits(hp, rep, _ray_line(hp, rep), ha, hb,
+                                       _hline(ha, hb)):
                 if best is None or _nearer_on_ray(hp, rep, cand, best):
                     best = cand
                     best_edge = e
@@ -609,6 +612,18 @@ def test_collinear_windows_with_facing_hidden_sides():
     assert not covers(poly, GuardConfig((gpts[0],))).covered
 
 
+def test_uncovered_region_bounded_only_by_windows():
+    # the region no guard sees is bounded by windows alone, so every piece
+    # that borders it follows a covered piece on its own window: a guard
+    # carried along a window must be dropped at the cuts its windows make
+    poly = SimplePolygon([pt(x, y) for x, y in (
+        (0, 0), (12, 0), (15, 5), (14, 0), (20, 0), (20, 13), (16, 14),
+        (20, 15), (20, 20), (18, 20), (8, 10), (16, 20), (0, 20))])
+    gpts = [pt(18, _q(33, 2)), pt(16, _q(5, 2)), pt(4, 12)]
+    rep = _agree(poly, gpts)
+    assert not rep.covered and rep.witness_count == 3
+
+
 def test_pinhole_whisker_is_not_coverage():
     # the guard at (1, 1) sees the far room (x >= 4) only along y = 1,
     # which grazes the corridor corners (2, 1) and (4, 1)
@@ -717,18 +732,21 @@ def test_window_layer_makes_points_only_at_the_edge(monkeypatch):
     assert len(built) == len(verts) == len(vp) and vp.vertices is verts
 
 
+CROSS_TOUCH_OVERLAP = [
+    (0, pt(0, 0), pt(4, 0)),
+    (1, pt(3, 0), pt(1, 0)),   # collinear, opposite, inside window 0
+    (2, pt(2, 1), pt(2, -1)),  # crosses windows 0 and 1 at (2, 0)
+    (2, pt(5, 0), pt(3, 0)),   # collinear, opposite, overlaps [3, 4]
+    (3, pt(0, 0), pt(4, 0)),   # collinear, same direction
+    (0, pt(_q(1, 2), 1), pt(_q(1, 2), -1)),  # same guard as window 0
+]
+
+
 def test_cut_windows_at_crossings_touches_and_overlap_ends():
     from topogallery.geom import _cut_windows
-    windows = [
-        (0, pt(0, 0), pt(4, 0)),
-        (1, pt(3, 0), pt(1, 0)),   # collinear, opposite, inside window 0
-        (2, pt(2, 1), pt(2, -1)),  # crosses windows 0 and 1 at (2, 0)
-        (2, pt(5, 0), pt(3, 0)),   # collinear, opposite, overlaps [3, 4]
-        (3, pt(0, 0), pt(4, 0)),   # collinear, same direction
-        (0, pt(_q(1, 2), 1), pt(_q(1, 2), -1)),  # same guard as window 0
-    ]
+    windows = CROSS_TOUCH_OVERLAP
     cut = _cut_windows(_hwindows(windows))
-    stops = [[geom.hpoint_to_point(h) for h in hs] for hs, _ in cut]
+    stops = [[geom.hpoint_to_point(h) for h in hs] for hs, _, _ in cut]
     assert stops[0] == [pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0), pt(4, 0)]
     assert stops[1] == [pt(3, 0), pt(2, 0), pt(1, 0)]
     assert stops[2] == [pt(2, 1), pt(2, 0), pt(2, -1)]
@@ -736,12 +754,18 @@ def test_cut_windows_at_crossings_touches_and_overlap_ends():
     assert stops[4] == [pt(0, 0), pt(_q(1, 2), 0)] + stops[0][1:]
     assert stops[5] == [pt(_q(1, 2), 1), pt(_q(1, 2), 0), pt(_q(1, 2), -1)]
     # the stops are hpoint's triples
-    assert [hs for hs, _ in cut] == [[geom.hpoint(p) for p in ps] for ps in stops]
-    assert cut == _hpoint_stops(_cut_windows_reference(windows))
+    assert [hs for hs, _, _ in cut] == [[geom.hpoint(p) for p in ps] for ps in stops]
+    assert _stops_and_opposite(cut) == _hpoint_stops(_cut_windows_reference(windows))
     hs = [(geom.hpoint(a), geom.hpoint(b)) for _, a, b in windows]
-    assert cut[0][1] == [hs[1], hs[3]]
-    assert cut[1][1] == [hs[0], hs[4]]
-    assert cut[4][1] == [hs[1], hs[3]]
+    assert cut[0][2] == [hs[1], hs[3]]
+    assert cut[1][2] == [hs[0], hs[4]]
+    assert cut[4][2] == [hs[1], hs[3]]
+    # the guards (bit gi for guard gi) whose windows pass through each cut;
+    # a collinear window sets its bit along the whole overlap
+    b0, b1, b2, b3 = 1, 2, 4, 8
+    assert cut[0][1] == [b3, b1 | b3, b1 | b2 | b3, b1 | b2 | b3, b2 | b3]
+    assert cut[2][1] == [0, b0 | b1 | b3, 0]
+    assert cut[4][1] == [b0, b0, b0 | b1, b0 | b1 | b2, b0 | b1 | b2, b0 | b2]
 
 
 def test_cut_windows_meets_candidates_in_rank_order():
@@ -755,8 +779,8 @@ def test_cut_windows_meets_candidates_in_rank_order():
     ]
     cut = geom._cut_windows(_hwindows(windows))
     hs = [(geom.hpoint(a), geom.hpoint(b)) for _, a, b in windows]
-    assert cut[2][1] == [hs[0], hs[1]]
-    assert cut == _hpoint_stops(_cut_windows_reference(windows))
+    assert cut[2][2] == [hs[0], hs[1]]
+    assert _stops_and_opposite(cut) == _hpoint_stops(_cut_windows_reference(windows))
 
 
 # --- the stabbing sweep against the full scan ----------------------------------
@@ -846,6 +870,12 @@ def _hwindows(windows):
     return [(gi, hpoint(a), hpoint(b)) for gi, a, b in windows]
 
 
+def _stops_and_opposite(cut):
+    """`geom._cut_windows`'s (stops, opposite) lists, as the reference
+    gives them, without the guard masks."""
+    return [(stops, opp) for stops, _, opp in cut]
+
+
 def _hpoint_stops(cut):
     """The reference's cut lists with each stop Point mapped through
     hpoint, which is injective, so equal lists mean equal stops."""
@@ -861,7 +891,7 @@ def test_cut_windows_matches_reference_on_galleries(make_complex):
     rng = random.Random(7)
     for x in on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng):
         windows = _windows_of(g.polygon, embed(g, x).guards)
-        assert geom._cut_windows(_hwindows(windows)) == \
+        assert _stops_and_opposite(geom._cut_windows(_hwindows(windows))) == \
             _hpoint_stops(_cut_windows_reference(windows))
 
 
@@ -870,8 +900,56 @@ def test_cut_windows_matches_reference_on_mobius():
     g = _gallery(k)
     for x in on_face_samples(k, 2, random.Random(7)):
         windows = _windows_of(g.polygon, embed(g, x).guards)
-        assert geom._cut_windows(_hwindows(windows)) == \
+        assert _stops_and_opposite(geom._cut_windows(_hwindows(windows))) == \
             _hpoint_stops(_cut_windows_reference(windows))
+
+
+def _brute_force_masks(windows, cut):
+    """For each cut point of each window, the bitmask of the other guards
+    that have a window through it: every window of another guard whose
+    integer box meets the window's box is tested at every cut point."""
+    boxes = [geom._ibox((ha, hb)) for _, ha, hb in windows]
+    out = []
+    for (gi, _, _), bi, (stops, _, _) in zip(windows, boxes, cut):
+        near = [(gj, hc, hd) for (gj, hc, hd), bj in zip(windows, boxes)
+                if gj != gi and bj[0] <= bi[2] and bi[0] <= bj[2]
+                and bj[1] <= bi[3] and bi[1] <= bj[3]]
+        out.append([sum({1 << gj for gj, hc, hd in near
+                         if orient_h(hc, hd, h) == 0
+                         and _on_segment_collinear(hc, hd, h)})
+                    for h in stops])
+    return out
+
+
+def _provenance_configs():
+    """(name, windows): the hand-built crossings, touches and overlaps, and
+    the windows of on-face and off-cell configurations of the circle,
+    sphere and Moebius galleries."""
+    yield "hand", CROSS_TOUCH_OVERLAP + [
+        (1, pt(4, 0), pt(4, 2)),   # touches window 0 at its end
+        (3, pt(2, 2), pt(2, 1)),   # stops on window 2's end
+    ]
+    for make_complex, n in ((circle_complex, 2), (sphere_complex, 2),
+                            (mobius_complex, 1)):
+        k = make_complex()
+        g = _gallery(k)
+        rng = random.Random(7)
+        for x in on_face_samples(k, n, rng) + off_samples_for(g.formula, 1, rng):
+            yield make_complex.__name__, _windows_of(g.polygon, embed(g, x).guards)
+
+
+def test_cut_windows_records_the_guards_through_each_cut():
+    # every cut point of every window, ends included, carries exactly the
+    # guards other than its own whose windows pass through it: the window
+    # test's run rule is sound only if no such guard is missing
+    seen = Counter()
+    for name, windows in _provenance_configs():
+        cut = geom._cut_windows(_hwindows(windows))
+        masks = [m for _, m, _ in cut]
+        assert masks == _brute_force_masks(_hwindows(windows), cut), name
+        seen[name] += sum(len(m) - 2 for m in masks)
+    assert all(seen[name] > 0 for name in
+               ("hand", "circle_complex", "sphere_complex", "mobius_complex"))
 
 
 @st.composite

@@ -172,6 +172,9 @@ def cmd_stats(args) -> int:
     print(f"variables {gallery.formula.n}")
     print(f"copy-pairs {len(gallery.copy_pairs)}")
     print(f"epsilon {gallery.epsilon}")
+    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for v in gallery.polygon.vertices for c in v)
+    print(f"max-coord-bits {bits}")
     return EXIT_OK
 
 

@@ -51,9 +51,12 @@ from .geom import (
     Point,
     Segment,
     SimplePolygon,
+    line_through,
     rat,
     x_at,
+    x_on_line,
     y_at,
+    y_on_line,
 )
 
 
@@ -376,24 +379,32 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
 # --- audit --------------------------------------------------------------
 
 
-def _strip_interval_on_row(cg: ClauseGadget, seg: Segment):
-    """Parameters along a horizontal segment cut by a clause strip."""
+def _clause_lines(g: Gallery) -> list[tuple]:
+    """Per clause gadget, in order: its low and up boundary lines as
+    `line_through` triples, built once for all the rows they are read at."""
+    return [(line_through(*cg.low_line()), line_through(*cg.up_line()))
+            for cg in g.clause_gadgets]
+
+
+def _strip_interval_on_row(lines, seg: Segment):
+    """Parameters along a horizontal segment cut by a clause strip, given
+    the strip's (low, up) lines."""
     y = seg.a.y
     w = seg.b.x - seg.a.x
-    return ((x_at(*cg.low_line(), y) - seg.a.x) / w,
-            (x_at(*cg.up_line(), y) - seg.a.x) / w)
+    return ((x_on_line(lines[0], y) - seg.a.x) / w,
+            (x_on_line(lines[1], y) - seg.a.x) / w)
 
 
-def _strip_heights(g: Gallery) -> dict:
+def _strip_heights(g: Gallery, lines) -> dict:
     """Per variable, per clause gadget: the closed height range
-    [y_lo, y_hi] in which the clause strip meets the variable's column."""
+    [y_lo, y_hi] in which the clause strip meets the variable's column.
+    lines is `_clause_lines(g)`."""
     for cg in g.clause_gadgets:
         for apex, mouth in (cg.low_line(), cg.up_line()):
             if (apex.x - mouth.x) * (apex.y - mouth.y) <= 0:
                 raise CompileError(
                     f"strip of clause {cg.index} does not rise to the right")
-    return {v: [(y_at(*cg.up_line(), lo), y_at(*cg.low_line(), hi))
-                for cg in g.clause_gadgets]
+    return {v: [(y_on_line(up, lo), y_on_line(low, hi)) for low, up in lines]
             for v, (lo, hi) in g.columns.items()}
 
 
@@ -423,16 +434,17 @@ def _audit(g: Gallery):
                 f"segment {rec.index} is not a horizontal left-to-right row")
 
     rows = _rows_by_height(records)
-    heights = _strip_heights(g)
-    _audit_strips(g, rows, heights)
+    lines = _clause_lines(g)
+    heights = _strip_heights(g, lines)
+    _audit_strips(g, rows, heights, lines)
 
     # clause regions pairwise disjoint: a region is the wedge clipped by
     # the floor, so disjointness need only hold until its upper boundary
     # exits through y = 0
     from .gadgets import clause_family_disjoint
     span = Fraction(0)
-    for cg in g.clause_gadgets:
-        span = max(span, cg.witness_point.x - x_at(*cg.low_line(), 0))
+    for cg, (low, _) in zip(g.clause_gadgets, lines):
+        span = max(span, cg.witness_point.x - x_on_line(low, 0))
     if not clause_family_disjoint(list(g.clause_gadgets), span):
         raise CompileError("clause visibility regions overlap within the room")
 
@@ -472,8 +484,9 @@ def _audit(g: Gallery):
 # replaces, so it reports the same first failure.
 
 
-def _audit_strips(g: Gallery, rows, heights):
-    """Clause strips vs every segment: exactly the designated contact."""
+def _audit_strips(g: Gallery, rows, heights, lines):
+    """Clause strips vs every segment: exactly the designated contact.
+    lines is `_clause_lines(g)`."""
     records = g.segments
     order, ys = rows
     # designated contacts are always tested
@@ -487,11 +500,12 @@ def _audit_strips(g: Gallery, rows, heights):
             near = order[bisect_left(ys, y_lo):bisect_right(ys, y_hi)]
             suspects.update((i, c) for i in near if records[i].var == v)
     for i, c in sorted(suspects):
-        _check_strip(g, g.clause_gadgets[c], records[i])
+        _check_strip(g, g.clause_gadgets[c], records[i], lines[c])
 
 
-def _check_strip(g: Gallery, cg: ClauseGadget, rec: GuardSegmentRecord):
-    t_lo, t_up = _strip_interval_on_row(cg, rec.segment)
+def _check_strip(g: Gallery, cg: ClauseGadget, rec: GuardSegmentRecord, lines):
+    """The strip of cg, with (low, up) lines `lines`, against row rec."""
+    t_lo, t_up = _strip_interval_on_row(lines, rec.segment)
     designated = (cg.index == rec.clause)
     if designated and rec.designation == "right":
         ok = t_lo == 1 and t_up > 1

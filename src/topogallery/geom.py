@@ -13,7 +13,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -146,16 +148,46 @@ def intersect_lines(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
     return hpoint_to_point(m)
 
 
+def line_through(p: Point, q: Point) -> tuple[int, int, int]:
+    """The line through p and q as integers (a, b, c) with a*x + b*y + c
+    = 0 on it, for `x_on_line` and `y_on_line`: build a line once and read
+    many points from it.  (0, 0, 0) when p == q."""
+    return _hline(hpoint(p), hpoint(q))
+
+
+def x_on_line(line, y) -> Fraction:
+    """Exact x of the line (a, b, c) from `line_through` at height y.
+
+    Raises GeometryError when the line is horizontal or degenerate.
+    """
+    a, b, c = line
+    if a == 0:
+        raise GeometryError("horizontal or degenerate line has no x at a height")
+    y = rat(y)
+    return Fraction(-(b * y.numerator + c * y.denominator), a * y.denominator)
+
+
+def y_on_line(line, x) -> Fraction:
+    """Exact y of the line (a, b, c) from `line_through` at abscissa x.
+
+    Raises GeometryError when the line is vertical or degenerate.
+    """
+    a, b, c = line
+    if b == 0:
+        raise GeometryError("vertical or degenerate line has no y at an abscissa")
+    x = rat(x)
+    return Fraction(-(a * x.numerator + c * x.denominator), b * x.denominator)
+
+
 def x_at(p: Point, q: Point, y) -> Fraction:
     """Exact x of the line through p and q at height y.
 
     Raises GeometryError when the line is horizontal or p == q.
     """
-    a, b, c = _hline(hpoint(p), hpoint(q))   # a*x + b*y + c = 0
-    if a == 0:
+    line = line_through(p, q)
+    if line[0] == 0:
         raise GeometryError(f"line through {p} and {q} is horizontal or degenerate")
-    y = rat(y)
-    return Fraction(-(b * y.numerator + c * y.denominator), a * y.denominator)
+    return x_on_line(line, y)
 
 
 def y_at(p: Point, q: Point, x) -> Fraction:
@@ -163,11 +195,10 @@ def y_at(p: Point, q: Point, x) -> Fraction:
 
     Raises GeometryError when the line is vertical or p == q.
     """
-    a, b, c = _hline(hpoint(p), hpoint(q))   # a*x + b*y + c = 0
-    if b == 0:
+    line = line_through(p, q)
+    if line[1] == 0:
         raise GeometryError(f"line through {p} and {q} is vertical or degenerate")
-    x = rat(x)
-    return Fraction(-(a * x.numerator + c * x.denominator), b * x.denominator)
+    return y_on_line(line, x)
 
 
 def invert_through(z: Point, p: Point, target_y) -> Point:
@@ -246,6 +277,11 @@ def _segments_touch_h(ha, hb, hc, hd) -> bool:
     return False
 
 
+# Integer keys round coordinates and angles down to multiples of
+# 2^-_BOX_BITS: validation's boxes, window boxes and the sort keys.
+_BOX_BITS = 64
+
+
 def _ibox(hs) -> tuple[int, int, int, int]:
     """The least box with integer corners around the homogeneous points
     hs: (min floor x, min floor y, max ceil x, max ceil y)."""
@@ -253,17 +289,39 @@ def _ibox(hs) -> tuple[int, int, int, int]:
             max(-(-x // w) for x, _, w in hs), max(-(-y // w) for _, y, w in hs))
 
 
+def _key_sorted(keyed, cmp) -> list:
+    """The items of the pairs (key, item) in keyed, in the order of the
+    comparator cmp, which orders them strictly, given integer keys that
+    never decrease along that order: sorted by the keys, and by cmp only
+    within runs of equal keys, so exact comparisons of long coordinates
+    are made only where the keys cannot tell two items apart."""
+    keyed.sort(key=itemgetter(0))
+    if len({k for k, _ in keyed}) == len(keyed):
+        return [h for _, h in keyed]
+    out = []
+    for _, run in groupby(keyed, itemgetter(0)):
+        out += sorted((h for _, h in run), key=cmp_to_key(cmp))
+    return out
+
+
 def _order_along(ha, hb, pts) -> list:
-    """The homogeneous points pts, all on segment ab, ordered from a to b.
+    """The homogeneous points pts, all on segment ab, a and b among them,
+    ordered from a to b.
 
     The dominant coordinate of b - a (x if |dx| >= |dy|, else y) is
-    strictly monotone along ab, so the points are sorted by it, in
-    decreasing order if the segment runs that way."""
+    strictly monotone along ab, so the points between the ends are
+    sorted by it, negated if the segment runs towards smaller values: by
+    the keys floor(coordinate * 2^_BOX_BITS), then exactly within equal
+    keys."""
+    inner = [h for h in pts if h != ha and h != hb]
+    if not inner:
+        return [ha, hb]
     dx = hb[0] * ha[2] - ha[0] * hb[2]
     dy = hb[1] * ha[2] - ha[1] * hb[2]
-    c, down = (0, dx < 0) if abs(dx) >= abs(dy) else (1, dy < 0)
-    return sorted(pts, key=cmp_to_key(lambda h, k: h[c] * k[2] - k[c] * h[2]),
-                  reverse=down)
+    c = 0 if abs(dx) >= abs(dy) else 1
+    s = -1 if (dx, dy)[c] < 0 else 1
+    return [ha, *_key_sorted([((s * h[c] << _BOX_BITS) // h[2], h) for h in inner],
+                             lambda h, k: s * (h[c] * k[2] - k[c] * h[2])), hb]
 
 
 def polygon_area2(vertices: Sequence[Point]) -> Fraction:
@@ -283,10 +341,6 @@ def _ybucket_h(scale, y, w) -> int:
     y0.denominator, nb * span.denominator, y0.denominator * span.numerator)."""
     nb, n0, d0, k, m = scale
     return max(0, min(nb - 1, (y * d0 - n0 * w) * k // (w * m)))
-
-
-# Validation rounds coordinates down to multiples of 2^-_BOX_BITS.
-_BOX_BITS = 64
 
 
 def _sum_sign(terms: dict[int, int]) -> int:
@@ -321,6 +375,62 @@ def _extreme(keys, hv, c, sign) -> Fraction:
     return Fraction(hv[best][c], hv[best][2])
 
 
+def _star_simple(hp, hv) -> bool:
+    """True if the polygon with vertex triples hv (in `hpoint`'s form) is
+    simple and ccw by a linear test around the point p (triple hp): p is
+    strictly inside and sees the whole boundary.  False proves nothing;
+    the caller then validates in full.  The test asks that
+
+    - no vertex equals p;
+    - every edge ab has orient(p, a, b) >= 0;
+    - every radial edge (orient(p, a, b) == 0) has two distinct ends on
+      one ray from p;
+    - no two radial edges are consecutive;
+    - the boundary winds around p exactly once: among the edges with
+      orient(p, a, b) > 0, exactly one runs from a direction of the
+      lower half (`_dir_half` 1) to one of the upper half (0).
+
+    Proof.  Lift the direction of each vertex from p to an angle.  Along
+    the boundary the angle never falls: a positive edge turns it ccw by
+    less than pi, a radial edge keeps it.  A positive edge passes angle 0
+    iff it runs from the lower half to the upper one, so the total turn is
+    2 pi times that count: exactly 2 pi.  Hence the open angular arcs of
+    the positive edges are disjoint and cover the circle but for the
+    vertex directions, and the vertices on one direction form one run of
+    consecutive vertices; with no two radial edges in a row a run has one
+    vertex, or two distinct ones joined by a radial edge.  A ray from p in
+    a direction of no vertex meets the boundary once, on the one positive
+    edge whose arc holds it; a ray on a vertex direction meets it only in
+    that run, where the positive edges into and out of the run end at its
+    first and last vertex.  So two edges meet only at the vertex they
+    share, no vertex repeats, and p is on no edge.  No vertex b folds back
+    (c on the line ab, on a's side of b): from a direction of ab, c would
+    turn the angle back; from a positive ab, by pi or more.  Twice the
+    area is the sum over the edges of cross(a - p, b - p), positive.  Each
+    check is one cross or dot product of the vectors from p to the
+    vertices, so the cost is linear."""
+    X, Y, W = hp
+    # the vector from p to each vertex, times the positive W * w
+    vs = [(x * W - X * w, y * W - Y * w) for x, y, w in hv]
+    if (0, 0) in vs:
+        return False
+    half = list(map(_dir_half, vs))
+    radial = []
+    turns = 0
+    for i in range(len(vs)):
+        (ax, ay), (bx, by) = vs[i - 1], vs[i]
+        cr = ax * by - ay * bx
+        if cr < 0:
+            return False
+        if cr == 0 and (ax * bx + ay * by <= 0 or hv[i - 1] == hv[i]):
+            return False
+        radial.append(cr == 0)
+        turns += cr > 0 and half[i - 1] > half[i]
+    if any(r and s for r, s in zip(radial, radial[1:] + radial[:1])):
+        return False
+    return turns == 1
+
+
 class SimplePolygon:
     """Simple polygon with ccw vertex order, validated on construction.
 
@@ -342,16 +452,21 @@ class SimplePolygon:
         self._init_h([hpoint(v) for v in self._vertices])
 
     @classmethod
-    def _of_h(cls, hv) -> SimplePolygon:
+    def _of_h(cls, hv, kernel=None) -> SimplePolygon:
         """The polygon with vertex triples hv, each in `hpoint`'s form,
-        validated as `SimplePolygon(points)` is."""
+        validated as `SimplePolygon(points)` is.  kernel, if given, is the
+        triple of a point the polygon should be star-shaped around (the
+        viewpoint of a visibility polygon): `_star_simple` then accepts
+        the polygon in linear time, and only what it refuses is validated
+        in full."""
         poly = cls.__new__(cls)
         poly._vertices = None
-        poly._init_h(list(hv))
+        poly._init_h(list(hv), kernel)
         return poly
 
-    def _init_h(self, hv):
-        """Set up and validate the polygon on its vertex triples hv."""
+    def _init_h(self, hv, kernel=None):
+        """Set up and validate the polygon on its vertex triples hv,
+        around the point kernel if given (see `_of_h`)."""
         if len(hv) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         self._h = hv
@@ -364,7 +479,8 @@ class SimplePolygon:
         self._ybuckets = None
         self._int_edge_bboxes = None
         self._edge_lines = None
-        self._validate(fx, fy)
+        if kernel is None or not _star_simple(kernel, hv):
+            self._validate(fx, fy)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -605,6 +721,21 @@ def _dir_cmp(d1, d2) -> int:
     return -1 if cr > 0 else (1 if cr < 0 else 0)
 
 
+def _dir_key(d) -> int:
+    """An integer key that never decreases along `_dir_cmp`'s order: the
+    half (`_dir_half`) in the top bits, then floor(2^_BOX_BITS * s), with
+    s the diamond angle dx / (|dx| + |dy|) signed to grow ccw within the
+    half.  On the upper half (dy > 0, or the ray of angle 0) the direction
+    turns from (1, 0) towards (-1, 0) and dx / (|dx| + |dy|) falls from 1
+    towards -1, so s is its negative; on the lower half it rises from -1
+    towards 1.  s lies in [-1, 1), so each half's keys fit in
+    [0, 2^(_BOX_BITS + 1))."""
+    dx, dy = d
+    if _dir_half(d) == 0:
+        return (1 << _BOX_BITS) + (-dx << _BOX_BITS) // (abs(dx) + abs(dy))
+    return (3 << _BOX_BITS) + (dx << _BOX_BITS) // (abs(dx) + abs(dy))
+
+
 def _reduce_dir(dx: int, dy: int) -> tuple[int, int]:
     g = gcd(abs(dx), abs(dy))
     return (dx // g, dy // g)
@@ -614,44 +745,6 @@ def _ray_line(hp, d) -> tuple[int, int, int]:
     """The line through p (homogeneous hp) in direction d, oriented as
     `_hline(p, p + d)`: l . h has the sign of cross(d, h - p)."""
     return (-d[1] * hp[2], d[0] * hp[2], hp[0] * d[1] - hp[1] * d[0])
-
-
-def _ray_edge_hits(hp, d, lray, ha, hb, ledge):
-    """Intersections of ray(p, d) with closed edge ab, as homogeneous points.
-
-    lray is `_ray_line(hp, d)` and ledge is `_hline(ha, hb)`.  Returns a
-    list of hit points with strictly positive ray parameter.  Collinear
-    overlaps return both in-range endpoints.
-    """
-    # sides of a and b relative to the ray's supporting line
-    sa = _sign(lray[0] * ha[0] + lray[1] * ha[1] + lray[2] * ha[2])
-    sb = _sign(lray[0] * hb[0] + lray[1] * hb[1] + lray[2] * hb[2])
-    if sa * sb > 0:
-        return []
-    if sa == 0 and sb == 0:
-        return [h for h in (ha, hb) if d[0] * (h[0] * hp[2] - hp[0] * h[2])
-                + d[1] * (h[1] * hp[2] - hp[1] * h[2]) > 0]
-    if sa == 0:
-        cand = ha
-    elif sb == 0:
-        cand = hb
-    else:
-        cand = _hmeet(lray, ledge)
-        if cand[2] == 0:
-            return []
-    # forward test: dot(d, cand - p) > 0
-    if d[0] * (cand[0] * hp[2] - hp[0] * cand[2]) \
-            + d[1] * (cand[1] * hp[2] - hp[1] * cand[2]) > 0:
-        return [cand]
-    return []
-
-
-def _nearer_on_ray(hp, d, h1, h2) -> bool:
-    """True iff h1 is strictly nearer to p along direction d than h2."""
-    f1 = d[0] * (h1[0] * hp[2] - hp[0] * h1[2]) + d[1] * (h1[1] * hp[2] - hp[1] * h1[2])
-    f2 = d[0] * (h2[0] * hp[2] - hp[0] * h2[2]) + d[1] * (h2[1] * hp[2] - hp[1] * h2[2])
-    # f_i / (w_i * wp) are the comparable ray coordinates
-    return f1 * h2[2] < f2 * h1[2]
 
 
 def _cone_side_hit(poly: SimplePolygon, hp, vdirs, e: int, d):
@@ -706,11 +799,24 @@ def _sweep(poly: SimplePolygon, hp,
     the cone's first direction.  An edge with orient(p, a, b) == 0 lies on
     a line through p or ends at p: every point of it other than p lies on
     a vertex direction, so no representative ray meets it and it is
-    skipped.  Each cone keeps its edges in index order, so ties resolve as
-    in a scan of all edges.  A visible cone's piece runs between the
-    points where its two boundary rays meet the nearest edge, one meet
-    each (`_cone_side_hit`).  Cost: O(n log n) for the directions plus the
-    total number of (cone, spanning edge) pairs, instead of n per cone.
+    skipped.
+
+    The directions are sorted on integer keys (`_dir_key`), exactly only
+    within equal keys.  Since the representative ray r meets every edge
+    that spans its cone exactly once, ahead of p, the nearest edge is the
+    one with the least ray parameter t: p + t r lies on the edge's line l
+    where t = -(l . hp) / ((l_x r_x + l_y r_y) W), and the common factor
+    1 / W > 0 is dropped, so each stabbed edge costs one
+    cross-multiplication and no meet.  The sides of a and b relative to
+    the ray (from the vertex directions) and t > 0 are still checked per
+    edge, and a failure raises instead of skipping the edge.  Each cone
+    keeps its edges in index order, so ties resolve as in a scan of all
+    edges.  A probe point is made only for a boundary viewpoint, on the
+    nearest edge, to test whether the cone looks into the exterior.  A
+    visible cone's piece runs between the points where its two boundary
+    rays meet the nearest edge, one meet each (`_cone_side_hit`).  Cost:
+    O(n log n) for the directions plus the total number of (cone,
+    spanning edge) pairs, instead of n per cone.
     """
     where = poly._locate_h(hp)
     if where == "out":
@@ -721,21 +827,21 @@ def _sweep(poly: SimplePolygon, hp,
     if vdirs is None:
         vdirs = _vertex_dirs(poly, hp)
 
-    sorted_dirs = sorted({d for d in vdirs if d is not None},
-                         key=cmp_to_key(_dir_cmp))
+    sorted_dirs = _key_sorted([(_dir_key(d), d) for d in
+                               {d for d in vdirs if d is not None}], _dir_cmp)
     m = len(sorted_dirs)
     if m < 2:
         raise GeometryError("degenerate direction set in visibility sweep")
     index = {d: i for i, d in enumerate(sorted_dirs)}
 
+    # l . hp for each edge line l: its sign is orient(p, a, b)
+    side = [l[0] * hp[0] + l[1] * hp[1] + l[2] * hp[2] for l in lines]
     stabbed: list[list[int]] = [[] for _ in range(m)]
     for e in range(n):
-        e1 = (e + 1) % n
-        o = orient_h(hp, hv[e], hv[e1])
-        if o == 0:
+        if side[e] == 0:
             continue
-        i, j = index[vdirs[e]], index[vdirs[e1]]
-        if o < 0:
+        i, j = index[vdirs[e]], index[vdirs[e + 1 if e + 1 < n else 0]]
+        if side[e] < 0:
             i, j = j, i
         while i != j:
             stabbed[i].append(e)
@@ -747,26 +853,32 @@ def _sweep(poly: SimplePolygon, hp,
         w = sorted_dirs[(i + 1) % m]
         cr = u[0] * w[1] - u[1] * w[0]
         if cr > 0:
-            rep = (u[0] + w[0], u[1] + w[1])  # strictly inside a salient cone
+            rx, ry = u[0] + w[0], u[1] + w[1]  # strictly inside a salient cone
         elif cr == 0:
-            rep = (-u[1], u[0])  # cone of angle exactly pi
+            rx, ry = -u[1], u[0]  # cone of angle exactly pi
         else:
-            rep = (-u[0], -u[1])  # reflex cone: the antipode of u is inside
-        lray = _ray_line(hp, rep)
-        best = None
+            rx, ry = -u[0], -u[1]  # reflex cone: the antipode of u is inside
         best_edge = -1
         for e in stabbed[i]:
-            for cand in _ray_edge_hits(hp, rep, lray, hv[e],
-                                       hv[e + 1 if e + 1 < n else 0], lines[e]):
-                if best is None or _nearer_on_ray(hp, rep, cand, best):
-                    best = cand
-                    best_edge = e
-        if best is None:
+            da, db = vdirs[e], vdirs[e + 1 if e + 1 < n else 0]
+            sa = rx * da[1] - ry * da[0]
+            sb = rx * db[1] - ry * db[0]
+            l = lines[e]
+            num, den = -side[e], l[0] * rx + l[1] * ry
+            if den < 0:
+                num, den = -num, -den
+            if not (sa < 0 < sb or sb < 0 < sa) or num <= 0:
+                raise GeometryError(
+                    "sweep invariant violated: a cone's ray misses an edge that spans it")
+            if best_edge < 0 or num * best_den < best_num * den:
+                best_edge, best_num, best_den = e, num, den
+        if best_edge < 0:
             raw.append(None)
             continue
         # from an interior p the open segment to the first hit is interior;
         # only a boundary viewpoint can look into the exterior
-        if where == "on" and poly._locate_h(_hmid(hp, best)) == "out":
+        if where == "on" and poly._locate_h(_hmid(hp, _hmeet(
+                _ray_line(hp, (rx, ry)), lines[best_edge]))) == "out":
             raw.append(None)
             continue
         raw.append((best_edge, _cone_side_hit(poly, hp, vdirs, best_edge, u),
@@ -826,7 +938,7 @@ def _star_polygon(hp, raw: list) -> SimplePolygon:
         if orient_h(a, b, c) == 0 and _dot_h(a, b, c) > 0:
             continue
         cleaned.append(b)
-    return SimplePolygon._of_h(cleaned)
+    return SimplePolygon._of_h(cleaned, hp)
 
 
 def _visibility(poly: SimplePolygon, hp):

@@ -24,6 +24,7 @@ from topogallery.compiler import (
     _check_chamber_blocked,
     _check_j_wedge,
     _check_strip,
+    _clause_lines,
     _rows_by_height,
     _strip_heights,
     compile_gallery,
@@ -45,9 +46,10 @@ def _gallery(name):
 
 
 def _all_pairs_strips(g):
+    lines = _clause_lines(g)
     for rec in g.segments:
-        for cg in g.clause_gadgets:
-            _check_strip(g, cg, rec)
+        for cg, cl in zip(g.clause_gadgets, lines):
+            _check_strip(g, cg, rec, cl)
 
 
 def _all_pairs_j_wedges(g):
@@ -76,8 +78,10 @@ def _outcome(check, *args):
 def _assert_pruned_checks_agree(g):
     rows = _rows_by_height(g.segments)
     far_right = max(rec.segment.b.x for rec in g.segments)
+    lines = _clause_lines(g)
     pairs = [
-        ((_audit_strips, g, rows, _strip_heights(g)), (_all_pairs_strips, g)),
+        ((_audit_strips, g, rows, _strip_heights(g, lines), lines),
+         (_all_pairs_strips, g)),
         ((_audit_j_wedges, g, rows, far_right), (_all_pairs_j_wedges, g)),
         ((_audit_chambers, g, rows, far_right), (_all_pairs_chambers, g)),
     ]
@@ -108,7 +112,7 @@ def _critical_height(draw, g, rec):
     kind = draw(st.sampled_from(("strip", "wedge", "chamber", "row")))
     if kind == "strip":
         return draw(st.sampled_from(draw(st.sampled_from(
-            _strip_heights(g)[rec.var]))))
+            _strip_heights(g, _clause_lines(g))[rec.var]))))
     if kind == "wedge":
         vg = draw(st.sampled_from(g.variable_gadgets))
         j = vg.J

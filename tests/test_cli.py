@@ -151,6 +151,9 @@ def test_cli_compile_stats_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "guards 17" in out
     assert "clauses 5" in out
+    # the largest bit length of a vertex coordinate's numerator or
+    # denominator, as the benchmark reports it for this gallery
+    assert out.splitlines()[-1] == "max-coord-bits 54"
 
 
 def test_cli_compile_deterministic(tmp_path):

@@ -2,7 +2,8 @@
 check it replaced, against dense rational sampling, and on the degenerate
 configurations the window argument has to get right; the visibility
 sweep, which stabs each cone with only its spanning edges, against the
-sweep that scanned every edge for every cone; and the integer point
+sweep that scanned every edge for every cone, whose ray probe
+(`_ray_edge_hits`, `_nearer_on_ray`) lives only here; and the integer point
 location, edge buckets, window cutting and `visible` against their
 Fraction versions."""
 
@@ -37,11 +38,11 @@ from topogallery.geom import (
     SimplePolygon,
     _dir_cmp,
     _hline,
-    _nearer_on_ray,
+    _hmeet,
     _on_segment_collinear,
-    _ray_edge_hits,
     _ray_line,
     _reduce_dir,
+    _sign,
     convex_minus_triangle,
     hpoint,
     hpoint_to_point,
@@ -95,6 +96,45 @@ def _fragment_cover(poly, gpts):
                             sum(p.y for p in piece) / len(piece))
     boundary = _exact_boundary_cover(poly, gpts, fans)
     return boundary.covered, boundary.uncovered_witness
+
+
+def _ray_edge_hits(hp, d, lray, ha, hb, ledge):
+    """Intersections of ray(p, d) with closed edge ab, as homogeneous points:
+    the probe of the full-scan sweep, which meets the ray with every edge.
+
+    lray is `_ray_line(hp, d)` and ledge is `_hline(ha, hb)`.  Returns a
+    list of hit points with strictly positive ray parameter.  Collinear
+    overlaps return both in-range endpoints.
+    """
+    # sides of a and b relative to the ray's supporting line
+    sa = _sign(lray[0] * ha[0] + lray[1] * ha[1] + lray[2] * ha[2])
+    sb = _sign(lray[0] * hb[0] + lray[1] * hb[1] + lray[2] * hb[2])
+    if sa * sb > 0:
+        return []
+    if sa == 0 and sb == 0:
+        return [h for h in (ha, hb) if d[0] * (h[0] * hp[2] - hp[0] * h[2])
+                + d[1] * (h[1] * hp[2] - hp[1] * h[2]) > 0]
+    if sa == 0:
+        cand = ha
+    elif sb == 0:
+        cand = hb
+    else:
+        cand = _hmeet(lray, ledge)
+        if cand[2] == 0:
+            return []
+    # forward test: dot(d, cand - p) > 0
+    if d[0] * (cand[0] * hp[2] - hp[0] * cand[2]) \
+            + d[1] * (cand[1] * hp[2] - hp[1] * cand[2]) > 0:
+        return [cand]
+    return []
+
+
+def _nearer_on_ray(hp, d, h1, h2) -> bool:
+    """True iff h1 is strictly nearer to p along direction d than h2."""
+    f1 = d[0] * (h1[0] * hp[2] - hp[0] * h1[2]) + d[1] * (h1[1] * hp[2] - hp[1] * h1[2])
+    f2 = d[0] * (h2[0] * hp[2] - hp[0] * h2[2]) + d[1] * (h2[1] * hp[2] - hp[1] * h2[2])
+    # f_i / (w_i * wp) are the comparable ray coordinates
+    return f1 * h2[2] < f2 * h1[2]
 
 
 def _nearest_hit_on_edge(hp, d, poly: SimplePolygon, e: int) -> Point:
@@ -730,6 +770,33 @@ def test_window_layer_makes_points_only_at_the_edge(monkeypatch):
     assert built == []
     verts = vp.vertices
     assert len(built) == len(verts) == len(vp) and vp.vertices is verts
+
+
+def test_visibility_polygons_take_the_linear_validation(monkeypatch):
+    # every visibility polygon of one Moebius window test and of three
+    # orientable genus-2 guards is accepted by `_star_simple`: full
+    # validation, made to fail here, never runs on them
+    k = mobius_complex()
+    g = _gallery(k)
+    guards = list(embed(g, on_face_samples(k, 1, random.Random(7))[0]).guards)
+    g2 = compile_surface(2, True)
+    rng = random.Random(7)
+    x = [Fraction(rng.randint(1, 63), 64) for _ in range(g2.formula.n)]
+    guards2 = rng.sample(embed(g2, x).guards, 3)
+    built = []
+    star_simple = geom._star_simple
+    monkeypatch.setattr(geom, "_star_simple",
+                        lambda hp, hv: built.append(hp) or star_simple(hp, hv))
+
+    def refuse(self, fx, fy):
+        raise AssertionError("full validation of a visibility polygon")
+
+    monkeypatch.setattr(SimplePolygon, "_validate", refuse)
+    tested, bad = geom.window_test(g.polygon, guards, {})
+    assert bad is None and tested > 0
+    for q in guards2:
+        geom.visibility_polygon(g2.polygon, q)
+    assert built == [hpoint(q) for q in guards + guards2]
 
 
 CROSS_TOUCH_OVERLAP = [

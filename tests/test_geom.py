@@ -2,11 +2,11 @@
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from topogallery.complexes import complex_to_dnf, mobius_complex
 from topogallery.compiler import compile_gallery, compile_surface
@@ -15,9 +15,16 @@ from topogallery.geom import (
     GeometryError,
     Point,
     SimplePolygon,
+    _BOX_BITS,
+    _dir_cmp,
+    _dir_key,
     _dot_h,
     _hcanon,
+    _key_sorted,
+    _order_along,
+    _reduce_dir,
     _segments_touch_h,
+    _star_simple,
     _sum_sign,
     hpoint,
     hpoint_to_point,
@@ -547,6 +554,181 @@ def test_construction_makes_no_fraction_comparison(monkeypatch):
     assert counts == dict.fromkeys(counts, 0)
     assert Fraction(1, 2) < Fraction(2, 3)
     assert counts["__lt__"] == 1  # the counters are live
+
+
+# --- linear validation of star-shaped polygons ---------------------------
+
+TAMPERS = ("repeat", "zero-radial", "two-radial", "double", "through-p",
+           "p-on-boundary")
+
+
+@st.composite
+def star_cases(draw):
+    """(kind, p, vertices) to test `_star_simple` around p on: a random
+    vertex list ("random"); a polygon star-shaped around p ("star"), its
+    vertices on distinct integer directions in ccw order, some of them
+    doubled into a radial edge; or such a polygon tampered in one of the
+    ways of TAMPERS."""
+    p = Point(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))),
+              Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))))
+    kind = draw(st.sampled_from(("random", "star") + TAMPERS))
+    if kind == "random":
+        return kind, p, draw(st.lists(grid_points, min_size=3, max_size=9))
+    dirs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                         .filter(lambda d: d != (0, 0)), min_size=3, max_size=9))
+    dirs = sorted({_reduce_dir(*d) for d in dirs}, key=cmp_to_key(_dir_cmp))
+    assume(len(dirs) >= 3)
+    radius = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+
+    ring = []   # (direction, radius) of each vertex
+    for d in dirs:
+        ring.append((d, draw(radius)))
+        if draw(st.integers(0, 3)) == 0:   # a radial edge, outwards or in
+            ring.append((d, draw(radius.filter(lambda r, r0=ring[-1][1]: r != r0))))
+    n = len(ring)
+    i = draw(st.integers(0, n - 1))
+    d = ring[i][0]
+    if kind == "repeat":
+        ring.insert((i + draw(st.integers(2, max(2, n - 2)))) % n, ring[i])
+    elif kind == "zero-radial":
+        ring.insert(i, ring[i])
+    elif kind == "two-radial":
+        ring[i + 1:i + 1] = [(d, draw(radius)), (d, draw(radius))]
+    elif kind == "double":
+        ring += [(e, draw(radius)) for e, _ in ring]
+    elif kind == "through-p":
+        ring[(i + 1) % n] = ((-d[0], -d[1]), ring[i][1])
+    elif kind == "p-on-boundary":
+        ring.insert(i, (d, 0))
+    verts = [Point(p.x + r * e[0], p.y + r * e[1]) for e, r in ring]
+    return kind, p, verts
+
+
+def _gaps_below_pi(p, verts):
+    """Every pair of consecutive distinct vertex directions from p turns
+    ccw by less than pi."""
+    dirs = [hpoint(Point(v.x - p.x, v.y - p.y)) for v in verts]
+    return all(orient_h((0, 0, 1), a, b) > 0
+               for a, b in zip(dirs, dirs[1:] + dirs[:1])
+               if orient_h((0, 0, 1), a, b) or a[0] * b[0] + a[1] * b[1] <= 0)
+
+
+@settings(max_examples=600)
+@given(star_cases())
+def test_star_simple_accepts_only_simple_polygons(case):
+    # the linear test is sound: what it accepts, full validation and its
+    # Fraction reference accept; it accepts every untampered star-shaped
+    # polygon whose directions turn by less than pi, and refuses each
+    # tampering, since each breaks one of its conditions
+    kind, p, verts = case
+    hv = [hpoint(v) for v in verts]
+    if len(hv) >= 3 and _star_simple(hpoint(p), hv):
+        assert _validate_reference(verts)
+        SimplePolygon(verts)
+    if kind == "star" and _gaps_below_pi(p, verts):
+        assert _star_simple(hpoint(p), hv)
+        assert SimplePolygon._of_h(hv, hpoint(p)) == SimplePolygon(verts)
+    if kind in TAMPERS:
+        assert not _star_simple(hpoint(p), hv)
+
+
+def test_star_simple_refusal_keeps_the_full_message():
+    # a bow tie around its crossing point: the linear test refuses it, and
+    # full validation names the fault as it does without a kernel
+    verts = [pt(0, 0), pt(2, 2), pt(2, 0), pt(0, 2)]
+    hv = [hpoint(v) for v in verts]
+    assert not _star_simple(hpoint(pt(1, 1)), hv)
+    with pytest.raises(GeometryError) as want:
+        SimplePolygon(verts)
+    with pytest.raises(GeometryError) as got:
+        SimplePolygon._of_h(hv, hpoint(pt(1, 1)))
+    assert str(got.value) == str(want.value)
+
+
+# --- keyed sorts against their comparators -------------------------------
+
+NEAR_BASES = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1),
+              (0, -1), (1, -1), (1, -2)]
+
+
+@st.composite
+def direction_sets(draw):
+    """Distinct reduced integer directions: small ones, and ones of 1,500
+    bits or more that differ from a few base directions by a small
+    offset, so their angles differ by far less than 2^-64 and their keys
+    tie."""
+    small = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+                          .filter(lambda d: d != (0, 0)), max_size=12))
+    big = 2 ** draw(st.integers(1500, 1600)) + draw(st.integers(0, 99))
+    near = [(bx * big + draw(st.integers(-3, 3)), by * big + draw(st.integers(-3, 3)))
+            for bx, by in draw(st.lists(st.sampled_from(NEAR_BASES), max_size=8))]
+    return list({_reduce_dir(*d) for d in small + near})
+
+
+@settings(max_examples=300)
+@given(direction_sets())
+@example([(2 ** 1500 + 1, 2 ** 1500), (2 ** 1500 + 2, 2 ** 1500 + 1),
+          (2 ** 1500, 2 ** 1500 + 1), (1, 0), (-1, 0)])
+def test_dir_key_sort_matches_comparator(dirs):
+    want = sorted(dirs, key=cmp_to_key(_dir_cmp))
+    assert _key_sorted([(_dir_key(d), d) for d in dirs], _dir_cmp) == want
+    assert [_dir_key(d) for d in want] == sorted(_dir_key(d) for d in dirs)
+
+
+def test_dir_keys_tie_on_long_directions():
+    a, b = (2 ** 1500 + 1, 2 ** 1500), (2 ** 1500 + 2, 2 ** 1500 + 1)
+    assert _dir_key(a) == _dir_key(b) and _dir_cmp(a, b) != 0
+
+
+def _order_along_reference(ha, hb, pts):
+    """`_order_along` as a comparator sort on the dominant coordinate."""
+    dx = hb[0] * ha[2] - ha[0] * hb[2]
+    dy = hb[1] * ha[2] - ha[1] * hb[2]
+    c, down = (0, dx < 0) if abs(dx) >= abs(dy) else (1, dy < 0)
+    return sorted(pts, key=cmp_to_key(lambda h, k: h[c] * k[2] - k[c] * h[2]),
+                  reverse=down)
+
+
+@st.composite
+def points_along(draw):
+    """(a, b, points): the ends of a segment and points on it, a and b
+    among them, as triples; coordinates of up to 1,500 bits and points
+    closer than 2^-64 along the segment, some as unreduced triples."""
+    scale = 2 ** draw(st.sampled_from([0, 70, 1500]))
+    a, b = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                         min_size=2, max_size=2, unique=True))
+    ha = (a[0] * scale, a[1] * scale, 1)
+    hb = (b[0] * scale, b[1] * scale, 1)
+    pts = {ha, hb}
+    step = 2 ** draw(st.sampled_from([1, 80, 1600]))
+    for t in draw(st.lists(st.integers(1, step - 1) if step > 2 else st.just(1),
+                           max_size=10)):
+        f = draw(st.integers(1, 3))
+        pts.add(((ha[0] * (step - t) + hb[0] * t) * f,
+                 (ha[1] * (step - t) + hb[1] * t) * f, step * f))
+    return ha, hb, list(pts)
+
+
+@settings(max_examples=300)
+@given(points_along())
+def test_order_along_matches_comparator(case):
+    ha, hb, pts = case
+    got = _order_along(ha, hb, pts)
+    assert got[0] == ha and got[-1] == hb
+    # unreduced copies of one point may come in either order
+    assert [hpoint_to_point(h) for h in got] == \
+        [hpoint_to_point(h) for h in _order_along_reference(ha, hb, pts)]
+
+
+def test_order_along_splits_key_ties_exactly():
+    # points 1/2 + k / 2^1500 on the unit segment share one key
+    ha, hb = (0, 0, 1), (1, 0, 1)
+    near = [(2 ** 1499 + k, 0, 2 ** 1500) for k in (3, 1, 2, 5)]
+    assert len({(h[0] << _BOX_BITS) // h[2] for h in near}) == 1
+    assert _order_along(ha, hb, near + [hb, ha]) == \
+        [ha] + sorted(near) + [hb]
+    assert _order_along(hb, ha, near + [ha, hb]) == \
+        [hb] + sorted(near, reverse=True) + [ha]
 
 
 def test_polygon_allows_straight_vertex():

@@ -51,8 +51,10 @@ from .geom import (
     Point,
     Segment,
     SimplePolygon,
+    key_sorted,
     line_through,
     rat,
+    rational_key,
     x_at,
     x_on_line,
     y_at,
@@ -289,8 +291,8 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
                 designation=designation, band=band,
                 segment=Segment(Point(lo, y), Point(hi, y)), endpoint=endpoint))
 
-    order, ys = _rows_by_height(records)
-    if len(set(ys)) != len(ys):
+    order, ys, _ = _rows_by_height(records)
+    if any(y0 == y1 for y0, y1 in zip(ys, ys[1:])):
         raise CompileError("clearance infeasible: two rows share a height; "
                            "retry with a different epsilon")
     # clause strips cross x=0 at height 2 + sigma*tau and terminate on the
@@ -408,10 +410,24 @@ def _strip_heights(g: Gallery, lines) -> dict:
             for v, (lo, hi) in g.columns.items()}
 
 
-def _rows_by_height(records) -> tuple[list[int], list[Fraction]]:
-    """Positions into records sorted by row height, and those heights."""
-    rows = sorted(range(len(records)), key=lambda i: records[i].segment.a.y)
-    return rows, [records[i].segment.a.y for i in rows]
+def _rows_by_height(records) -> tuple[list[int], list[Fraction], list[int]]:
+    """Positions into records sorted by row height, those heights, and
+    their integer keys (`rational_key`), for `_row_bisect`."""
+    ys = [rec.segment.a.y for rec in records]
+    keys = [rational_key(y) for y in ys]
+    rows = key_sorted([(k, i) for i, k in enumerate(keys)],
+                      lambda i, j: (ys[i] > ys[j]) - (ys[i] < ys[j]))
+    return rows, [ys[i] for i in rows], [keys[i] for i in rows]
+
+
+def _row_bisect(rows, y, right=False) -> int:
+    """bisect_left (bisect_right if right) of the height y into the sorted
+    heights of rows (`_rows_by_height`): by the keys, and exactly only
+    among the heights whose key is y's."""
+    _, ys, keys = rows
+    k = rational_key(y)
+    return (bisect_right if right else bisect_left)(
+        ys, y, bisect_left(keys, k), bisect_right(keys, k))
 
 
 def _audit(g: Gallery):
@@ -457,12 +473,9 @@ def _audit(g: Gallery):
                 f"column strip extents of variables {v1} and {v2} overlap in y")
 
     # forced slivers pairwise disjoint (their y-intervals are)
-    ivs = []
-    for vg in g.variable_gadgets:
-        f, i, k = vg.forced_zone
-        e = vg.E
-        ivs.append((k.y, e.y, vg))
-    ivs.sort()
+    ivs = [(vg.forced_zone[2].y, vg.E.y, vg) for vg in g.variable_gadgets]
+    ivs = key_sorted([(rational_key(iv[0]), iv) for iv in ivs],
+                     lambda u, v: (u > v) - (u < v))
     for (a1, b1, _), (a2, b2, _) in zip(ivs, ivs[1:]):
         if a2 <= b1:
             raise CompileError("forced slivers of two rows overlap in y")
@@ -488,7 +501,7 @@ def _audit_strips(g: Gallery, rows, heights, lines):
     """Clause strips vs every segment: exactly the designated contact.
     lines is `_clause_lines(g)`."""
     records = g.segments
-    order, ys = rows
+    order = rows[0]
     # designated contacts are always tested
     suspects = {(i, c) for i, rec in enumerate(records)
                 for c, cg in enumerate(g.clause_gadgets)
@@ -497,7 +510,7 @@ def _audit_strips(g: Gallery, rows, heights, lines):
         for c, (y_lo, y_hi) in enumerate(per_clause):
             # both strip boundaries rise to the right, so a row of column v
             # meets the strip iff y_lo <= y <= y_hi
-            near = order[bisect_left(ys, y_lo):bisect_right(ys, y_hi)]
+            near = order[_row_bisect(rows, y_lo):_row_bisect(rows, y_hi, True)]
             suspects.update((i, c) for i in near if records[i].var == v)
     for i, c in sorted(suspects):
         _check_strip(g, g.clause_gadgets[c], records[i], lines[c])
@@ -526,7 +539,7 @@ def _check_strip(g: Gallery, cg: ClauseGadget, rec: GuardSegmentRecord, lines):
 def _audit_j_wedges(g: Gallery, rows, far_right):
     """J wedges touch no foreign segment (the wedge opens downward from J)."""
     records = g.segments
-    order, ys = rows
+    order = rows[0]
     for idx, vg in enumerate(g.variable_gadgets):
         jj = vg.J
         ga, gb = vg.guard_segment.a, vg.guard_segment.b
@@ -535,8 +548,8 @@ def _audit_j_wedges(g: Gallery, rows, far_right):
             # at y < J.y the wedge is [xG(y), xH(y)] and xG grows as y
             # falls: below y_clear, where xG = far_right, every row is clear
             y_clear = y_at(jj, ga, far_right)
-            start = bisect_left(ys, y_clear)
-        for i in sorted(order[start:bisect_left(ys, jj.y)]):
+            start = _row_bisect(rows, y_clear)
+        for i in sorted(order[start:_row_bisect(rows, jj.y)]):
             if records[i].index != idx:
                 _check_j_wedge(vg, idx, records[i])
 
@@ -560,7 +573,7 @@ def _check_j_wedge(vg: VariableGadget, idx: int, rec: GuardSegmentRecord):
 def _audit_chambers(g: Gallery, rows, far_right):
     """Chamber razor mouths: no foreign segment can sight the deep edges."""
     records = g.segments
-    order, ys = rows
+    order, ys = rows[:2]
     left_end = min(rec.segment.a.x for rec in records)
     for pair in g.copy_pairs:
         cg = pair.gadget
@@ -580,7 +593,7 @@ def _audit_chambers(g: Gallery, rows, far_right):
             uv = (cg.U.y, cg.U.y + (cg.S.y - cg.U.y) / psi_min)
         near = set()
         for lo, hi in (ab, uv):
-            near.update(order[bisect_right(ys, lo):bisect_left(ys, hi)])
+            near.update(order[_row_bisect(rows, lo, True):_row_bisect(rows, hi)])
         for i in sorted(near):
             rec = records[i]
             if rec.index in own:

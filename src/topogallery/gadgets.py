@@ -16,10 +16,14 @@ from .geom import (
     Point,
     Segment,
     SimplePolygon,
+    hpoint,
     intersect_lines,
     invert_through,
+    key_sorted,
     orient,
+    orient_h,
     rat,
+    rational_key,
     x_at,
     y_at,
 )
@@ -48,7 +52,11 @@ class Niche:
 
 
 def assemble_room(x_left, x_right, y_bottom, y_top, niches) -> SimplePolygon:
-    """Axis-aligned room with niches spliced into its side walls."""
+    """Axis-aligned room with niches spliced into its side walls.
+
+    The wall checks and the mouth order compare coordinates on their
+    integer keys (`rational_key`), and exactly only where two keys are
+    equal."""
     x_left, x_right = rat(x_left), rat(x_right)
     y_bottom, y_top = rat(y_bottom), rat(y_top)
     left = [n for n in niches if n.wall == "left"]
@@ -56,28 +64,47 @@ def assemble_room(x_left, x_right, y_bottom, y_top, niches) -> SimplePolygon:
     if len(left) + len(right) != len(niches):
         raise GadgetError("only left/right wall niches are supported")
 
+    def keyed(v: Fraction) -> tuple[Fraction, int]:
+        return (v, rational_key(v))
+
+    def less(u, v) -> bool:
+        """u < v, for keyed values."""
+        return u[1] < v[1] or (u[1] == v[1] and u[0] < v[0])
+
+    def order(u, v) -> int:
+        """Mouths in order of (lo, hi, label)."""
+        u, v = (u[0][0], u[1][0], u[2]), (v[0][0], v[1][0], v[2])
+        return (u > v) - (u < v)
+
+    bottom, top = keyed(y_bottom), keyed(y_top)
+
     def check_wall(group, wall_x, inward_sign):
+        """The niches of one wall, checked, in order of their mouths."""
+        wall = keyed(wall_x)
         ivs = []
         for n in group:
-            lo, hi = n.mouth_interval()
-            if not (y_bottom < lo and hi < y_top):
+            lo, hi = keyed(n.points[0].y), keyed(n.points[-1].y)
+            if less(hi, lo):
+                lo, hi = hi, lo
+            if not (less(bottom, lo) and less(hi, top)):
                 raise GadgetError(f"niche {n.label!r} mouth outside wall span")
             if n.points[0].x != wall_x or n.points[-1].x != wall_x:
                 raise GadgetError(f"niche {n.label!r} mouth not on wall plane")
             for q in n.points[1:-1]:
-                if (q.x - wall_x) * inward_sign >= 0:
+                qx = keyed(q.x)
+                if not (less(qx, wall) if inward_sign > 0 else less(wall, qx)):
                     raise GadgetError(f"niche {n.label!r} does not point outward")
-            ivs.append((lo, hi, n.label))
-        ivs.sort()
-        for (l1, h1, a), (l2, h2, b) in zip(ivs, ivs[1:]):
-            if l2 <= h1:
+            ivs.append((lo[1], (lo, hi, n.label, n)))
+        ivs = key_sorted(ivs, order)
+        for (_, h1, a, _), (l2, _, b, _) in zip(ivs, ivs[1:]):
+            if not less(h1, l2):
                 raise GadgetError(f"niche mouths {a!r} and {b!r} overlap")
+        return [iv[3] for iv in ivs]
 
-    check_wall(left, x_left, +1)
-    check_wall(right, x_right, -1)
-
-    left.sort(key=lambda n: -n.mouth_interval()[1])
-    right.sort(key=lambda n: n.mouth_interval()[0])
+    # the checked mouths are disjoint, so in order of their low ends they
+    # are also in order of their high ends
+    left = check_wall(left, x_left, +1)[::-1]
+    right = check_wall(right, x_right, -1)
 
     verts: list[Point] = [Point(x_left, y_bottom), Point(x_right, y_bottom)]
     for n in right:
@@ -162,8 +189,7 @@ def make_variable_gadget(guard_segment: Segment, wall_side: str = "left",
     i = Point(rw + depth, y0)
     # mouth half-heights chosen so the slivers reach exactly +-drop at the
     # opposite wall
-    m_f = drop * depth / (span + depth)
-    m_i = drop * depth / (span + depth)
+    m_f = m_i = drop * depth / (span + depth)
     k = Point(rw, y0 - drop)
     e = Point(lw, y0 + drop)
 
@@ -196,15 +222,17 @@ def _check_variable_gadget(vg: VariableGadget):
         raise GadgetError("F, I and the guard segment must share a line")
     if not (f.x < g.x and h.x < i.x):
         raise GadgetError("guard segment not strictly inside segment FI")
-    if not (orient(f, i, k) < 0 and orient(f, i, e) > 0):
+    hf, hi = hpoint(f), hpoint(i)
+    if not (orient_h(hf, hi, hpoint(k)) < 0 and orient_h(hf, hi, hpoint(e)) > 0):
         raise GadgetError("forced triangles FIK and EFI must flank line FI")
     if not (j.y > g.y):
         raise GadgetError("J apex must sit strictly above the guard line")
     # J's wedge meets the guard line exactly in [G, H]: its rays pass
     # through the endpoints by construction; assert the collinearity
-    if orient(vg.J, vg.notch_J.points[-1], g) != 0:
+    hj = hpoint(j)
+    if orient_h(hj, hpoint(vg.notch_J.points[-1]), hpoint(g)) != 0:
         raise GadgetError("J mouth corner not on ray J->G")
-    if orient(vg.J, vg.notch_J.points[0], h) != 0:
+    if orient_h(hj, hpoint(vg.notch_J.points[0]), hpoint(h)) != 0:
         raise GadgetError("J mouth corner not on ray J->H")
 
 
@@ -305,8 +333,8 @@ def make_copy_gadget(gh: Segment, no: Segment, wall_x, row_gap) -> CopyGadget:
     d = intersect_lines(n, b, o, a)
 
     y_uv = yl - delta
-    v = Point(wall_x - mu, y_uv)
-    u = Point(v.x - length, y_uv)
+    v = Point(b.x, y_uv)
+    u = Point(a.x, y_uv)
     s = intersect_lines(g, v, h, u)
     t = intersect_lines(n, v, o, u)
 
@@ -343,23 +371,33 @@ def _check_copy_gadget(cg: CopyGadget, wall_x):
         raise GadgetError("insufficient vertical gap: AB mouth does not clear the upper row")
     if not (t.y < s.y < yl):
         raise GadgetError("insufficient vertical gap: UV mouth does not clear the lower row")
-    # endpoint correspondence of the four inversions
+    # endpoint correspondence of the four inversions.  The relations above
+    # put each pivot strictly between the row of its source and the row of
+    # its target, so for a source on that row and an expected image on the
+    # target row, the inversion maps the one to the other iff the three
+    # points are collinear; anything else goes through invert_through
+    hg, hh, hn, ho, ha, hb, hc, hd, hs, ht, hu, hv = map(
+        hpoint, (g, h, n, o, a, b, c, d, s, t, u, v))
     checks = [
-        (c, g, y_ab, b), (c, h, y_ab, a),
-        (d, n, y_ab, b), (d, o, y_ab, a),
-        (s, g, y_uv, v), (s, h, y_uv, u),
-        (t, n, y_uv, v), (t, o, y_uv, u),
+        (c, hc, g, hg, yu, y_ab, b, hb), (c, hc, h, hh, yu, y_ab, a, ha),
+        (d, hd, n, hn, yl, y_ab, b, hb), (d, hd, o, ho, yl, y_ab, a, ha),
+        (s, hs, g, hg, yu, y_uv, v, hv), (s, hs, h, hh, yu, y_uv, u, hu),
+        (t, ht, n, hn, yl, y_uv, v, hv), (t, ht, o, ho, yl, y_uv, u, hu),
     ]
-    for z, src, target_y, expect in checks:
-        got = invert_through(z, src, target_y)
-        if got != expect:
+    for z, hz, src, hsrc, row_y, target_y, expect, hexp in checks:
+        if src.y == row_y and expect.y == target_y:
+            ok = orient_h(hsrc, hz, hexp) == 0
+        else:
+            ok = invert_through(z, src, target_y) == expect
+        if not ok:
+            got = invert_through(z, src, target_y)
             raise GadgetError(
                 f"inversion through {z} maps {src} to {got}, expected {expect}")
     for quad, name in ((cg.slit_AB.points, "AB"), (cg.slit_UV.points, "UV")):
-        m = len(quad)
+        hq = [hpoint(p) for p in quad]
+        m = len(hq)
         for idx in range(m):
-            p0, p1, p2 = quad[idx - 1], quad[idx], quad[(idx + 1) % m]
-            if orient(p0, p1, p2) <= 0:
+            if orient_h(hq[idx - 1], hq[idx], hq[(idx + 1) % m]) <= 0:
                 raise GadgetError(f"slit {name} is not strictly convex")
 
 

@@ -282,6 +282,21 @@ def _segments_touch_h(ha, hb, hc, hd) -> bool:
 _BOX_BITS = 64
 
 
+def _keys_orient(ax, ay, bx, by, cx, cy) -> int:
+    """The orientation of abc decided on the keys floor(coordinate *
+    2^_BOX_BITS) of its points, or 0 when they cannot decide it.
+
+    Each key difference is off from the scaled exact one by less than 1,
+    so d = ux vy - uy vx, taken on the key differences, is off from the
+    scaled exact cross product by less than |ux| + |uy| + |vx| + |vy| + 2;
+    a d at least that far from zero has the exact sign."""
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    d = ux * vy - uy * vx
+    if abs(d) < abs(ux) + abs(uy) + abs(vx) + abs(vy) + 2:
+        return 0
+    return 1 if d > 0 else -1
+
+
 def _ibox(hs) -> tuple[int, int, int, int]:
     """The least box with integer corners around the homogeneous points
     hs: (min floor x, min floor y, max ceil x, max ceil y)."""
@@ -289,12 +304,20 @@ def _ibox(hs) -> tuple[int, int, int, int]:
             max(-(-x // w) for x, _, w in hs), max(-(-y // w) for _, y, w in hs))
 
 
-def _key_sorted(keyed, cmp) -> list:
+def rational_key(v: Fraction) -> int:
+    """floor(v * 2^_BOX_BITS): an integer key that never decreases as v
+    grows, so a strictly smaller key means a strictly smaller v; only
+    equal keys leave the order of two values open."""
+    return (v.numerator << _BOX_BITS) // v.denominator
+
+
+def key_sorted(keyed, cmp) -> list:
     """The items of the pairs (key, item) in keyed, in the order of the
-    comparator cmp, which orders them strictly, given integer keys that
-    never decrease along that order: sorted by the keys, and by cmp only
-    within runs of equal keys, so exact comparisons of long coordinates
-    are made only where the keys cannot tell two items apart."""
+    comparator cmp, given integer keys that never decrease along that
+    order: sorted by the keys, and by cmp only within runs of equal keys,
+    so exact comparisons of long coordinates are made only where the keys
+    cannot tell two items apart.  Items that cmp finds equal keep their
+    order in keyed, as in a stable sort."""
     keyed.sort(key=itemgetter(0))
     if len({k for k, _ in keyed}) == len(keyed):
         return [h for _, h in keyed]
@@ -320,8 +343,8 @@ def _order_along(ha, hb, pts) -> list:
     dy = hb[1] * ha[2] - ha[1] * hb[2]
     c = 0 if abs(dx) >= abs(dy) else 1
     s = -1 if (dx, dy)[c] < 0 else 1
-    return [ha, *_key_sorted([((s * h[c] << _BOX_BITS) // h[2], h) for h in inner],
-                             lambda h, k: s * (h[c] * k[2] - k[c] * h[2])), hb]
+    return [ha, *key_sorted([((s * h[c] << _BOX_BITS) // h[2], h) for h in inner],
+                            lambda h, k: s * (h[c] * k[2] - k[c] * h[2])), hb]
 
 
 def polygon_area2(vertices: Sequence[Point]) -> Fraction:
@@ -444,8 +467,8 @@ class SimplePolygon:
     polygons that are only located in never make a Point.
     """
 
-    __slots__ = ("_vertices", "_h", "_bbox", "_ybuckets", "_int_edge_bboxes",
-                 "_edge_lines")
+    __slots__ = ("_vertices", "_h", "_fx", "_fy", "_bbox", "_ybuckets",
+                 "_int_edge_bboxes", "_edge_lines")
 
     def __init__(self, vertices: Sequence[Point]):
         self._vertices = tuple(vertices)
@@ -472,15 +495,15 @@ class SimplePolygon:
         self._h = hv
         # floor(coordinate * 2^_BOX_BITS) of each vertex: integer keys
         # that never decrease as the coordinate grows
-        fx = [(x << _BOX_BITS) // w for x, _, w in hv]
-        fy = [(y << _BOX_BITS) // w for _, y, w in hv]
+        self._fx = fx = [(x << _BOX_BITS) // w for x, _, w in hv]
+        self._fy = fy = [(y << _BOX_BITS) // w for _, y, w in hv]
         self._bbox = (_extreme(fx, hv, 0, -1), _extreme(fy, hv, 1, -1),
                       _extreme(fx, hv, 0, 1), _extreme(fy, hv, 1, 1))
         self._ybuckets = None
         self._int_edge_bboxes = None
         self._edge_lines = None
         if kernel is None or not _star_simple(kernel, hv):
-            self._validate(fx, fy)
+            self._validate()
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -521,10 +544,12 @@ class SimplePolygon:
             self._edge_lines = [_hline(a, b) for a, b in zip(hv, hv[1:] + hv[:1])]
         return self._edge_lines
 
-    def _validate(self, fx, fy):
-        """Raise GeometryError unless the polygon is simple and ccw.  fx
-        and fy are the vertices' integer keys (see `_init_h`)."""
-        hv = self._h
+    def _validate(self):
+        """Raise GeometryError unless the polygon is simple and ccw.
+
+        Orientations are first decided on the vertices' integer keys
+        (`_keys_orient`); `orient_h` runs only where they cannot decide."""
+        hv, fx, fy = self._h, self._fx, self._fy
         n = len(hv)
         # hpoint is injective on reduced Fractions
         if len(set(hv)) != n:
@@ -540,7 +565,10 @@ class SimplePolygon:
             raise GeometryError("polygon must be counterclockwise with positive area")
         # fold-backs at shared vertices
         for i in range(n):
-            a, b, c = hv[i - 1], hv[i], hv[(i + 1) % n]
+            k = i + 1 if i + 1 < n else 0
+            if _keys_orient(fx[i - 1], fy[i - 1], fx[i], fy[i], fx[k], fy[k]):
+                continue
+            a, b, c = hv[i - 1], hv[i], hv[k]
             if orient_h(a, b, c) == 0 and _dot_h(a, b, c) <= 0:
                 raise GeometryError(
                     f"fold-back at vertex {hpoint_to_point(b)}")
@@ -555,10 +583,13 @@ class SimplePolygon:
         # pair whose exact boxes meet passes it; on galleries with long
         # coordinates it rejects nearly as many pairs as the exact boxes
         # (keys on unit steps let ten to twenty times more pairs through).
+        # A pair with both ends of one edge strictly on one side of the
+        # other's line, by the keys, cannot touch.
         nxt = list(range(1, n)) + [0]
-        boxes = [(min(fx[i], fx[j]), min(fy[i], fy[j]),
-                  max(fx[i], fx[j]), max(fy[i], fy[j]))
-                 for i, j in zip(range(n), nxt)]
+        bx0 = [min(fx[i], fx[j]) for i, j in zip(range(n), nxt)]
+        by0 = [min(fy[i], fy[j]) for i, j in zip(range(n), nxt)]
+        bx1 = [max(fx[i], fx[j]) for i, j in zip(range(n), nxt)]
+        by1 = [max(fy[i], fy[j]) for i, j in zip(range(n), nxt)]
         scale, buckets = self._bucket_edges(min(4 * n, 4096))
         vb = [_ybucket_h(scale, y, w) for _, y, w in hv]
         first = [min(vb[i], vb[j]) for i, j in zip(range(n), nxt)]
@@ -571,15 +602,21 @@ class SimplePolygon:
                     later = bucket[k + 1:]
                 else:
                     later = [bucket[m] for m in starts[bisect_right(starts, k):]]
-                x0, y0, x1, y1 = boxes[i]
-                ai, bi = hv[i], hv[nxt[i]]
-                for j in later:
+                x0, y0, x1, y1 = bx0[i], by0[i], bx1[i], by1[i]
+                i1 = nxt[i]
+                ax, ay, bx, by = fx[i], fy[i], fx[i1], fy[i1]
+                for j in [j for j in later if bx0[j] <= x1 and x0 <= bx1[j]
+                          and by0[j] <= y1 and y0 <= by1[j]]:
                     if j == i + 1 or (i == 0 and j == n - 1):
                         continue
-                    by = boxes[j]
-                    if x1 < by[0] or by[2] < x0 or y1 < by[1] or by[3] < y0:
+                    j1 = nxt[j]
+                    cx, cy, dx, dy = fx[j], fy[j], fx[j1], fy[j1]
+                    if _keys_orient(ax, ay, bx, by, cx, cy) \
+                            * _keys_orient(ax, ay, bx, by, dx, dy) > 0 \
+                            or _keys_orient(cx, cy, dx, dy, ax, ay) \
+                            * _keys_orient(cx, cy, dx, dy, bx, by) > 0:
                         continue
-                    if _segments_touch_h(ai, bi, hv[j], hv[nxt[j]]):
+                    if _segments_touch_h(hv[i], hv[i1], hv[j], hv[j1]):
                         raise GeometryError(
                             f"edges {i} and {j} of polygon intersect")
 
@@ -625,15 +662,26 @@ class SimplePolygon:
         answer is right for any point, also one outside the bounding box:
         below or above the polygon every edge of the end bucket is skipped,
         and at any height within it the bucket holds every edge whose
-        y-interval contains that height."""
+        y-interval contains that height.
+
+        The vertex keys skip an edge first when both its ends are strictly
+        above or strictly below hp, or both strictly left of it: such an
+        edge neither holds hp nor crosses the ray from hp to the right.  A
+        strictly greater key means a strictly greater coordinate."""
         X, Y, W = hp
-        hv = self._h
+        hv, fx, fy = self._h, self._fx, self._fy
         n = len(hv)
+        qx, qy = (X << _BOX_BITS) // W, (Y << _BOX_BITS) // W
         scale, buckets = self._ybucket_index()
         inside = False
         for i in buckets[_ybucket_h(scale, Y, W)]:
+            k = i + 1 if i + 1 < n else 0
+            ya, yb = fy[i], fy[k]
+            if (ya > qy and yb > qy) or (ya < qy and yb < qy) \
+                    or (fx[i] < qx and fx[k] < qx):
+                continue
             a = hv[i]
-            b = hv[i + 1 if i + 1 < n else 0]
+            b = hv[k]
             # the sign of sa (sb) is the side of a (b) relative to height Y/W
             sa = a[1] * W - Y * a[2]
             sb = b[1] * W - Y * b[2]
@@ -827,8 +875,8 @@ def _sweep(poly: SimplePolygon, hp,
     if vdirs is None:
         vdirs = _vertex_dirs(poly, hp)
 
-    sorted_dirs = _key_sorted([(_dir_key(d), d) for d in
-                               {d for d in vdirs if d is not None}], _dir_cmp)
+    sorted_dirs = key_sorted([(_dir_key(d), d) for d in
+                              {d for d in vdirs if d is not None}], _dir_cmp)
     m = len(sorted_dirs)
     if m < 2:
         raise GeometryError("degenerate direction set in visibility sweep")

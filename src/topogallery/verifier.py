@@ -21,7 +21,6 @@ from .complexes import (
 from .formulas import (
     Band,
     CnfFormula,
-    _lit_true,
     eval_formula,
     grid_axes,
     separating_point,
@@ -485,8 +484,7 @@ def build_cell_complex(f: CnfFormula) -> CellComplex2:
     """
     if not f.band_constants:
         raise VerifyError("build_cell_complex needs a formula with bands")
-    ks = f.band_constants
-    nb = len(ks) - 1
+    nb = len(f.band_constants) - 1
     sub_n = f.n - 1
 
     # each face with its (index, value) pairs; the pair of a free
@@ -494,25 +492,40 @@ def build_cell_complex(f: CnfFormula) -> CellComplex2:
     all_faces = [(face, frozenset(enumerate(face)))
                  for face in product((0, 1, None), repeat=sub_n)]
 
-    def slice_complex(x0: Fraction) -> CubicalComplex:
-        # restrict to x0: drop the clauses an x0 literal satisfies and
-        # shift the rest, deduplicated, onto x1..xn.  A face satisfies a
-        # shifted literal iff it fixes that coordinate to the constant (a
-        # free coordinate is 1/2 on the face, never 0 or 1), so a clause
-        # left empty empties the slice
-        clauses = {frozenset((lit.var - 1, lit.const)
-                             for lit in cl if not _on_x0(lit))
-                   for cl in f.clauses
-                   if not any(_on_x0(lit) and _lit_true(lit, (x0,), ks)
-                              for lit in cl)}
-        faces = [face for face, pairs in all_faces
-                 if all(not pairs.isdisjoint(cl) for cl in clauses)]
-        k = CubicalComplex(sub_n, frozenset(faces))
-        validate_complex(k)
-        return k
+    # each clause as its x0 literals and its other literals shifted onto
+    # x1..xn.  A face satisfies a shifted literal iff it fixes that
+    # coordinate to the constant (a free coordinate is 1/2 on the face,
+    # never 0 or 1)
+    split = [(tuple(lit for lit in cl if _on_x0(lit)),
+              frozenset((lit.var - 1, lit.const) for lit in cl if not _on_x0(lit)))
+             for cl in f.clauses]
+    # slices with the same restricted clauses are the same complex: each
+    # distinct clause set is filtered and validated once
+    built: dict[frozenset, CubicalComplex] = {}
 
-    point_slices = [slice_complex(kv) for kv in ks]
-    band_slices = [slice_complex((ks[b] + ks[b + 1]) / 2) for b in range(nb)]
+    def slice_complex(holds) -> CubicalComplex:
+        # restrict to one x0 cell: drop the clauses an x0 literal satisfies
+        # there (holds decides it) and keep the rest, deduplicated; a
+        # clause left empty empties the slice
+        clauses = frozenset(rest for on_x0, rest in split
+                            if not any(map(holds, on_x0)))
+        if clauses not in built:
+            faces = [face for face, pairs in all_faces
+                     if all(not pairs.isdisjoint(cl) for cl in clauses)]
+            built[clauses] = validate_complex(
+                CubicalComplex(sub_n, frozenset(faces)))
+        return built[clauses]
+
+    # 0 = k_0 < ... < k_nb = 1 (CnfFormula checks it), so at x0 = k_b
+    # Band(j) holds iff j <= b <= j + 1, and x0 = c iff k_b = c; inside
+    # band b, Band(j) holds iff j == b, and x0 = c never does
+    point_slices = [
+        slice_complex(lambda lit, b=b: lit.index <= b <= lit.index + 1
+                      if isinstance(lit, Band) else b == lit.const * nb)
+        for b in range(nb + 1)]
+    band_slices = [
+        slice_complex(lambda lit, b=b: isinstance(lit, Band) and lit.index == b)
+        for b in range(nb)]
 
     cells: tuple[list, list, list] = ([], [], [])
     bnd1: dict = {}

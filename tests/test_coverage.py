@@ -788,7 +788,7 @@ def test_visibility_polygons_take_the_linear_validation(monkeypatch):
     monkeypatch.setattr(geom, "_star_simple",
                         lambda hp, hv: built.append(hp) or star_simple(hp, hv))
 
-    def refuse(self, fx, fy):
+    def refuse(self):
         raise AssertionError("full validation of a visibility polygon")
 
     monkeypatch.setattr(SimplePolygon, "_validate", refuse)

@@ -1,12 +1,15 @@
 """Tests for variable, copying, and clause gadget geometry."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from topogallery.gadgets import (
     GadgetError,
+    Niche,
+    _check_copy_gadget,
     Wedge,
     assemble_room,
     build_copy_strip,
@@ -17,6 +20,7 @@ from topogallery.gadgets import (
     variable_gadget_harness,
 )
 from topogallery.geom import (
+    GeometryError,
     Point,
     Segment,
     intersect_lines,
@@ -24,6 +28,7 @@ from topogallery.geom import (
     orient,
     pt,
     visible,
+    x_at,
 )
 
 
@@ -187,6 +192,83 @@ def test_copy_gadget_bad_gap_rejected():
         make_copy_gadget(gh, no, 0, 0)
 
 
+def _tamper_copy(**fields):
+    """default_copy() with the named fields replaced, as _check_copy_gadget
+    sees it on wall x = 0."""
+    return replace(default_copy(), **fields)
+
+
+def _copy_tampers():
+    cg = default_copy()
+    a, b, c, d, s, t = cg.A, cg.B, cg.C, cg.D, cg.S, cg.T
+    yu, yl = cg.upper_segment.a.y, cg.lower_segment.a.y
+    return [
+        ("A", Point(b.x + 1, a.y), "chamber deep edges must run left to right"),
+        ("C", Point(c.x + 1, c.y), "occluders must land exactly on the wall plane"),
+        ("C", Point(c.x, a.y), "C not strictly between line GH and line AB"),
+        ("D", Point(d.x, yl), "D not strictly between line NO and line AB"),
+        ("S", Point(s.x, yu), "S not strictly between line GH and line UV"),
+        ("T", Point(t.x, yl), "T not strictly between line NO and line UV"),
+        ("D", Point(d.x, yu),
+         "insufficient vertical gap: AB mouth does not clear the upper row"),
+        ("S", Point(s.x, yl),
+         "insufficient vertical gap: UV mouth does not clear the lower row"),
+    ]
+
+
+@pytest.mark.parametrize("field, value, message", _copy_tampers())
+def test_copy_gadget_check_names_each_broken_relation(field, value, message):
+    with pytest.raises(GadgetError) as err:
+        _check_copy_gadget(_tamper_copy(**{field: value}), Fraction(0))
+    assert str(err.value) == message
+
+
+def test_copy_gadget_check_names_the_inversion_mismatch():
+    cg = default_copy()
+    h, y_ab = cg.upper_segment.b, cg.A.y
+    # A slid along its row: inversion through C still maps H to the old A
+    a2 = Point(cg.A.x - Fraction(1, 1000), y_ab)
+    with pytest.raises(GadgetError) as err:
+        _check_copy_gadget(_tamper_copy(A=a2), Fraction(0))
+    assert str(err.value) == \
+        f"inversion through {cg.C} maps {h} to {cg.A}, expected {a2}"
+    # B moved along line GC off row AB: collinear with G and C, but the
+    # image lies on row AB, so it is still a mismatch
+    g = cg.upper_segment.a
+    b2 = Point(x_at(g, cg.C, y_ab + Fraction(1, 100)), y_ab + Fraction(1, 100))
+    assert orient(g, cg.C, b2) == 0
+    with pytest.raises(GadgetError) as err:
+        _check_copy_gadget(_tamper_copy(B=b2), Fraction(0))
+    assert str(err.value) == \
+        f"inversion through {cg.C} maps {g} to {cg.B}, expected {b2}"
+
+
+def test_copy_gadget_check_keeps_the_inversion_preconditions():
+    cg = default_copy()
+    g = cg.upper_segment.a
+    # H raised to C's height: the inversion through C has no image
+    h2 = Point(cg.upper_segment.b.x, cg.C.y)
+    with pytest.raises(GeometryError, match="pivot lies on the source line"):
+        _check_copy_gadget(_tamper_copy(upper_segment=Segment(g, h2)), Fraction(0))
+    # H moved along line AC, off row GH: its image through C is still A,
+    # and the mismatch is found at the inversion through S
+    h3 = Point(x_at(cg.A, cg.C, cg.C.y - 1), cg.C.y - 1)
+    assert invert_through(cg.C, h3, cg.A.y) == cg.A
+    with pytest.raises(GadgetError) as err:
+        _check_copy_gadget(_tamper_copy(upper_segment=Segment(g, h3)), Fraction(0))
+    assert str(err.value) == (f"inversion through {cg.S} maps {h3} to "
+                              f"{invert_through(cg.S, h3, cg.U.y)}, expected {cg.U}")
+
+
+def test_copy_gadget_check_names_a_non_convex_slit():
+    cg = default_copy()
+    c, b, a, d = cg.slit_AB.points
+    bent = replace(cg.slit_AB, points=(c, a, b, d))
+    with pytest.raises(GadgetError) as err:
+        _check_copy_gadget(_tamper_copy(slit_AB=bent), Fraction(0))
+    assert str(err.value) == "slit AB is not strictly convex"
+
+
 # --- copy strip --------------------------------------------------------------
 
 def test_strip_assembles():
@@ -250,6 +332,77 @@ def test_strip_single_guard_cannot_see_all_four():
         if poly.locate(p) == "out":
             continue
         assert not all(visible(poly, p, q) for q in targets)
+
+
+# --- assemble_room -----------------------------------------------------------
+
+def _mouth(wall_x, lo, hi, label, depth=1, wall="left"):
+    """A triangular niche on the wall at x = wall_x with mouth [lo, hi],
+    walked as assemble_room walks that wall."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    out = -depth if wall == "left" else depth
+    apex = Point(Fraction(wall_x + out), (lo + hi) / 2)
+    ends = (Point(Fraction(wall_x), hi), Point(Fraction(wall_x), lo))
+    if wall == "right":
+        ends = ends[::-1]
+    return Niche(wall, (ends[0], apex, ends[1]), label)
+
+
+@pytest.mark.parametrize("niches, message", [
+    ([_mouth(0, -1, 2, "low")], "niche 'low' mouth outside wall span"),
+    ([_mouth(0, 8, 10, "high")], "niche 'high' mouth outside wall span"),
+    ([_mouth(20, 1, 2, "flush", wall="right"), _mouth(20, 0, 2, "floor", wall="right")],
+     "niche 'floor' mouth outside wall span"),
+    ([Niche("left", (pt(0, 2), pt(-1, 3), pt(Fraction(1, 10**30), 4)), "off")],
+     "niche 'off' mouth not on wall plane"),
+    ([Niche("right", (pt(20, 2), pt(21, 3), pt(19, 4)), "off")],
+     "niche 'off' mouth not on wall plane"),
+    ([Niche("left", (pt(0, 4), pt(1, 3), pt(0, 2)), "in")],
+     "niche 'in' does not point outward"),
+    ([Niche("left", (pt(0, 4), pt(0, 3), pt(0, 2)), "flat")],
+     "niche 'flat' does not point outward"),
+    ([Niche("right", (pt(20, 2), pt(20 - Fraction(1, 2**80), 3), pt(20, 4)), "in")],
+     "niche 'in' does not point outward"),
+    ([Niche("top", (pt(0, 2), pt(-1, 3), pt(0, 4)), "t")],
+     "only left/right wall niches are supported"),
+    # the mouths are sorted by (lo, hi, label), and the first
+    # consecutive pair that overlaps is named
+    ([_mouth(0, 2, 4, "b"), _mouth(0, Fraction(1, 4), Fraction(1, 2), "c"), _mouth(0, 1, 3, "a")],
+     "niche mouths 'a' and 'b' overlap"),
+    ([_mouth(0, 1, 3, "z"), _mouth(0, 1, 2, "y")], "niche mouths 'y' and 'z' overlap"),
+    ([_mouth(0, 1, 2, "z"), _mouth(0, 1, 2, "y")], "niche mouths 'y' and 'z' overlap"),
+    ([_mouth(0, 2, 3, "q"), _mouth(0, 1, 2, "p")], "niche mouths 'p' and 'q' overlap"),
+    # closer than 2^-64: equal integer keys, decided exactly
+    ([_mouth(20, 1 + Fraction(1, 2**80), 2, "q", wall="right"),
+      _mouth(20, 1, 1 + Fraction(1, 2**70), "p", wall="right")],
+     "niche mouths 'p' and 'q' overlap"),
+    ([_mouth(0, 1 + Fraction(1, 2**90), 3, "s"), _mouth(0, 1, 3, "r"),
+      _mouth(0, 4, 5, "t")],
+     "niche mouths 'r' and 's' overlap"),
+])
+def test_assemble_room_names_each_broken_niche(niches, message):
+    with pytest.raises(GadgetError) as err:
+        assemble_room(0, 20, 0, 8, niches)
+    assert str(err.value) == message
+
+
+def test_assemble_room_orders_mouths_closer_than_the_keys():
+    # mouths apart by less than 2^-64 on both walls, given out of order
+    eps = Fraction(1, 2**70)
+    left = [_mouth(0, 1 + 2 * eps, 2, "l2"), _mouth(0, 1, 1 + eps, "l1"),
+            _mouth(0, 3, 4, "l3")]
+    right = [_mouth(20, 3, 4, "r3", wall="right"),
+             _mouth(20, 1, 1 + eps, "r1", wall="right"),
+             _mouth(20, 1 + 2 * eps, 2, "r2", wall="right")]
+    room = assemble_room(0, 20, 0, 8, left + right)
+    by = {n.label: n for n in left + right}
+    want = [pt(0, 0), pt(20, 0)]
+    for label in ("r1", "r2", "r3"):
+        want += by[label].points
+    want += [pt(20, 8), pt(0, 8)]
+    for label in ("l3", "l2", "l1"):
+        want += by[label].points
+    assert room.vertices == tuple(want)
 
 
 # --- clause gadget -----------------------------------------------------------

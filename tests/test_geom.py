@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from topogallery import geom
 from topogallery.complexes import complex_to_dnf, mobius_complex
 from topogallery.compiler import compile_gallery, compile_surface
 from topogallery.formulas import dnf_to_cnf, simplify_cnf
@@ -20,7 +21,8 @@ from topogallery.geom import (
     _dir_key,
     _dot_h,
     _hcanon,
-    _key_sorted,
+    _keys_orient,
+    _on_segment_collinear,
     _order_along,
     _reduce_dir,
     _segments_touch_h,
@@ -30,11 +32,13 @@ from topogallery.geom import (
     hpoint_to_point,
     hausdorff_distance_sq_max,
     intersect_lines,
+    key_sorted,
     invert_through,
     orient,
     orient_h,
     polygon_area2,
     pt,
+    rational_key,
     triangulate,
     visibility_fan,
     visibility_polygon,
@@ -556,6 +560,210 @@ def test_construction_makes_no_fraction_comparison(monkeypatch):
     assert counts["__lt__"] == 1  # the counters are live
 
 
+# --- the key filters: integer keys first, exact where they cannot decide ---
+
+def _keys(h):
+    """The keys floor(coordinate * 2^_BOX_BITS) of a homogeneous point."""
+    return ((h[0] << _BOX_BITS) // h[2], (h[1] << _BOX_BITS) // h[2])
+
+
+def _keyed_orient(a, b, c):
+    """orient_h(a, b, c) as the key filter gives it: on the keys, else exactly."""
+    return _keys_orient(*_keys(a), *_keys(b), *_keys(c)) or orient_h(a, b, c)
+
+
+# denominators of up to about 2,000 bits, as at genus 32
+LONG_DEN = st.one_of(st.integers(1, 10 ** 6), st.builds(lambda k: 3 ** k, st.integers(0, 1300)))
+TINY = st.builds(lambda k, e: Fraction(k, 2 ** e), st.integers(-3, 3), st.integers(62, 90))
+
+
+@st.composite
+def long_fractions(draw):
+    den = draw(LONG_DEN)
+    return Fraction(draw(st.integers(-4 * den, 4 * den)), den)
+
+
+@st.composite
+def near_degenerate_triples(draw):
+    """Homogeneous triples (a, b, c) on which the keys may not decide:
+    points at most a few 2^-64 apart, exactly collinear points with long
+    denominators, such points moved off their line by as little, and
+    points with equal keys."""
+    kind = draw(st.sampled_from(("close", "collinear", "nudged", "same-keys")))
+    a = Point(draw(long_fractions()), draw(long_fractions()))
+    if kind == "close":
+        b = Point(a.x + draw(TINY), a.y + draw(TINY))
+        c = Point(a.x + draw(TINY), a.y + draw(TINY))
+    elif kind in ("collinear", "nudged"):
+        b = Point(draw(long_fractions()), draw(long_fractions()))
+        t = draw(st.one_of(long_fractions(), TINY))
+        c = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        if kind == "nudged":
+            c = Point(c.x + draw(TINY), c.y + draw(TINY))
+    else:
+        # three points in one 2^-64 cell
+        cell = [Fraction(draw(st.integers(-2 ** 70, 2 ** 70)), 2 ** _BOX_BITS)
+                for _ in range(2)]
+        a, b, c = (Point(cell[0] + Fraction(draw(st.integers(0, 2 ** 20 - 1)), 2 ** 84),
+                         cell[1] + Fraction(draw(st.integers(0, 2 ** 20 - 1)), 2 ** 84))
+                   for _ in range(3))
+    return kind, hpoint(a), hpoint(b), hpoint(c)
+
+
+@settings(max_examples=400)
+@given(near_degenerate_triples())
+@example(("same-keys", (0, 0, 1), (1, 2 ** 65, 2 ** 130), (2, 1, 2 ** 130)))
+def test_keyed_orientation_matches_orient_h(case):
+    kind, a, b, c = case
+    exact = orient_h(a, b, c)
+    keyed = _keys_orient(*_keys(a), *_keys(b), *_keys(c))
+    # a sign from the keys is the exact sign; a collinear triple never
+    # gets one, so its zero always comes from orient_h
+    assert keyed in (0, exact)
+    if exact == 0 or kind == "same-keys":
+        assert keyed == 0
+    assert _keyed_orient(a, b, c) == exact
+
+
+def test_keyed_orientation_decides_and_falls_back():
+    # both paths of the filter run on the kinds of input above
+    rng = random.Random(16)
+    decided = fallback = 0
+    for _ in range(300):
+        den = 3 ** rng.randint(600, 1300)
+        a = Point(Fraction(rng.randint(-den, den), den), Fraction(rng.randint(-den, den), den))
+        b = Point(Fraction(rng.randint(-den, den), den), Fraction(rng.randint(-den, den), den))
+        t = Fraction(rng.randint(-den, den), den)
+        c = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        if rng.random() < 0.5:
+            c = Point(c.x + Fraction(rng.randint(-3, 3), 2 ** rng.randint(40, 80)), c.y)
+        ha, hb, hc = hpoint(a), hpoint(b), hpoint(c)
+        keyed = _keys_orient(*_keys(ha), *_keys(hb), *_keys(hc))
+        decided += keyed != 0
+        fallback += keyed == 0
+        assert _keyed_orient(ha, hb, hc) == orient_h(ha, hb, hc)
+    assert decided > 50 and fallback > 50
+
+
+@given(long_fractions(), long_fractions())
+def test_rational_key_orders_like_the_values(u, v):
+    ku, kv = rational_key(u), rational_key(v)
+    assert ku == (u.numerator << _BOX_BITS) // u.denominator
+    if ku < kv:
+        assert u < v
+    if u <= v:
+        assert ku <= kv
+
+
+@st.composite
+def tiny_polygons(draw):
+    """A star-shaped or orthogonal polygon from the strategies above,
+    shrunk by 2^-66 to 2^-90 around a point with long coordinates, so that
+    its vertices are closer than 2^-64 and most of their keys are equal."""
+    verts = draw(st.one_of(star_polygons(), orthogonal_polygons()))
+    s = Fraction(1, 2 ** draw(st.integers(66, 90)))
+    ox, oy = draw(long_fractions()), draw(long_fractions())
+    return [Point(ox + s * v.x, oy + s * v.y) for v in verts]
+
+
+@settings(max_examples=200)
+@given(tiny_polygons())
+def test_validation_matches_reference_on_tiny_polygons(verts):
+    _same_verdict(verts)
+
+
+def _count_orient_h(monkeypatch):
+    """Count the calls of geom.orient_h from here on."""
+    calls = [0]
+
+    def counted(a, b, c, _orig=geom.orient_h):
+        calls[0] += 1
+        return _orig(a, b, c)
+    monkeypatch.setattr(geom, "orient_h", counted)
+    return calls
+
+
+def test_validation_of_tiny_polygons_falls_back_to_orient_h(monkeypatch):
+    # a square with a notch, 2^-70 across: the keys cannot decide, and
+    # validation still tells the simple polygon from the touching one
+    s = Fraction(1, 2 ** 70)
+    simple = [pt(0, 0), pt(4, 0), pt(4, 4), pt(3, 4), pt(2, 1), pt(1, 4), pt(0, 4)]
+    touching = simple[:4] + [pt(2, 0)] + simple[5:]
+    calls = _count_orient_h(monkeypatch)
+    assert [_same_verdict([Point(Fraction(1, 3) + s * v.x, s * v.y) for v in verts])
+            for verts in (simple, touching)] == [True, False]
+    assert calls[0] > 0
+
+
+def _locate_h_reference(poly, hp):
+    """`_locate_h` without its key filter or its bucket index: every edge,
+    exactly."""
+    X, Y, W = hp
+    hv = poly._h
+    inside = False
+    for a, b in zip(hv, hv[1:] + hv[:1]):
+        sa, sb = a[1] * W - Y * a[2], b[1] * W - Y * b[2]
+        if (sa > 0 and sb > 0) or (sa < 0 and sb < 0):
+            continue
+        o = geom.orient_h(a, b, hp)
+        if o == 0 and _on_segment_collinear(a, b, hp):
+            return "on"
+        if (sa > 0) != (sb > 0) and (o > 0 if sb > 0 else o < 0):
+            inside = not inside
+    return "in" if inside else "out"
+
+
+def _near_edge_queries(poly, eps):
+    """The vertices, and points at 0, 1/3 and 1/2 along each edge, each
+    also moved by eps in x, in y, and in both."""
+    out = []
+    for a, b in poly.edges():
+        for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+            p = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+            out += [p] + [Point(p.x + dx, p.y + dy) for dx, dy in
+                          ((eps, 0), (-eps, 0), (0, eps), (0, -eps), (eps, eps), (-eps, -eps))]
+    return out
+
+
+def _same_locate_h(poly, eps):
+    for q in _near_edge_queries(poly, eps):
+        h = hpoint(q)
+        assert poly._locate_h(h) == _locate_h_reference(poly, h), q
+
+
+@settings(max_examples=100)
+@given(st.one_of(tiny_polygons(), star_polygons(), orthogonal_polygons(), long_rooms()),
+       st.sampled_from([Fraction(1, 2 ** 60), Fraction(1, 2 ** 66), Fraction(1, 2 ** 95)]))
+def test_locate_h_matches_filter_free_reference_near_edges(verts, eps):
+    try:
+        poly = SimplePolygon(verts)
+    except GeometryError:
+        assume(False)
+    _same_locate_h(poly, eps)
+
+
+def test_locate_h_near_edges_falls_back_to_orient_h(monkeypatch):
+    # on the Moebius gallery, 2^-70 off its edges: the keys skip some
+    # edges, and the exact test decides the rest
+    poly = _gallery_polygon("mobius")
+    queries = [hpoint(q) for q in _near_edge_queries(poly, Fraction(1, 2 ** 70))]
+    calls = _count_orient_h(monkeypatch)
+    got = [poly._locate_h(h) for h in queries]
+    filtered, calls[0] = calls[0], 0
+    assert got == [_locate_h_reference(poly, h) for h in queries]
+    assert 0 < filtered <= calls[0]
+
+
+def test_validation_of_the_largest_room_stays_on_the_keys(monkeypatch):
+    # the non-orientable genus-32 room (9,804 vertices): without the key
+    # filter its validation makes 25,852 exact orientation tests
+    verts = compile_surface(32, False).polygon.vertices
+    assert len(verts) == 9804
+    calls = _count_orient_h(monkeypatch)
+    SimplePolygon(verts)
+    assert 0 < calls[0] <= 3000
+
+
 # --- linear validation of star-shaped polygons ---------------------------
 
 TAMPERS = ("repeat", "zero-radial", "two-radial", "double", "through-p",
@@ -671,7 +879,7 @@ def direction_sets(draw):
           (2 ** 1500, 2 ** 1500 + 1), (1, 0), (-1, 0)])
 def test_dir_key_sort_matches_comparator(dirs):
     want = sorted(dirs, key=cmp_to_key(_dir_cmp))
-    assert _key_sorted([(_dir_key(d), d) for d in dirs], _dir_cmp) == want
+    assert key_sorted([(_dir_key(d), d) for d in dirs], _dir_cmp) == want
     assert [_dir_key(d) for d in want] == sorted(_dir_key(d) for d in dirs)
 
 

@@ -409,3 +409,22 @@ def test_build_cell_complex_pinned(orientable):
                        sorted(c.bnd1.items(), key=repr),
                        sorted(c.bnd2.items(), key=repr))).encode())
     assert h.hexdigest() == CELL_COMPLEX_DIGESTS[orientable]
+
+
+@pytest.mark.parametrize("orientable", [True, False],
+                         ids=["orientable", "non-orientable"])
+def test_build_cell_complex_builds_each_distinct_slice_once(orientable, monkeypatch):
+    # the 2n - 1 slices of genus n restrict the clauses to few distinct
+    # sets, and each set is filtered and validated once
+    validated = []
+    validate = verifier.validate_complex
+    monkeypatch.setattr(verifier, "validate_complex",
+                        lambda k: validated.append(k) or validate(k))
+    fixture = surface_fixture(orientable)
+    f1, f2 = canonical_removed_faces(fixture)
+    for n, want in ((2, 2), (3, 5), (8, 4), (32, 4)):
+        validated.clear()
+        c = build_cell_complex(surface_formula(fixture, f1, f2, n))
+        assert len(validated) == want
+        assert len(set(validated)) == want
+        assert classify_surface(c).genus == n

@@ -352,7 +352,7 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
             rise = min(rise, (ab_mouth_floor[idx] - y) / 2)
         rise = min(rise, gap_min * (col_l - wall_x) / (2 * (gw - col_l)))
         vg = make_variable_gadget(
-            rec.segment, "left", scale=depth,
+            rec.segment, scale=depth,
             left_wall_x=wall_x, right_wall_x=gw,
             sliver_drop=drop, forcing_rise=rise, label=f"row{idx}")
         var_gadgets.append(vg)
@@ -627,8 +627,7 @@ def _default_constants(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(i, n - 1) for i in range(n))
 
 
-def surface_formula(complex_: CubicalComplex, f1, f2, n: int,
-                    constants=None) -> CnfFormula:
+def surface_formula(complex_: CubicalComplex, f1, f2, n: int) -> CnfFormula:
     """CNF whose solution set is the n-fold connected sum of the surface
     realized by the complex (x0 is the new chain coordinate, variable 0).
 
@@ -644,9 +643,7 @@ def surface_formula(complex_: CubicalComplex, f1, f2, n: int,
     for face in (f1, f2):
         if face not in complex_.faces or face_dim(face) != 2:
             raise CompileError("removed faces must be 2-faces of the complex")
-    ks = tuple(rat(v) for v in constants) if constants else _default_constants(n)
-    if len(ks) != n:
-        raise CompileError(f"need {n} band constants for genus {n}")
+    ks = _default_constants(n)
 
     from .complexes import face_with_boundary, remove_face
     c1 = remove_face(complex_, f1)

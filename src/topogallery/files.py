@@ -213,7 +213,7 @@ def _sig(x: Fraction, digits: int = 12) -> str:
 
 def render_svg(g: Gallery, stroke=Fraction(1, 2), highlight_guards=True) -> str:
     """Approximate SVG rendering; the gallery file holds the exact data."""
-    x0, y0, x1, y1 = g.polygon._bbox
+    x0, y0, x1, y1 = g.polygon.bbox
     pad = (x1 - x0) / 20
     width = x1 - x0 + 2 * pad
     height = y1 - y0 + 2 * pad

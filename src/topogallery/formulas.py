@@ -172,14 +172,8 @@ def simplify_cnf(c: CnfFormula) -> CnfFormula:
     Literals are treated as opaque: a clause like (x2=0 or x2=1) is not a
     tautology over [0,1] and is never dropped.
     """
-    clause_sets = [frozenset(cl) for cl in c.clauses]
-    kept: list[frozenset] = []
-    for cs in sorted(set(clause_sets), key=lambda s: (len(s), sorted(repr(l) for l in s))):
-        if any(other <= cs for other in kept):
-            continue
-        kept.append(cs)
-    out = tuple(tuple(sorted(cs, key=repr)) for cs in kept)
-    return CnfFormula(c.n, out, c.band_constants)
+    kept = _prune_supersets({frozenset(cl) for cl in c.clauses})
+    return CnfFormula(c.n, _canonical_clauses(kept), c.band_constants)
 
 
 def cnf_of_dnf_pruned(d: DnfFormula) -> CnfFormula:
@@ -189,7 +183,7 @@ def cnf_of_dnf_pruned(d: DnfFormula) -> CnfFormula:
     identical to the unpruned pipeline's output as a set of clauses."""
     if not d.clauses:
         raise FormulaError("empty DNF")
-    partial: set[frozenset] = {frozenset()}
+    partial: list[frozenset] = [frozenset()]
     for clause in d.clauses:
         nxt: set[frozenset] = set()
         for base in partial:
@@ -199,19 +193,24 @@ def cnf_of_dnf_pruned(d: DnfFormula) -> CnfFormula:
             for lit in clause:
                 nxt.add(base | {lit})
         partial = _prune_supersets(nxt)
-    out = tuple(tuple(sorted(cs, key=repr)) for cs in
-                sorted(partial, key=lambda s: (len(s), sorted(repr(l) for l in s))))
-    return CnfFormula(d.n, out)
+    return CnfFormula(d.n, _canonical_clauses(partial))
 
 
-def _prune_supersets(sets: set[frozenset]) -> set[frozenset]:
-    by_size = sorted(sets, key=len)
+def _prune_supersets(sets: set[frozenset]) -> list[frozenset]:
+    """The sets that hold no other one, by size: a subset is smaller than
+    its proper supersets, so it is kept before they are met."""
     kept: list[frozenset] = []
-    for s in by_size:
-        if any(k <= s for k in kept):
-            continue
-        kept.append(s)
-    return set(kept)
+    for s in sorted(sets, key=len):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return kept
+
+
+def _canonical_clauses(sets) -> tuple[tuple, ...]:
+    """The clauses in canonical order: by size, then by their literals'
+    sorted reprs; each clause's literals sorted by repr."""
+    return tuple(tuple(sorted(cs, key=repr)) for cs in
+                 sorted(sets, key=lambda s: (len(s), sorted(map(repr, s)))))
 
 
 def grid_axes(f: CnfFormula | DnfFormula) -> list[list[Fraction]]:

@@ -129,7 +129,6 @@ class VariableGadget:
     wedge meets line FI exactly in guard_segment.
     """
     guard_segment: Segment
-    wall_side: str
     F: Point
     I: Point
     J: Point
@@ -150,10 +149,10 @@ class VariableGadget:
         return orient(self.J, g, p) >= 0 and orient(self.J, h, p) <= 0
 
 
-def make_variable_gadget(guard_segment: Segment, wall_side: str = "left",
-                         scale=Fraction(1, 2), left_wall_x=None,
-                         right_wall_x=None, sliver_drop=None,
-                         forcing_rise=None, label: str = "") -> VariableGadget:
+def make_variable_gadget(guard_segment: Segment, scale=Fraction(1, 2),
+                         left_wall_x=None, right_wall_x=None,
+                         sliver_drop=None, forcing_rise=None,
+                         label: str = "") -> VariableGadget:
     """Variable gadget for a horizontal guard segment.
 
     scale bounds the slit depth beyond the walls.  sliver_drop is the
@@ -207,7 +206,7 @@ def make_variable_gadget(guard_segment: Segment, wall_side: str = "left",
     notch_j = Niche("left", (jm_h, j, jm_g), tag + "J")
 
     gadget = VariableGadget(
-        guard_segment=Segment(g, h), wall_side=wall_side,
+        guard_segment=Segment(g, h),
         F=f, I=i, J=j, E=e, K=k,
         notch_F=notch_f, notch_I=notch_i, notch_J=notch_j,
         forced_zone=(f, i, k), sliver_above=(e, f, i))
@@ -435,11 +434,11 @@ def build_copy_strip(gx=Fraction(10), width=Fraction(1), yu=Fraction(10),
     drop = gap / 8
     rise_u = (cg.D.y - yu) / 2
     rise_l = gap / 8
-    upper = make_variable_gadget(gh, "left", scale=drop,
+    upper = make_variable_gadget(gh, scale=drop,
                                  left_wall_x=wall_x, right_wall_x=right_x,
                                  sliver_drop=drop, forcing_rise=rise_u,
                                  label="upper")
-    lower = make_variable_gadget(no, "left", scale=drop,
+    lower = make_variable_gadget(no, scale=drop,
                                  left_wall_x=wall_x, right_wall_x=right_x,
                                  sliver_drop=drop, forcing_rise=rise_l,
                                  label="lower")

@@ -5,11 +5,16 @@ predicates, point location, polygon validation and the visibility layer
 (sweep, visibility polygons, windows and their cuts) run on homogeneous
 integer triples (X, Y, W) so the inner loops do integer multiplication
 instead of repeated Fraction normalization.
+
+Every integer prefilter rounds on one scale: the keys floor(coordinate *
+2^_BOX_BITS), which never decrease as the coordinate grows.  Edge and
+window boxes, the y-buckets of point location, and the keyed orientation
+filter all use them, and one sweep over y (`_box_pairs`) finds the boxes
+that meet, both for polygon validation and for cutting windows.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -278,7 +283,8 @@ def _segments_touch_h(ha, hb, hc, hd) -> bool:
 
 
 # Integer keys round coordinates and angles down to multiples of
-# 2^-_BOX_BITS: validation's boxes, window boxes and the sort keys.
+# 2^-_BOX_BITS: the edge, window and polygon boxes, the y-buckets and the
+# sort keys.
 _BOX_BITS = 64
 
 
@@ -297,11 +303,37 @@ def _keys_orient(ax, ay, bx, by, cx, cy) -> int:
     return 1 if d > 0 else -1
 
 
-def _ibox(hs) -> tuple[int, int, int, int]:
-    """The least box with integer corners around the homogeneous points
-    hs: (min floor x, min floor y, max ceil x, max ceil y)."""
-    return (min(x // w for x, _, w in hs), min(y // w for _, y, w in hs),
-            max(-(-x // w) for x, _, w in hs), max(-(-y // w) for _, y, w in hs))
+def _key_box(hs) -> tuple[int, int, int, int]:
+    """The box (x0, y0, x1, y1) of the keys of the homogeneous points hs.
+    The keys never decrease, so two sets whose exact boxes meet have key
+    boxes that meet."""
+    kx = [(x << _BOX_BITS) // w for x, _, w in hs]
+    ky = [(y << _BOX_BITS) // w for _, y, w in hs]
+    return min(kx), min(ky), max(kx), max(ky)
+
+
+def _edge_boxes(fx, fy) -> list[tuple[int, int, int, int]]:
+    """The key box (x0, y0, x1, y1) of each edge of the polygon whose
+    vertices have the keys fx, fy; edge i runs from vertex i to the next."""
+    gx, gy = fx[1:] + fx[:1], fy[1:] + fy[:1]
+    return list(zip(map(min, fx, gx), map(min, fy, gy),
+                    map(max, fx, gx), map(max, fy, gy)))
+
+
+def _box_pairs(boxes) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of the closed boxes (x0, y0, x1, y1) that
+    meet, by a sweep over y: the boxes are taken in order of their least
+    y, each drops from the active list the boxes that end below it, and
+    meets those left whose x ranges meet its own."""
+    pairs = []
+    active: list[int] = []
+    for i in sorted(range(len(boxes)), key=lambda i: boxes[i][1]):
+        x0, y0, x1, _ = boxes[i]
+        active = [j for j in active if boxes[j][3] >= y0]
+        pairs += [(j, i) if j < i else (i, j) for j in active
+                  if boxes[j][0] <= x1 and x0 <= boxes[j][2]]
+        active.append(i)
+    return pairs
 
 
 def rational_key(v: Fraction) -> int:
@@ -356,14 +388,6 @@ def polygon_area2(vertices: Sequence[Point]) -> Fraction:
         b = vertices[(i + 1) % n]
         total += a.x * b.y - b.x * a.y
     return total
-
-
-def _ybucket_h(scale, y, w) -> int:
-    """The y-bucket of height y/w (w > 0), floor((y/w - y0) * nb / span)
-    clamped to [0, nb - 1], in integers.  `scale` is (nb, y0.numerator,
-    y0.denominator, nb * span.denominator, y0.denominator * span.numerator)."""
-    nb, n0, d0, k, m = scale
-    return max(0, min(nb - 1, (y * d0 - n0 * w) * k // (w * m)))
 
 
 def _sum_sign(terms: dict[int, int]) -> int:
@@ -468,7 +492,7 @@ class SimplePolygon:
     """
 
     __slots__ = ("_vertices", "_h", "_fx", "_fy", "_bbox", "_ybuckets",
-                 "_int_edge_bboxes", "_edge_lines")
+                 "_boxes", "_edge_lines")
 
     def __init__(self, vertices: Sequence[Point]):
         self._vertices = tuple(vertices)
@@ -500,7 +524,7 @@ class SimplePolygon:
         self._bbox = (_extreme(fx, hv, 0, -1), _extreme(fy, hv, 1, -1),
                       _extreme(fx, hv, 0, 1), _extreme(fy, hv, 1, 1))
         self._ybuckets = None
-        self._int_edge_bboxes = None
+        self._boxes = None
         self._edge_lines = None
         if kernel is None or not _star_simple(kernel, hv):
             self._validate()
@@ -510,6 +534,11 @@ class SimplePolygon:
         if self._vertices is None:
             self._vertices = tuple(map(hpoint_to_point, self._h))
         return self._vertices
+
+    @property
+    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The exact bounding box (min x, min y, max x, max y)."""
+        return self._bbox
 
     def __len__(self):
         return len(self._h)
@@ -529,14 +558,6 @@ class SimplePolygon:
         for i in range(n):
             yield self.vertices[i], self.vertices[(i + 1) % n]
 
-    def int_edge_bboxes(self):
-        """Outward-rounded integer edge boxes: an exact, conservative
-        prefilter that avoids Fraction comparisons in hot loops."""
-        if self._int_edge_bboxes is None:
-            hv = self._h
-            self._int_edge_bboxes = [_ibox(e) for e in zip(hv, hv[1:] + hv[:1])]
-        return self._int_edge_bboxes
-
     def edge_lines(self):
         """The line `_hline(a, b)` of each edge ab, built on first use."""
         if self._edge_lines is None:
@@ -548,7 +569,10 @@ class SimplePolygon:
         """Raise GeometryError unless the polygon is simple and ccw.
 
         Orientations are first decided on the vertices' integer keys
-        (`_keys_orient`); `orient_h` runs only where they cannot decide."""
+        (`_keys_orient`); `orient_h` runs only where they cannot decide.
+        The candidate edge pairs are those whose key boxes meet
+        (`_box_pairs`), tested in increasing (i, j) order, so a
+        self-touching polygon names its least touching pair."""
         hv, fx, fy = self._h, self._fx, self._fy
         n = len(hv)
         # hpoint is injective on reduced Fractions
@@ -572,66 +596,38 @@ class SimplePolygon:
             if orient_h(a, b, c) == 0 and _dot_h(a, b, c) <= 0:
                 raise GeometryError(
                     f"fold-back at vertex {hpoint_to_point(b)}")
-        # pairwise edge disjointness; candidate pairs found by bucketing the
-        # edges' y-intervals so large polygons stay near-linear in practice.
-        # Each bucket lists its edges in index order, and a pair is tested
-        # only in the first bucket that holds both: the one where the
-        # later-starting edge starts.  The bucket order fixes which
-        # intersecting pair the message names; these finer buckets are
-        # dropped after the check.  The pair filter compares the edges'
-        # boxes on the integer keys.  The keys never decrease, so every
-        # pair whose exact boxes meet passes it; on galleries with long
-        # coordinates it rejects nearly as many pairs as the exact boxes
-        # (keys on unit steps let ten to twenty times more pairs through).
-        # A pair with both ends of one edge strictly on one side of the
-        # other's line, by the keys, cannot touch.
-        nxt = list(range(1, n)) + [0]
-        bx0 = [min(fx[i], fx[j]) for i, j in zip(range(n), nxt)]
-        by0 = [min(fy[i], fy[j]) for i, j in zip(range(n), nxt)]
-        bx1 = [max(fx[i], fx[j]) for i, j in zip(range(n), nxt)]
-        by1 = [max(fy[i], fy[j]) for i, j in zip(range(n), nxt)]
-        scale, buckets = self._bucket_edges(min(4 * n, 4096))
-        vb = [_ybucket_h(scale, y, w) for _, y, w in hv]
-        first = [min(vb[i], vb[j]) for i, j in zip(range(n), nxt)]
-        for b, bucket in enumerate(buckets):
-            starts = [k for k, i in enumerate(bucket) if first[i] == b]
-            if not starts:
+        # pairwise edge disjointness.  The keys never decrease, so every
+        # pair whose exact boxes meet has key boxes that meet; on galleries
+        # with long coordinates the key boxes reject nearly as many pairs as
+        # the exact ones.  A pair with both ends of one edge strictly on one
+        # side of the other's line, by the keys, cannot touch.
+        for i, j in sorted(_box_pairs(_edge_boxes(fx, fy))):
+            if j == i + 1 or (i == 0 and j == n - 1):
                 continue
-            for k, i in enumerate(bucket):
-                if first[i] == b:
-                    later = bucket[k + 1:]
-                else:
-                    later = [bucket[m] for m in starts[bisect_right(starts, k):]]
-                x0, y0, x1, y1 = bx0[i], by0[i], bx1[i], by1[i]
-                i1 = nxt[i]
-                ax, ay, bx, by = fx[i], fy[i], fx[i1], fy[i1]
-                for j in [j for j in later if bx0[j] <= x1 and x0 <= bx1[j]
-                          and by0[j] <= y1 and y0 <= by1[j]]:
-                    if j == i + 1 or (i == 0 and j == n - 1):
-                        continue
-                    j1 = nxt[j]
-                    cx, cy, dx, dy = fx[j], fy[j], fx[j1], fy[j1]
-                    if _keys_orient(ax, ay, bx, by, cx, cy) \
-                            * _keys_orient(ax, ay, bx, by, dx, dy) > 0 \
-                            or _keys_orient(cx, cy, dx, dy, ax, ay) \
-                            * _keys_orient(cx, cy, dx, dy, bx, by) > 0:
-                        continue
-                    if _segments_touch_h(hv[i], hv[i1], hv[j], hv[j1]):
-                        raise GeometryError(
-                            f"edges {i} and {j} of polygon intersect")
+            i1, j1 = i + 1, j + 1 if j + 1 < n else 0
+            ax, ay, bx, by = fx[i], fy[i], fx[i1], fy[i1]
+            cx, cy, dx, dy = fx[j], fy[j], fx[j1], fy[j1]
+            if _keys_orient(ax, ay, bx, by, cx, cy) \
+                    * _keys_orient(ax, ay, bx, by, dx, dy) > 0 \
+                    or _keys_orient(cx, cy, dx, dy, ax, ay) \
+                    * _keys_orient(cx, cy, dx, dy, bx, by) > 0:
+                continue
+            if _segments_touch_h(hv[i], hv[i1], hv[j], hv[j1]):
+                raise GeometryError(f"edges {i} and {j} of polygon intersect")
 
     # --- point location -------------------------------------------------
 
     def _bucket_edges(self, nb: int):
-        """(scale, buckets): edge indices bucketed by their y-intervals over
-        nb equal slices of the polygon's height.  The bucket of a height is
-        monotone in it, so an edge spans the buckets between those of its
-        two ends."""
-        y0, y1 = self._bbox[1], self._bbox[3]
-        span = y1 - y0  # > 0: validation checks the area first
-        scale = (nb, y0.numerator, y0.denominator,
-                 nb * span.denominator, y0.denominator * span.numerator)
-        vb = [_ybucket_h(scale, h[1], h[2]) for h in self._h]
+        """(y0, d, buckets): edge indices bucketed by their y-intervals over
+        nb equal slices of the vertices' y keys.  A height with key k falls
+        in bucket (k - y0) * nb // d, where y0 is the least y key and d the
+        span of the y keys plus 1, so every vertex falls in [0, nb - 1].
+        The bucket never falls as the height rises, so an edge spans the
+        buckets between those of its two ends."""
+        fy = self._fy
+        y0 = min(fy)
+        d = max(fy) - y0 + 1
+        vb = [(k - y0) * nb // d for k in fy]
         buckets: list[list[int]] = [[] for _ in range(nb)]
         for i in range(len(vb)):
             b0, b1 = vb[i], vb[i + 1 if i + 1 < len(vb) else 0]
@@ -639,7 +635,7 @@ class SimplePolygon:
                 b0, b1 = b1, b0
             for b in range(b0, b1 + 1):
                 buckets[b].append(i)
-        return scale, buckets
+        return y0, d, buckets
 
     def _ybucket_index(self):
         """The edges near each height, built on first use: both the boundary
@@ -651,18 +647,15 @@ class SimplePolygon:
 
     def locate(self, p: Point) -> str:
         """'in', 'on', or 'out' for the closed polygon."""
-        x0, y0, x1, y1 = self._bbox
-        if p.x < x0 or p.x > x1 or p.y < y0 or p.y > y1:
-            return "out"
         return self._locate_h(hpoint(p))
 
     def _locate_h(self, hp) -> str:
         """`locate` for the homogeneous point hp = (X, Y, W), W > 0, in
-        integer arithmetic only.  The bucket index is clamped, so the
-        answer is right for any point, also one outside the bounding box:
-        below or above the polygon every edge of the end bucket is skipped,
-        and at any height within it the bucket holds every edge whose
-        y-interval contains that height.
+        integer arithmetic only.  The query is bucketed on its y key, and
+        the bucket index is clamped, so the answer is right for any point,
+        also one outside the bounding box: below or above the polygon every
+        edge of the end bucket is skipped, and at any height within it the
+        bucket holds every edge whose y-interval contains that height.
 
         The vertex keys skip an edge first when both its ends are strictly
         above or strictly below hp, or both strictly left of it: such an
@@ -672,9 +665,10 @@ class SimplePolygon:
         hv, fx, fy = self._h, self._fx, self._fy
         n = len(hv)
         qx, qy = (X << _BOX_BITS) // W, (Y << _BOX_BITS) // W
-        scale, buckets = self._ybucket_index()
+        y0, d, buckets = self._ybucket_index()
+        nb = len(buckets)
         inside = False
-        for i in buckets[_ybucket_h(scale, Y, W)]:
+        for i in buckets[max(0, min(nb - 1, (qy - y0) * nb // d))]:
             k = i + 1 if i + 1 < n else 0
             ya, yb = fy[i], fy[k]
             if (ya > qy and yb > qy) or (ya < qy and yb < qy) \
@@ -723,11 +717,14 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     # are hpoint triples, so the set keeps one copy of a vertex equal to p
     # or q; a proper crossing is interior to pq and to one edge only
     cuts = {hp, hq}
-    x0, y0, x1, y1 = _ibox((hp, hq))
+    x0, y0, x1, y1 = _key_box((hp, hq))
     lpq = _hline(hp, hq)
     hv = poly._h
     n = len(hv)
-    boxes = poly.int_edge_bboxes()
+    # the edges' key boxes, built on first use
+    boxes = poly._boxes
+    if boxes is None:
+        boxes = poly._boxes = _edge_boxes(poly._fx, poly._fy)
     lines = poly.edge_lines()
     for i in range(n):
         bx = boxes[i]
@@ -1092,7 +1089,7 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
             view = views[h] = _visibility(poly, h)
         vps.append(view[0])
         windows += [(gi, ha, hb) for ha, hb in view[1]]
-    vboxes = [_ibox(vp._h) for vp in vps]
+    vboxes = [(min(vp._fx), min(vp._fy), max(vp._fx), max(vp._fy)) for vp in vps]
     tested = 0
     # the guards in the order tried: the last good one, then the others
     order = list(range(len(vps)))
@@ -1108,10 +1105,10 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
                                 for hc, hd in opposite):
                 continue
             mx, my, mw = hm
+            kx, ky = (mx << _BOX_BITS) // mw, (my << _BOX_BITS) // mw
             for j in order:
                 bx = vboxes[j]
-                if j != gi and bx[0] * mw <= mx <= bx[2] * mw \
-                        and bx[1] * mw <= my <= bx[3] * mw \
+                if j != gi and bx[0] <= kx <= bx[2] and bx[1] <= ky <= bx[3] \
                         and vps[j]._locate_h(hm) == "in":
                     if j != order[0]:
                         order = [j] + [i for i in range(len(vps)) if i != j]
@@ -1133,28 +1130,23 @@ def _cut_windows(windows):
     Cuts are the crossings and touches with other guards' windows and the
     ends of collinear overlaps.  Windows of one guard never cross (they
     are edges of one simple polygon).  The candidate pairs are the
-    windows of different guards whose boxes meet, on the integer keys
-    floor(coordinate * 2^_BOX_BITS); on the Moebius gallery nearly every
-    pair left is a touch or a crossing.  A sweep over y finds them: there
-    it meets 30 times fewer active windows than a sweep over x, whose
-    extents overlap far more.  The windows are then visited in the order
-    of floor(least x), ties by index (their rank), and each meets its
-    lower-ranked candidates in rank order, so every cut list and
-    `opposite` list, order included, is that of a sweep over x.  A
-    crossing is put in hpoint's form (`_hcanon`), which names a point
-    uniquely, so each window's set of cuts holds each point once.  A
-    crossing or a touch sets the other guard's bit at that point; a window
-    of another guard on the same line sets its bit at every cut point of
-    the stretch they share, the ends of the overlap included.
+    windows of different guards whose key boxes meet; on the Moebius
+    gallery nearly every pair left is a touch or a crossing.  The sweep
+    over y of `_box_pairs` finds them: there it meets 30 times fewer
+    active windows than a sweep over x, whose extents overlap far more.
+    The pairs of one guard's windows are dropped after the sweep.  The
+    windows are then visited in the order of floor(least x), ties by
+    index (their rank), and each meets its lower-ranked candidates in
+    rank order, so every cut list and `opposite` list, order included,
+    is that of a sweep over x.  A crossing is put in hpoint's form
+    (`_hcanon`), which names a point uniquely, so each window's set of
+    cuts holds each point once.  A crossing or a touch sets the other
+    guard's bit at that point; a window of another guard on the same line
+    sets its bit at every cut point of the stretch they share, the ends
+    of the overlap included.
     """
     hs = [(ha, hb) for _, ha, hb in windows]
-    # boxes on the keys floor(coordinate * 2^_BOX_BITS), which never
-    # decrease, so boxes that meet give key boxes that meet
-    boxes = []
-    for (ax, ay, aw), (bx, by, bw) in hs:
-        kx, ky = (ax << _BOX_BITS) // aw, (ay << _BOX_BITS) // aw
-        lx, ly = (bx << _BOX_BITS) // bw, (by << _BOX_BITS) // bw
-        boxes.append((min(kx, lx), min(ky, ly), max(kx, lx), max(ky, ly)))
+    boxes = [_key_box(h) for h in hs]
     # the rank orders the windows by floor(least x), ties by index
     order = sorted(range(len(windows)), key=lambda i: boxes[i][0] >> _BOX_BITS)
     rank = [0] * len(windows)
@@ -1162,19 +1154,12 @@ def _cut_windows(windows):
         rank[i] = r
     # the ranks of each window's candidates of lower rank
     earlier: list[list[int]] = [[] for _ in windows]
-    active: list[int] = []
-    for i in sorted(range(len(windows)), key=lambda i: boxes[i][1]):
-        x0, y0, x1, _ = boxes[i]
-        gi, ri = windows[i][0], rank[i]
-        active = [j for j in active if boxes[j][3] >= y0]
-        for j in active:
-            bj = boxes[j]
-            if bj[0] <= x1 and x0 <= bj[2] and windows[j][0] != gi:
-                if rank[j] < ri:
-                    earlier[i].append(rank[j])
-                else:
-                    earlier[j].append(ri)
-        active.append(i)
+    for i, j in _box_pairs(boxes):
+        if windows[i][0] != windows[j][0]:
+            if rank[i] < rank[j]:
+                earlier[j].append(rank[i])
+            else:
+                earlier[i].append(rank[j])
     bits = [1 << gi for gi, _, _ in windows]
     # each window's cut points, each with the guard bits found there
     cuts = [{ha: 0, hb: 0} for ha, hb in hs]

@@ -131,7 +131,7 @@ def _hidden_side_witness(poly: SimplePolygon, gpts, a: Point, b: Point) -> Point
 def _candidate_grid(poly: SimplePolygon, grid: tuple[int, int]) -> list[Point]:
     """The polygon's vertices, then the points of a uniform nx-by-ny grid
     over its bounding box that are not outside it (repeats kept)."""
-    x0, y0, x1, y1 = poly._bbox
+    x0, y0, x1, y1 = poly.bbox
     nx, ny = grid
     out = list(poly.vertices)
     for i in range(nx + 1):

@@ -51,6 +51,7 @@ from topogallery.geom import (
     orient,
     orient_h,
     pt,
+    rational_key,
     triangulate,
     visibility_fan,
     visible,
@@ -281,14 +282,12 @@ def _visible_reference(poly: SimplePolygon, p: Point, q: Point) -> bool:
         return True
     hp_, hq_ = hpoint(p), hpoint(q)
     params = {Fraction(0), Fraction(1)}
-    minx = floor(min(p.x, q.x))
-    maxx = ceil(max(p.x, q.x))
-    miny = floor(min(p.y, q.y))
-    maxy = ceil(max(p.y, q.y))
+    minx, maxx = min(p.x, q.x), max(p.x, q.x)
+    miny, maxy = min(p.y, q.y), max(p.y, q.y)
     verts = poly.vertices
     hv = poly._h
     n = len(verts)
-    boxes = poly.int_edge_bboxes()
+    boxes = _edge_bboxes_reference(poly)
     for i in range(n):
         bx = boxes[i]
         if bx[2] < minx or maxx < bx[0] or bx[3] < miny or maxy < bx[1]:
@@ -975,7 +974,9 @@ def _brute_force_masks(windows, cut):
     """For each cut point of each window, the bitmask of the other guards
     that have a window through it: every window of another guard whose
     integer box meets the window's box is tested at every cut point."""
-    boxes = [geom._ibox((ha, hb)) for _, ha, hb in windows]
+    ends = [(hpoint_to_point(ha), hpoint_to_point(hb)) for _, ha, hb in windows]
+    boxes = [(floor(min(a.x, b.x)), floor(min(a.y, b.y)),
+              ceil(max(a.x, b.x)), ceil(max(a.y, b.y))) for a, b in ends]
     out = []
     for (gi, _, _), bi, (stops, _, _) in zip(windows, boxes, cut):
         near = [(gj, hc, hd) for (gj, hc, hd), bj in zip(windows, boxes)
@@ -1066,9 +1067,29 @@ def _same_locate(poly):
 
 
 def _same_buckets(poly):
+    """`_bucket_edges(nb)` for several nb: every vertex height falls in a
+    bucket in [0, nb - 1], the bucket of a height never falls as the
+    height rises, and each edge is listed, in index order, in exactly the
+    buckets between its two ends' buckets."""
     n = len(poly)
+    ys = [v.y for v in poly.vertices]
+    # the vertex heights, the heights between them, and two outside
+    heights = sorted(set(ys))
+    heights = sorted(heights + [(a + b) / 2 for a, b in zip(heights, heights[1:])]
+                     + [heights[0] - 1, heights[-1] + 1])
     for nb in (1, 2, 3, n, min(4 * n, 4096)):
-        assert poly._bucket_edges(nb) == _bucket_edges_reference(poly, nb)
+        y0, d, buckets = poly._bucket_edges(nb)
+        assert len(buckets) == nb
+
+        def bucket(y):
+            return (rational_key(y) - y0) * nb // d
+
+        assert all(0 <= bucket(y) < nb for y in ys)
+        seen = [bucket(y) for y in heights]
+        assert seen == sorted(seen)
+        spans = [sorted((bucket(ys[i]), bucket(ys[(i + 1) % n]))) for i in range(n)]
+        assert buckets == [[i for i, (lo, hi) in enumerate(spans) if lo <= b <= hi]
+                           for b in range(nb)]
 
 
 @settings(max_examples=60)

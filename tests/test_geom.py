@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,6 +16,7 @@ from topogallery.geom import (
     Point,
     SimplePolygon,
     _BOX_BITS,
+    _box_pairs,
     _dir_cmp,
     _dir_key,
     _dot_h,
@@ -291,7 +291,7 @@ def test_polygon_rejects_repeated_vertex():
     ([pt(0, 0), pt(Fraction(1, 2), 0), pt(Fraction(1, 3), 0), pt(1, 1),
       pt(0, 1)],
      "fold-back at vertex (1/2, 0)"),
-    # (3, 0) touches edge 0 from edges 3 and 4; the first pair is named
+    # (3, 0) touches edge 0 from edges 3 and 4; the least pair is named
     ([pt(0, 0), pt(6, 0), pt(6, 4), pt(3, 4), pt(3, 0), pt(0, 4)],
      "edges 0 and 3 of polygon intersect"),
     # three spikes cross edge 0
@@ -299,6 +299,12 @@ def test_polygon_rejects_repeated_vertex():
       pt(Fraction(5, 2), 3), pt(Fraction(3, 2), Fraction(-1, 2)),
       pt(Fraction(1, 2), 3), pt(0, 3)],
      "edges 0 and 2 of polygon intersect"),
+    # (3, 4) touches the top edge 0 from edges 3 and 4, and (5, 0) the
+    # bottom edge 5 from edges 7 and 8: the least pair is named, not the
+    # lowest
+    ([pt(6, 4), pt(0, 4), pt(0, 0), pt(2, 0), pt(3, 4), pt(4, 0), pt(6, 0),
+      pt(6, 1), pt(5, 0)],
+     "edges 0 and 3 of polygon intersect"),
 ])
 def test_polygon_rejection_names_the_fault(verts, message):
     with pytest.raises(GeometryError) as err:
@@ -306,12 +312,33 @@ def test_polygon_rejection_names_the_fault(verts, message):
     assert str(err.value) == message
 
 
-# --- validation against its Fraction version ------------------------------
+# small coordinates, so that boxes share edges and least y often, and
+# some are points
+key_boxes = st.builds(
+    lambda x, y, w, h: (x, y, x + w, y + h),
+    st.integers(0, 6), st.integers(0, 6), st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=300)
+@given(st.lists(key_boxes, max_size=12))
+@example([])
+@example([(0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 2, 2), (2, 2, 2, 2), (2, 3, 4, 3)])
+@example([(0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2), (2, 2, 3, 3)])
+def test_box_pairs_are_the_meeting_pairs(boxes):
+    # closed boxes meet iff their x ranges and their y ranges meet
+    want = [(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))
+            if boxes[i][0] <= boxes[j][2] and boxes[j][0] <= boxes[i][2]
+            and boxes[i][1] <= boxes[j][3] and boxes[j][1] <= boxes[i][3]]
+    assert sorted(_box_pairs(boxes)) == want
+
+
+# --- validation against an all-pairs reference ---------------------------
 
 def _validate_reference(verts):
-    """`SimplePolygon` validation as it was before it compared integer
-    boxes: Fraction bounding and edge boxes, and a set of the edge pairs
-    already met."""
+    """`SimplePolygon` validation without keys or a sweep: every pair of
+    edges (i, j), i < j, in that order, so the first touching pair met is
+    the least.  The pair filter compares edge boxes rounded outwards to
+    multiples of 2^-32.  Returns the Fraction bounding box."""
     if len(verts) < 3:
         raise GeometryError("polygon needs at least 3 vertices")
     hv = [hpoint(v) for v in verts]
@@ -331,35 +358,20 @@ def _validate_reference(verts):
             raise GeometryError(f"fold-back at vertex {verts[i]}")
     boxes = []
     for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        boxes.append((min(a.x, b.x), min(a.y, b.y),
-                      max(a.x, b.x), max(a.y, b.y)))
+        a, b = verts[i], verts[(i + 1) % n]
+        boxes.append((min(a.x, b.x) * 2 ** 32 // 1, min(a.y, b.y) * 2 ** 32 // 1,
+                      -(max(a.x, b.x) * -2 ** 32 // 1),
+                      -(max(a.y, b.y) * -2 ** 32 // 1)))
+    for i, (x0, y0, x1, y1) in enumerate(boxes):
+        # edges i and j share a vertex if j == i + 1, or i == 0 and j == n - 1
+        for j in [j for j in range(i + 2, n - (i == 0))
+                  if boxes[j][0] <= x1 and x0 <= boxes[j][2]
+                  and boxes[j][1] <= y1 and y0 <= boxes[j][3]]:
+            if _segments_touch_h(hv[i], hv[i + 1], hv[j], hv[(j + 1) % n]):
+                raise GeometryError(f"edges {i} and {j} of polygon intersect")
     xs = [v.x for v in verts]
     ys = [v.y for v in verts]
-    shell = SimpleNamespace(_h=hv, _bbox=(min(xs), min(ys), max(xs), max(ys)))
-    buckets = SimplePolygon._bucket_edges(shell, min(4 * n, 4096))[1]
-    checked = set()
-    for bucket in buckets:
-        for a in range(len(bucket)):
-            i = bucket[a]
-            bx = boxes[i]
-            ai, bi = hv[i], hv[(i + 1) % n]
-            for b in range(a + 1, len(bucket)):
-                j = bucket[b]
-                if (i, j) in checked:
-                    continue
-                checked.add((i, j))
-                lo_, hi_ = (i, j) if i < j else (j, i)
-                if hi_ == lo_ + 1 or (lo_ == 0 and hi_ == n - 1):
-                    continue
-                by = boxes[j]
-                if bx[2] < by[0] or by[2] < bx[0] or bx[3] < by[1] or by[3] < bx[1]:
-                    continue
-                if _segments_touch_h(ai, bi, hv[j], hv[(j + 1) % n]):
-                    raise GeometryError(
-                        f"edges {i} and {j} of polygon intersect")
-    return shell._bbox
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 def _same_verdict(verts):

@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never
 reads, unless `__all__` exports it; and no module under src/ other than
-`geom` imports a private name of `geom`, so the homogeneous-triple kernel
-stays behind geom's public functions."""
+`geom` imports a private name of `geom` or reads a private slot of a
+`SimplePolygon`, so the homogeneous-triple kernel stays behind geom's
+public functions and properties."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,42 @@ def test_private_geom_import_scan():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_private_geom_imports(path):
     assert _private_geom_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _private_slots(tree: ast.Module) -> set[str]:
+    """The names in `SimplePolygon.__slots__` that start with "_"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "SimplePolygon":
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets):
+                    return {n for n in ast.literal_eval(stmt.value)
+                            if n.startswith("_")}
+    return set()
+
+
+def _private_slot_reads(tree: ast.Module, slots: set[str]) -> list[str]:
+    return sorted(node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in slots)
+
+
+def test_private_slot_scan():
+    geom = ast.parse("class SimplePolygon:\n"
+                     "    __slots__ = ('_h', 'open', '_bbox')\n"
+                     "class Other:\n    __slots__ = ('_x',)\n")
+    slots = _private_slots(geom)
+    assert slots == {"_h", "_bbox"}
+    tree = ast.parse("x0 = poly._bbox[0]\nh = g.polygon._h\n"
+                     "b = poly.bbox\nq = other._x\nr = poly.open\n")
+    assert _private_slot_reads(tree, slots) == ["_bbox", "_h"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "geom.py"],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_private_slot_reads(path):
+    slots = _private_slots(ast.parse(
+        (ROOT / "src" / "topogallery" / "geom.py").read_text(encoding="utf-8")))
+    assert slots
+    assert _private_slot_reads(ast.parse(path.read_text(encoding="utf-8")),
+                               slots) == []

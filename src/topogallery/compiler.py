@@ -204,9 +204,6 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
         raise CompileError("epsilon must be positive")
     if not f.clauses:
         raise CompileError("empty formula")
-    for cl in f.clauses:
-        if len(set(cl)) != len(cl):
-            raise CompileError("duplicate literal inside a clause")
 
     metadata: dict = {}
     sat, note = _sat_screen(f)

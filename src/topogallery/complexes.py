@@ -75,6 +75,8 @@ class CubicalComplex:
     faces: frozenset
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ComplexError(f"negative dimension {self.n}")
         for f in self.faces:
             if len(f) != self.n:
                 raise ComplexError(

@@ -57,6 +57,8 @@ class DnfFormula:
     clauses: tuple[tuple[VarEq, ...], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise FormulaError(f"negative variable count {self.n}")
         for clause in self.clauses:
             seen = {}
             for lit in clause:
@@ -83,6 +85,8 @@ class CnfFormula:
     band_constants: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
+        if self.n < 0:
+            raise FormulaError(f"negative variable count {self.n}")
         ks = self.band_constants
         if ks:
             if ks[0] != 0 or ks[-1] != 1:
@@ -92,6 +96,9 @@ class CnfFormula:
         for clause in self.clauses:
             if not clause:
                 raise FormulaError("empty CNF clause")
+            if len(set(clause)) != len(clause):
+                dup = next(lit for lit in clause if clause.count(lit) > 1)
+                raise FormulaError(f"duplicate literal {dup!r} inside a clause")
             for lit in clause:
                 if isinstance(lit, VarEq):
                     if lit.var >= self.n:

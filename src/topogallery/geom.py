@@ -407,21 +407,6 @@ def _sum_sign(terms: dict[int, int]) -> int:
     return _sign(sum(Fraction(t, d) for d, t in terms.items()).numerator)
 
 
-def _extreme(keys, hv, c, sign) -> Fraction:
-    """The least (sign -1) or greatest (sign +1) coordinate c (0 for x, 1
-    for y) of the homogeneous points hv.  keys are that coordinate rounded
-    to integers on one scale, which is monotone, so the extreme lies among
-    the vertices with the extreme key; ties are broken by cross-multiplying
-    the triples."""
-    k = max(keys) if sign > 0 else min(keys)
-    best = None
-    for i, key in enumerate(keys):
-        if key == k and (best is None or sign * (
-                hv[i][c] * hv[best][2] - hv[best][c] * hv[i][2]) > 0):
-            best = i
-    return Fraction(hv[best][c], hv[best][2])
-
-
 def _star_simple(hp, hv) -> bool:
     """True if the polygon with vertex triples hv (in `hpoint`'s form) is
     simple and ccw by a linear test around the point p (triple hp): p is
@@ -491,8 +476,8 @@ class SimplePolygon:
     polygons that are only located in never make a Point.
     """
 
-    __slots__ = ("_vertices", "_h", "_fx", "_fy", "_bbox", "_ybuckets",
-                 "_boxes", "_edge_lines")
+    __slots__ = ("_vertices", "_h", "_fx", "_fy", "_ybuckets", "_boxes",
+                 "_edge_lines")
 
     def __init__(self, vertices: Sequence[Point]):
         self._vertices = tuple(vertices)
@@ -519,10 +504,8 @@ class SimplePolygon:
         self._h = hv
         # floor(coordinate * 2^_BOX_BITS) of each vertex: integer keys
         # that never decrease as the coordinate grows
-        self._fx = fx = [(x << _BOX_BITS) // w for x, _, w in hv]
-        self._fy = fy = [(y << _BOX_BITS) // w for _, y, w in hv]
-        self._bbox = (_extreme(fx, hv, 0, -1), _extreme(fy, hv, 1, -1),
-                      _extreme(fx, hv, 0, 1), _extreme(fy, hv, 1, 1))
+        self._fx = [(x << _BOX_BITS) // w for x, _, w in hv]
+        self._fy = [(y << _BOX_BITS) // w for _, y, w in hv]
         self._ybuckets = None
         self._boxes = None
         self._edge_lines = None
@@ -537,8 +520,11 @@ class SimplePolygon:
 
     @property
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """The exact bounding box (min x, min y, max x, max y)."""
-        return self._bbox
+        """The exact bounding box (min x, min y, max x, max y), computed
+        when read."""
+        xs = [v.x for v in self.vertices]
+        ys = [v.y for v in self.vertices]
+        return min(xs), min(ys), max(xs), max(ys)
 
     def __len__(self):
         return len(self._h)
@@ -1089,7 +1075,6 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
             view = views[h] = _visibility(poly, h)
         vps.append(view[0])
         windows += [(gi, ha, hb) for ha, hb in view[1]]
-    vboxes = [(min(vp._fx), min(vp._fy), max(vp._fx), max(vp._fy)) for vp in vps]
     tested = 0
     # the guards in the order tried: the last good one, then the others
     order = list(range(len(vps)))
@@ -1104,12 +1089,8 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
             if opposite and any(_on_segment_collinear(hc, hd, hm)
                                 for hc, hd in opposite):
                 continue
-            mx, my, mw = hm
-            kx, ky = (mx << _BOX_BITS) // mw, (my << _BOX_BITS) // mw
             for j in order:
-                bx = vboxes[j]
-                if j != gi and bx[0] <= kx <= bx[2] and bx[1] <= ky <= bx[3] \
-                        and vps[j]._locate_h(hm) == "in":
+                if j != gi and vps[j]._locate_h(hm) == "in":
                     if j != order[0]:
                         order = [j] + [i for i in range(len(vps)) if i != j]
                     carried = j
@@ -1134,11 +1115,10 @@ def _cut_windows(windows):
     gallery nearly every pair left is a touch or a crossing.  The sweep
     over y of `_box_pairs` finds them: there it meets 30 times fewer
     active windows than a sweep over x, whose extents overlap far more.
-    The pairs of one guard's windows are dropped after the sweep.  The
-    windows are then visited in the order of floor(least x), ties by
-    index (their rank), and each meets its lower-ranked candidates in
-    rank order, so every cut list and `opposite` list, order included,
-    is that of a sweep over x.  A crossing is put in hpoint's form
+    The pairs of one guard's windows are skipped.  The stops are ordered
+    along each window by `_order_along`, masks are ORed and `opposite` is
+    only searched, so nothing depends on the order the pairs come in, and
+    the `opposite` lists carry no order.  A crossing is put in hpoint's form
     (`_hcanon`), which names a point uniquely, so each window's set of
     cuts holds each point once.  A crossing or a touch sets the other
     guard's bit at that point; a window of another guard on the same line
@@ -1146,20 +1126,6 @@ def _cut_windows(windows):
     of the overlap included.
     """
     hs = [(ha, hb) for _, ha, hb in windows]
-    boxes = [_key_box(h) for h in hs]
-    # the rank orders the windows by floor(least x), ties by index
-    order = sorted(range(len(windows)), key=lambda i: boxes[i][0] >> _BOX_BITS)
-    rank = [0] * len(windows)
-    for r, i in enumerate(order):
-        rank[i] = r
-    # the ranks of each window's candidates of lower rank
-    earlier: list[list[int]] = [[] for _ in windows]
-    for i, j in _box_pairs(boxes):
-        if windows[i][0] != windows[j][0]:
-            if rank[i] < rank[j]:
-                earlier[j].append(rank[i])
-            else:
-                earlier[i].append(rank[j])
     bits = [1 << gi for gi, _, _ in windows]
     # each window's cut points, each with the guard bits found there
     cuts = [{ha: 0, hb: 0} for ha, hb in hs]
@@ -1168,39 +1134,39 @@ def _cut_windows(windows):
     opposite: list[list] = [[] for _ in windows]
     # the windows of other guards on each window's line whose boxes meet it
     along: list[list[int]] = [[] for _ in windows]
-    for i in order:
+    for i, j in _box_pairs([_key_box(h) for h in hs]):
+        if windows[i][0] == windows[j][0]:
+            continue
         ha, hb = hs[i]
+        hc, hd = hs[j]
         li = lines[i]
-        ci = cuts[i]
-        for j in map(order.__getitem__, sorted(earlier[i])):
-            hc, hd = hs[j]
-            s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
-            s2 = li[0] * hd[0] + li[1] * hd[1] + li[2] * hd[2]
-            if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
-                continue
-            if s1 == 0 and s2 == 0:
-                for h in (hc, hd):
-                    if _on_segment_collinear(ha, hb, h):
-                        ci.setdefault(h, 0)
-                for h in (ha, hb):
-                    if _on_segment_collinear(hc, hd, h):
-                        cuts[j].setdefault(h, 0)
-                along[i].append(j)
-                along[j].append(i)
-                if _dot_dirs(ha, hb, hc, hd) < 0:
-                    opposite[i].append(hs[j])
-                    opposite[j].append(hs[i])
-                continue
-            lj = lines[j]
-            s3 = lj[0] * ha[0] + lj[1] * ha[1] + lj[2] * ha[2]
-            s4 = lj[0] * hb[0] + lj[1] * hb[1] + lj[2] * hb[2]
-            if (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0):
-                continue
-            # an endpoint on the other line is the unique crossing
-            hx = (hc if s1 == 0 else hd if s2 == 0 else ha if s3 == 0
-                  else hb if s4 == 0 else _hcanon(_hmeet(li, lj)))
-            ci[hx] = ci.get(hx, 0) | bits[j]
-            cuts[j][hx] = cuts[j].get(hx, 0) | bits[i]
+        s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
+        s2 = li[0] * hd[0] + li[1] * hd[1] + li[2] * hd[2]
+        if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
+            continue
+        if s1 == 0 and s2 == 0:
+            for h in (hc, hd):
+                if _on_segment_collinear(ha, hb, h):
+                    cuts[i].setdefault(h, 0)
+            for h in (ha, hb):
+                if _on_segment_collinear(hc, hd, h):
+                    cuts[j].setdefault(h, 0)
+            along[i].append(j)
+            along[j].append(i)
+            if _dot_dirs(ha, hb, hc, hd) < 0:
+                opposite[i].append(hs[j])
+                opposite[j].append(hs[i])
+            continue
+        lj = lines[j]
+        s3 = lj[0] * ha[0] + lj[1] * ha[1] + lj[2] * ha[2]
+        s4 = lj[0] * hb[0] + lj[1] * hb[1] + lj[2] * hb[2]
+        if (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0):
+            continue
+        # an endpoint on the other line is the unique crossing
+        hx = (hc if s1 == 0 else hd if s2 == 0 else ha if s3 == 0
+              else hb if s4 == 0 else _hcanon(_hmeet(li, lj)))
+        cuts[i][hx] = cuts[i].get(hx, 0) | bits[j]
+        cuts[j][hx] = cuts[j].get(hx, 0) | bits[i]
     out = []
     for (ha, hb), pts, opp, col in zip(hs, cuts, opposite, along):
         stops = _order_along(ha, hb, pts)

@@ -227,7 +227,7 @@ def test_audit_rejects_row_sighting_chamber(which):
     # both deep edges moved beyond the room's leftmost vertex and one
     # mouth opened by 1000 toward the rows
     g = _gallery("mobius")
-    x = g.polygon._bbox[0] - 1000
+    x = g.polygon.bbox[0] - 1000
 
     def moved(cg):
         points = dict(A=Point(x - 1, cg.A.y), B=Point(x, cg.B.y),

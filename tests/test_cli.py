@@ -235,32 +235,56 @@ def _gallery_text():
     return write_gallery(compile_gallery(cnf(1, [[(0, 0)]])))
 
 
-@pytest.mark.parametrize("suffix, command, make_text", [
+@pytest.mark.parametrize("suffix, command, make_text, message", [
     (".cnf", "compile",
-     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("nvars 1", "nvars two")),
+     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("nvars 1", "nvars two"),
+     "bad integer"),
     (".cnf", "compile",
-     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("x0=0", "xq=0")),
+     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("x0=0", "xq=0"),
+     "bad integer 'q'"),
     (".cnf", "compile",
-     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("x0=0", "x0=0=1")),
+     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("x0=0", "x0=0=1"),
+     "bad integer '0=1'"),
     (".complex", "compile",
      lambda: write_complex(circle_complex()).replace("dimension 2",
-                                                     "dimension x")),
+                                                     "dimension x"),
+     "bad integer"),
     (".gallery", "stats",
      lambda: _gallery_text().replace("formula clause x0=0",
-                                     "formula clause bandz")),
+                                     "formula clause bandz"),
+     "bad integer 'z'"),
     (".gallery", "stats",
-     lambda: _gallery_text().replace("formula nvars 1", "formula nvars two")),
+     lambda: _gallery_text().replace("formula nvars 1", "formula nvars two"),
+     "bad integer"),
     (".gallery", "stats",
-     lambda: _edit_first("v", lambda l: l + " 0/1")(_gallery_text())),
+     lambda: _edit_first("v", lambda l: l + " 0/1")(_gallery_text()),
+     "does not match the recompilation"),
     (".gallery", "stats",
-     lambda: _gallery_text().replace("epsilon 1/4", "epsilon -1/4")),
+     lambda: _gallery_text().replace("epsilon 1/4", "epsilon -1/4"),
+     "epsilon"),
     (".complex", "verify",
      lambda: "".join(l for l in write_complex(circle_complex()).splitlines(True)
-                     if not l.startswith("face "))),
+                     if not l.startswith("face ")),
+     "empty complex has no membership formula"),
+    (".cnf", "compile",
+     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("nvars 1", "nvars -1"),
+     "negative variable count -1"),
+    (".complex", "compile",
+     lambda: write_complex(circle_complex()).replace("dimension 2",
+                                                     "dimension -2"),
+     "negative dimension -2"),
+    (".cnf", "compile",
+     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("x0=0", "x0=0 x0=0"),
+     "duplicate literal x0=0 inside a clause"),
+    (".cnf", "classify",
+     lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("x0=0", "x0=0 x0=0"),
+     "duplicate literal x0=0 inside a clause"),
 ], ids=["nvars", "literal-var", "literal-equals", "dimension", "band-index",
-        "formula-nvars", "v-three-tokens", "negative-epsilon", "empty-complex"])
+        "formula-nvars", "v-three-tokens", "negative-epsilon", "empty-complex",
+        "negative-nvars", "negative-dimension", "duplicate-literal",
+        "duplicate-literal-classify"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, suffix, command,
-                                       make_text):
+                                       make_text, message):
     path = tmp_path / ("bad" + suffix)
     path.write_text(make_text())
     if command == "verify":
@@ -269,7 +293,9 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys, suffix, command,
     else:
         argv = [command, str(path)]
     assert main(argv) == 2
-    assert "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert message in err
 
 
 def _circle_gallery(tmp_path):

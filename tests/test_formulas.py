@@ -216,3 +216,16 @@ def test_band_constants_validation():
         cnf(1, [[("band", 2)]], band_constants=[0, 1])
     with pytest.raises(FormulaError):
         cnf(1, [[]])
+
+
+def test_negative_dimension_and_duplicate_literal_rejected():
+    with pytest.raises(FormulaError, match="negative variable count -1"):
+        cnf(-1, [])
+    with pytest.raises(FormulaError, match="negative variable count -1"):
+        dnf(-1, [])
+    with pytest.raises(ComplexError, match="negative dimension -2"):
+        CubicalComplex(-2, frozenset())
+    with pytest.raises(FormulaError, match="duplicate literal band0 inside"):
+        cnf(2, [[(1, 0), ("band", 0), ("band", 0)]], band_constants=[0, 1])
+    # the same variable with both constants is two literals, not a repeat
+    assert cnf(1, [[(0, 0), (0, 1)]]).clauses == ((VarEq(0, 0), VarEq(0, 1)),)

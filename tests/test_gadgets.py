@@ -325,7 +325,7 @@ def test_strip_single_guard_cannot_see_all_four():
     poly = strip.polygon
     targets = [strip.apexes[k] for k in ("F", "I", "M", "P")]
     rng = random.Random(24)
-    x0, y0, x1, y1 = poly._bbox
+    x0, y0, x1, y1 = poly.bbox
     for _ in range(200):
         p = Point(x0 + Fraction(rng.randint(0, 56), 4),
                   y0 + Fraction(rng.randint(0, 72), 4))

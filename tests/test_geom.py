@@ -384,7 +384,7 @@ def _same_verdict(verts):
             SimplePolygon(verts)
         assert str(got.value) == str(err)
         return False
-    assert SimplePolygon(verts)._bbox == want
+    assert SimplePolygon(verts).bbox == want
     return True
 
 
@@ -493,7 +493,7 @@ def _same_of_h(verts):
         return
     got = SimplePolygon._of_h(hv)
     assert got.vertices == want.vertices
-    assert got._bbox == want._bbox
+    assert got.bbox == want.bbox
     assert got == want
 
 

@@ -2,9 +2,11 @@
 reads, unless `__all__` exports it; and no module under src/ other than
 `geom` imports a private name of `geom` or reads a private slot of a
 `SimplePolygon`, so the homogeneous-triple kernel stays behind geom's
-public functions and properties."""
+public functions and properties; and no private function or class
+defined under src/ goes unreferenced there."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,3 +100,43 @@ def test_no_private_slot_reads(path):
     assert slots
     assert _private_slot_reads(ast.parse(path.read_text(encoding="utf-8")),
                                slots) == []
+
+
+def _unreferenced_private_defs(trees: list[ast.Module]) -> list[str]:
+    """The private functions, methods and classes (named with a leading
+    "_", dunders excepted) defined in trees whose name is read nowhere in
+    them, as a name or an attribute, outside their own body."""
+    defs = [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+    def reads(root):
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(root)
+                       if isinstance(node, (ast.Name, ast.Attribute)))
+
+    total = sum(map(reads, trees), Counter())
+    own = Counter()
+    for node in defs:
+        own[node.name] += reads(node)[node.name]
+    return sorted({node.name for node in defs
+                   if total[node.name] == own[node.name]})
+
+
+def test_unreferenced_private_def_scan():
+    trees = [ast.parse("def _used():\n    pass\n"
+                       "def _dead():\n    _used()\n"
+                       "def _recursive(k):\n    return _recursive(k - 1)\n"
+                       "class _Gone:\n    pass\n"),
+             ast.parse("class P:\n"
+                       "    def __init__(self):\n        self._m()\n"
+                       "    def _m(self):\n        pass\n"
+                       "    def _n(self):\n        pass\n")]
+    assert _unreferenced_private_defs(trees) == ["_Gone", "_dead", "_n",
+                                                 "_recursive"]
+
+
+def test_no_unreferenced_private_defs():
+    assert _unreferenced_private_defs(
+        [ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE]) == []

@@ -149,6 +149,10 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     data = _read_input(args.input)
     if isinstance(data, CubicalComplex):
+        d = data.dimension()
+        if d != 2:
+            raise ComplexError("classify takes a 2-dimensional complex; " + (
+                f"its largest face has dimension {d}" if d >= 0 else "this one has no faces"))
         cell = complex_to_cell_complex(data)
     else:
         cell = build_cell_complex(data)

@@ -845,7 +845,9 @@ def _sweep(poly: SimplePolygon, hp,
     edges.  A probe point is made only for a boundary viewpoint, on the
     nearest edge, to test whether the cone looks into the exterior.  A
     visible cone's piece runs between the points where its two boundary
-    rays meet the nearest edge, one meet each (`_cone_side_hit`).  Cost:
+    rays meet the nearest edge, one meet each (`_cone_side_hit`); a cone
+    whose nearest edge is that of the visible cone just before it starts
+    at that cone's end, the same ray on the same edge.  Cost:
     O(n log n) for the directions plus the total number of (cone,
     spanning edge) pairs, instead of n per cone.
     """
@@ -912,8 +914,12 @@ def _sweep(poly: SimplePolygon, hp,
                 _ray_line(hp, (rx, ry)), lines[best_edge]))) == "out":
             raw.append(None)
             continue
-        raw.append((best_edge, _cone_side_hit(poly, hp, vdirs, best_edge, u),
-                    _cone_side_hit(poly, hp, vdirs, best_edge, w)))
+        prev = raw[-1] if raw else None
+        # the last cone's end lies on this cone's first ray: on the same
+        # edge it is this cone's start
+        start = (prev[2] if prev is not None and prev[0] == best_edge
+                 else _cone_side_hit(poly, hp, vdirs, best_edge, u))
+        raw.append((best_edge, start, _cone_side_hit(poly, hp, vdirs, best_edge, w)))
     return raw
 
 
@@ -1022,9 +1028,9 @@ def _windows(poly: SimplePolygon, hp, raw: list,
 
 def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
                 ) -> tuple[int, tuple[Point, Point] | None]:
-    """The window test of exact coverage: the number of window pieces
-    tested, and the first piece whose hidden side no other guard covers,
-    or None if there is no such piece.
+    """The window test of exact coverage: the number of windows and window
+    pieces tested, and the first piece whose hidden side no other guard
+    covers, or None if there is no such piece.
 
     Each guard g has a visibility polygon VP(g), closed and star-shaped;
     its windows are the edges, or parts of edges, that run through the
@@ -1035,26 +1041,39 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
     stretch of some window has U on its right (hidden) side.  A gap on
     the boundary of P alone cannot exist, so testing every window piece
     decides coverage of all of P, given at least one guard (with none, U
-    is all of P and has no frontier).  Each window is cut at every point
+    is all of P and has no frontier).  A window is cut at every point
     where another guard's window crosses, touches or stops on it.  Along
     one piece, which other guard covers the right side cannot change, so
     the midpoint m decides it: the side is covered iff m is inside another
     VP(j), or m lies on a window of another guard that runs along the
     piece in the opposite direction.
 
-    Pieces are decided in runs along each window.  A window's relative
-    interior lies in P's interior, where the boundary of VP(j) runs only
-    along windows of j; so membership in VP(j) changes along a window only
-    at cuts from j's windows.  If piece k is inside VP(j), piece k + 1 is
-    too unless j's bit is set on the cut between them (`_cut_windows`
-    records the guards whose windows pass through each cut), so the guard
-    that covered the last piece is carried to the next without a locate.
-    A piece decided by an opposite window carries nothing, and each
-    window starts afresh.  Otherwise the guard that covered the last
-    located piece is tried first.  Each guard is turned into its `hpoint`
-    triple once; the sweep, the windows, the cuts and the piece tests all
-    run on triples, and Points are made only for the uncovered piece
-    returned.
+    A window's relative interior lies in P's interior, where the boundary
+    of VP(j) runs only along windows of j; so membership in VP(j) changes
+    along a window only where a window of j meets it.  A guard j is near
+    window w if one of j's windows has a key box that meets w's
+    (`_window_candidates`); the key boxes are conservative, so no window
+    of a far guard meets w, or runs along it, and VP(j) holds either all
+    of w's relative interior or none of it.  Hence two rules:
+
+    - Whole-window dismissal.  If a far guard's VP holds the midpoint of
+      w inside, every piece of w is covered: w is not cut and counts as
+      one tested piece.
+    - Otherwise w is cut against its candidates only (`_cut_window`);
+      its cuts come from the pairs that contain it, so its pieces are the
+      ones a cut of every window makes.  No far guard holds any of its
+      pieces, so only near guards are tried on them.
+
+    Pieces are decided in runs along each cut window.  If piece k is
+    inside VP(j), piece k + 1 is too unless j's bit is set on the cut
+    between them (`_cut_window` records the guards whose windows pass
+    through each cut), so the guard that covered the last piece is
+    carried to the next without a locate.  A piece decided by an opposite
+    window carries nothing, and each window starts afresh.  Otherwise,
+    and for a dismissal, the guard that covered the last located midpoint
+    is tried first.  Each guard is turned into its `hpoint` triple once;
+    the sweep, the windows, the cuts and the piece tests all run on
+    triples, and Points are made only for the uncovered piece returned.
 
     `views`, if given, maps a guard's `hpoint` triple to its view, the
     pair of `_visibility` for this polygon: the visibility polygon and its
@@ -1075,10 +1094,28 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
             view = views[h] = _visibility(poly, h)
         vps.append(view[0])
         windows += [(gi, ha, hb) for ha, hb in view[1]]
-    tested = 0
     # the guards in the order tried: the last good one, then the others
     order = list(range(len(vps)))
-    for (gi, _, _), (hs, masks, opposite) in zip(windows, _cut_windows(windows)):
+
+    def cover(hm, allow):
+        """The first guard of `order` in the bitmask allow whose VP holds
+        hm inside, moved to the front of `order`; -1 if there is none."""
+        nonlocal order
+        for j in order:
+            if allow >> j & 1 and vps[j]._locate_h(hm) == "in":
+                if j != order[0]:
+                    order = [j] + [i for i in range(len(vps)) if i != j]
+                return j
+        return -1
+
+    every = (1 << len(vps)) - 1
+    near, cand = _window_candidates(windows)
+    tested = 0
+    for w, (gi, ha, hb) in enumerate(windows):
+        if cover(_hmid(ha, hb), every & ~(near[w] | 1 << gi)) >= 0:
+            tested += 1
+            continue
+        hs, masks, opposite = _cut_window(ha, hb, cand[w])
         carried = -1  # the guard whose VP held the last piece, or -1
         for k in range(len(hs) - 1):
             tested += 1
@@ -1089,57 +1126,63 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
             if opposite and any(_on_segment_collinear(hc, hd, hm)
                                 for hc, hd in opposite):
                 continue
-            for j in order:
-                if j != gi and vps[j]._locate_h(hm) == "in":
-                    if j != order[0]:
-                        order = [j] + [i for i in range(len(vps)) if i != j]
-                    carried = j
-                    break
-            else:
+            carried = cover(hm, near[w])
+            if carried < 0:
                 return tested, (hpoint_to_point(hs[k]), hpoint_to_point(hs[k + 1]))
     return tested, None
 
 
-def _cut_windows(windows):
-    """For each window (guard index, a, b), a and b triples in `hpoint`'s
-    form, the triple (stops, masks, opposite): its cut points, triples in
-    that form, ordered from a to b, ends included; for each cut point the
-    bitmask of the other guards that have a window through it (bit gi for
-    guard index gi); and the windows (a, b) of other guards that lie
+def _window_candidates(windows) -> tuple[list[int], list[list]]:
+    """For the windows (guard index, a, b), a and b triples in `hpoint`'s
+    form: per window, the bitmask of its near guards (bit gi for guard
+    index gi) and its candidates, the windows of other guards whose key
+    boxes meet its own.
+
+    Every window of another guard that meets a window is among its
+    candidates.  The sweep over y of `_box_pairs` finds the pairs: on the
+    Moebius gallery it meets 30 times fewer active windows than a sweep
+    over x, whose extents overlap far more.  The pairs of one guard's
+    windows are dropped: they never cross (they are edges of one simple
+    polygon)."""
+    near = [0] * len(windows)
+    cand: list[list] = [[] for _ in windows]
+    for i, j in _box_pairs([_key_box(w[1:]) for w in windows]):
+        gi, gj = windows[i][0], windows[j][0]
+        if gi != gj:
+            near[i] |= 1 << gj
+            near[j] |= 1 << gi
+            cand[i].append(windows[j])
+            cand[j].append(windows[i])
+    return near, cand
+
+
+def _cut_window(ha, hb, cand):
+    """For the window from a to b (`hpoint` triples) and its candidates
+    cand from `_window_candidates`, windows (guard index, c, d) of other
+    guards, the triple (stops, masks, opposite): its cut points, triples in
+    `hpoint`'s form, ordered from a to b, ends included; for each cut point
+    the bitmask of the other guards that have a window through it (bit gi
+    for guard index gi); and the windows (c, d) of other guards that lie
     along it in the opposite direction.
 
     Cuts are the crossings and touches with other guards' windows and the
-    ends of collinear overlaps.  Windows of one guard never cross (they
-    are edges of one simple polygon).  The candidate pairs are the
-    windows of different guards whose key boxes meet; on the Moebius
-    gallery nearly every pair left is a touch or a crossing.  The sweep
-    over y of `_box_pairs` finds them: there it meets 30 times fewer
-    active windows than a sweep over x, whose extents overlap far more.
-    The pairs of one guard's windows are skipped.  The stops are ordered
-    along each window by `_order_along`, masks are ORed and `opposite` is
-    only searched, so nothing depends on the order the pairs come in, and
-    the `opposite` lists carry no order.  A crossing is put in hpoint's form
-    (`_hcanon`), which names a point uniquely, so each window's set of
-    cuts holds each point once.  A crossing or a touch sets the other
-    guard's bit at that point; a window of another guard on the same line
-    sets its bit at every cut point of the stretch they share, the ends
-    of the overlap included.
+    ends of collinear overlaps.  On the Moebius gallery nearly every
+    candidate is a touch or a crossing.  The stops are ordered along the
+    window by `_order_along`, masks are ORed and `opposite` is only
+    searched, so nothing depends on the order of cand, and `opposite`
+    carries no order.  A crossing is put in hpoint's form (`_hcanon`),
+    which names a point uniquely, so the set of cuts holds each point
+    once.  A crossing or a touch sets the other guard's bit at that point;
+    a window of another guard on the same line sets its bit at every cut
+    point of the stretch they share, the ends of the overlap included.
     """
-    hs = [(ha, hb) for _, ha, hb in windows]
-    bits = [1 << gi for gi, _, _ in windows]
-    # each window's cut points, each with the guard bits found there
-    cuts = [{ha: 0, hb: 0} for ha, hb in hs]
+    # the cut points, each with the guard bits found there
+    cuts = {ha: 0, hb: 0}
     # l . h has the sign of orient_h(a, b, h) for the line l through a, b
-    lines = [_hline(ha, hb) for ha, hb in hs]
-    opposite: list[list] = [[] for _ in windows]
-    # the windows of other guards on each window's line whose boxes meet it
-    along: list[list[int]] = [[] for _ in windows]
-    for i, j in _box_pairs([_key_box(h) for h in hs]):
-        if windows[i][0] == windows[j][0]:
-            continue
-        ha, hb = hs[i]
-        hc, hd = hs[j]
-        li = lines[i]
+    li = _hline(ha, hb)
+    opposite = []
+    along = []  # the candidates on the window's line
+    for gj, hc, hd in cand:
         s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
         s2 = li[0] * hd[0] + li[1] * hd[1] + li[2] * hd[2]
         if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
@@ -1147,17 +1190,12 @@ def _cut_windows(windows):
         if s1 == 0 and s2 == 0:
             for h in (hc, hd):
                 if _on_segment_collinear(ha, hb, h):
-                    cuts[i].setdefault(h, 0)
-            for h in (ha, hb):
-                if _on_segment_collinear(hc, hd, h):
-                    cuts[j].setdefault(h, 0)
-            along[i].append(j)
-            along[j].append(i)
+                    cuts.setdefault(h, 0)
+            along.append((gj, hc, hd))
             if _dot_dirs(ha, hb, hc, hd) < 0:
-                opposite[i].append(hs[j])
-                opposite[j].append(hs[i])
+                opposite.append((hc, hd))
             continue
-        lj = lines[j]
+        lj = _hline(hc, hd)
         s3 = lj[0] * ha[0] + lj[1] * ha[1] + lj[2] * ha[2]
         s4 = lj[0] * hb[0] + lj[1] * hb[1] + lj[2] * hb[2]
         if (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0):
@@ -1165,20 +1203,15 @@ def _cut_windows(windows):
         # an endpoint on the other line is the unique crossing
         hx = (hc if s1 == 0 else hd if s2 == 0 else ha if s3 == 0
               else hb if s4 == 0 else _hcanon(_hmeet(li, lj)))
-        cuts[i][hx] = cuts[i].get(hx, 0) | bits[j]
-        cuts[j][hx] = cuts[j].get(hx, 0) | bits[i]
-    out = []
-    for (ha, hb), pts, opp, col in zip(hs, cuts, opposite, along):
-        stops = _order_along(ha, hb, pts)
-        masks = [pts[h] for h in stops]
-        # a collinear window through a cut holds it on its whole overlap
-        for j in col:
-            hc, hd = hs[j]
-            for k, h in enumerate(stops):
-                if _on_segment_collinear(hc, hd, h):
-                    masks[k] |= bits[j]
-        out.append((stops, masks, opp))
-    return out
+        cuts[hx] = cuts.get(hx, 0) | 1 << gj
+    stops = _order_along(ha, hb, cuts)
+    masks = [cuts[h] for h in stops]
+    # a collinear window through a cut holds it on its whole overlap
+    for gj, hc, hd in along:
+        for k, h in enumerate(stops):
+            if _on_segment_collinear(hc, hd, h):
+                masks[k] |= 1 << gj
+    return stops, masks, opposite
 
 
 def _dot_dirs(ha, hb, hc, hd) -> int:

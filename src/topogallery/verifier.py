@@ -63,12 +63,14 @@ def covers(poly_or_gallery, guards: GuardConfig,
     no guard is returned at once.  With no guard, a polygon vertex is
     returned: nothing is seen.  Otherwise (and for a plain polygon) the
     window test (`geom.window_test`) decides, by the argument of exact art
-    gallery solvers: cut every window at the windows of the other guards,
-    and test each piece's hidden side at its midpoint m.
-    If a piece is not covered, the report carries a certificate: a point
-    beside m on the hidden side, inside the polygon and seen by no guard.
-    `witness_count` is the number of clause witness points plus window
-    pieces tested.
+    gallery solvers: cut the windows at the windows of the other guards,
+    and test each piece's hidden side at its midpoint m; a window that a
+    guard with no window near it covers at its midpoint is covered whole
+    and not cut.  If a piece is not covered, the report carries a
+    certificate: a point beside m on the hidden side, inside the polygon
+    and seen by no guard.  `witness_count` is the number of clause witness
+    points tested plus the windows dismissed whole and the window pieces
+    tested.
     """
     if mode != "exact":
         raise VerifyError(f"unknown coverage mode {mode!r}")

@@ -11,6 +11,7 @@ import pytest
 from topogallery.cli import main
 from topogallery.complexes import (
     circle_complex,
+    complex_from_faces,
     mobius_complex,
     projective_plane_complex,
     torus_complex,
@@ -279,10 +280,14 @@ def _gallery_text():
     (".cnf", "classify",
      lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("x0=0", "x0=0 x0=0"),
      "duplicate literal x0=0 inside a clause"),
+    (".complex", "classify", lambda: write_complex(circle_complex()),
+     "classify takes a 2-dimensional complex; its largest face has dimension 1"),
+    (".complex", "classify", lambda: write_complex(complex_from_faces(3, ["***"])),
+     "classify takes a 2-dimensional complex; its largest face has dimension 3"),
 ], ids=["nvars", "literal-var", "literal-equals", "dimension", "band-index",
         "formula-nvars", "v-three-tokens", "negative-epsilon", "empty-complex",
         "negative-nvars", "negative-dimension", "duplicate-literal",
-        "duplicate-literal-classify"])
+        "duplicate-literal-classify", "classify-circle", "classify-3-cube"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, suffix, command,
                                        make_text, message):
     path = tmp_path / ("bad" + suffix)
@@ -374,17 +379,23 @@ def test_cli_compile_banded_cnf(tmp_path):
 # consecutive edges share both endpoints, so only the rule "shared with the
 # previous edge, not with the next" fixes each edge's start corner.
 _HASHSEED_SCRIPT = """
+import random
 import sys
 from fractions import Fraction
-from topogallery import circle_complex, compile_gallery, covers, embed
+from topogallery import (circle_complex, compile_gallery, covers, embed,
+                         mobius_complex)
 from topogallery.cli import main
 from topogallery.complexes import complex_to_dnf
 from topogallery.formulas import cnf_of_dnf_pruned
-from topogallery.verifier import CellComplex2, _orientable
+from topogallery.verifier import CellComplex2, _orientable, on_face_samples
 main(["compile", sys.argv[1]])
 main(["classify", sys.argv[2]])
 g = compile_gallery(cnf_of_dnf_pruned(complex_to_dnf(circle_complex())))
 print("exact", covers(g, embed(g, [Fraction(1, 2)] * 2)))
+k = mobius_complex()
+m = compile_gallery(cnf_of_dnf_pruned(complex_to_dnf(k)))
+r = covers(m, embed(m, on_face_samples(k, 1, random.Random(7))[0]))
+print("mobius on-face", r.covered, r.witness_count)
 bnd1 = {"e0": ("a", "b"), "e1": ("b", "a"), "e2": ("a", "d"), "e3": ("d", "a")}
 bnd2 = {"f": ("e0", "e1", "e2", "e3"), "g": ("e3", "e2", "e1", "e0")}
 c = CellComplex2(("a", "b", "d"), tuple(bnd1), ("f", "g"), bnd1, bnd2)
@@ -410,8 +421,9 @@ def test_output_independent_of_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
     assert lines[0] == "topogallery gallery v1"
-    assert lines[-3] == "closed non-orientable genus 2 (chi = 0)"
-    assert lines[-2].startswith("exact CoverageReport(covered=False, ")
+    assert lines[-4] == "closed non-orientable genus 2 (chi = 0)"
+    assert lines[-3].startswith("exact CoverageReport(covered=False, ")
+    assert lines[-2].startswith("mobius on-face True ")
     assert lines[-1] == "pinched cells orientable True"
 
 

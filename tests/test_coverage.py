@@ -5,7 +5,9 @@ sweep, which stabs each cone with only its spanning edges, against the
 sweep that scanned every edge for every cone, whose ray probe
 (`_ray_edge_hits`, `_nearer_on_ray`) lives only here; and the integer point
 location, edge buckets, window cutting and `visible` against their
-Fraction versions."""
+Fraction versions; and the window test, which dismisses a window whole
+when a guard with no window near it covers it, against the eager test
+that cut every window."""
 
 import random
 from collections import Counter
@@ -20,11 +22,14 @@ from topogallery import geom, verifier
 from topogallery.complexes import (
     circle_complex,
     complex_to_dnf,
+    face_with_boundary,
     mobius_complex,
     sphere_complex,
+    torus_complex,
 )
 from topogallery.compiler import (
     GuardConfig,
+    canonical_removed_faces,
     compile_gallery,
     compile_surface,
     embed,
@@ -211,8 +216,43 @@ def _sweep_reference(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
     return raw
 
 
+def _cut_windows(windows):
+    """Every window (guard index, a, b), ends as hpoint triples, cut by
+    `geom._cut_window` against its candidates: the cuts a window test
+    that cut every window would make."""
+    _, cand = geom._window_candidates(windows)
+    return [geom._cut_window(ha, hb, c) for (_, ha, hb), c in zip(windows, cand)]
+
+
+def _window_test_eager(poly, guards):
+    """`geom.window_test` as it was before whole windows were dismissed:
+    cut every window, then decide each piece in turn at its midpoint
+    against every other guard, with the same run rule.  Returns the
+    number of pieces tested and the first uncovered piece as a pair of
+    Points, or None."""
+    views = [geom._visibility(poly, hpoint(g)) for g in guards]
+    vps = [vp for vp, _ in views]
+    windows = [(gi, ha, hb) for gi, (_, ws) in enumerate(views) for ha, hb in ws]
+    tested = 0
+    for (gi, _, _), (hs, masks, opposite) in zip(windows, _cut_windows(windows)):
+        carried = -1
+        for k in range(len(hs) - 1):
+            tested += 1
+            if carried >= 0 and not masks[k] >> carried & 1:
+                continue
+            carried = -1
+            hm = geom._hmid(hs[k], hs[k + 1])
+            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
+                continue
+            carried = next((j for j in range(len(vps))
+                            if j != gi and vps[j]._locate_h(hm) == "in"), -1)
+            if carried < 0:
+                return tested, (hpoint_to_point(hs[k]), hpoint_to_point(hs[k + 1]))
+    return tested, None
+
+
 def _cut_windows_reference(windows):
-    """`geom._cut_windows` before it ran on the homogeneous triples:
+    """The window cutting before it ran on the homogeneous triples:
     boxes, cut points and their sort keys on Fractions."""
     hs = [(hpoint(a), hpoint(b)) for _, a, b in windows]
     boxes = [(floor(min(a.x, b.x)), floor(min(a.y, b.y)),
@@ -809,7 +849,6 @@ CROSS_TOUCH_OVERLAP = [
 
 
 def test_cut_windows_at_crossings_touches_and_overlap_ends():
-    from topogallery.geom import _cut_windows
     windows = CROSS_TOUCH_OVERLAP
     cut = _cut_windows(_hwindows(windows))
     stops = [[geom.hpoint_to_point(h) for h in hs] for hs, _, _ in cut]
@@ -843,7 +882,7 @@ def test_cut_windows_on_a_falling_line():
         (2, pt(1, -1), pt(3, -3)),
         (0, pt(3, -3), pt(1, -1)),
     ]
-    cut = geom._cut_windows(_hwindows(windows))
+    cut = _cut_windows(_hwindows(windows))
     hs = [(geom.hpoint(a), geom.hpoint(b)) for _, a, b in windows]
     assert sorted(cut[2][2]) == sorted([hs[0], hs[1]])
     assert _stops_and_opposite(cut) == _hpoint_stops(_cut_windows_reference(windows))
@@ -937,7 +976,7 @@ def _hwindows(windows):
 
 
 def _stops_and_opposite(cut):
-    """`geom._cut_windows`'s stops and its `opposite` lists, sorted (they
+    """`_cut_windows`'s stops and its `opposite` lists, sorted (they
     carry no order), without the guard masks."""
     return [(stops, sorted(opp)) for stops, _, opp in cut]
 
@@ -958,7 +997,7 @@ def test_cut_windows_matches_reference_on_galleries(make_complex):
     rng = random.Random(7)
     for x in on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng):
         windows = _windows_of(g.polygon, embed(g, x).guards)
-        assert _stops_and_opposite(geom._cut_windows(_hwindows(windows))) == \
+        assert _stops_and_opposite(_cut_windows(_hwindows(windows))) == \
             _hpoint_stops(_cut_windows_reference(windows))
 
 
@@ -967,7 +1006,7 @@ def test_cut_windows_matches_reference_on_mobius():
     g = _gallery(k)
     for x in on_face_samples(k, 2, random.Random(7)):
         windows = _windows_of(g.polygon, embed(g, x).guards)
-        assert _stops_and_opposite(geom._cut_windows(_hwindows(windows))) == \
+        assert _stops_and_opposite(_cut_windows(_hwindows(windows))) == \
             _hpoint_stops(_cut_windows_reference(windows))
 
 
@@ -1013,7 +1052,7 @@ def test_cut_windows_records_the_guards_through_each_cut():
     # test's run rule is sound only if no such guard is missing
     seen = Counter()
     for name, windows in _provenance_configs():
-        cut = geom._cut_windows(_hwindows(windows))
+        cut = _cut_windows(_hwindows(windows))
         masks = [m for _, m, _ in cut]
         assert masks == _brute_force_masks(_hwindows(windows), cut), name
         seen[name] += sum(len(m) - 2 for m in masks)
@@ -1160,3 +1199,99 @@ def test_visible_matches_reference_on_galleries(make_complex):
     pairs = [(q, w) for q in gpts for w in targets]
     pairs += [(verts[i], verts[(i + s) % n]) for i in range(n) for s in (2, 7)]
     _same_visible(g.polygon, pairs)
+
+
+# --- whole-window dismissal against the eager window test ---------------------
+
+def _same_as_eager(poly, gpts):
+    """`window_test` returns the eager test's uncovered piece, or None
+    with it, and tests no more pieces."""
+    tested, bad = geom.window_test(poly, gpts)
+    eager_tested, eager_bad = _window_test_eager(poly, gpts)
+    assert bad == eager_bad
+    assert tested <= eager_tested
+    return bad
+
+
+@settings(max_examples=200)
+@given(histograms())
+def test_window_test_matches_eager_on_histograms(case):
+    _same_as_eager(*case)
+
+
+@st.composite
+def star_polygon_guards(draw):
+    """A star polygon and 1-3 guards among its vertices, edge midpoints
+    and 1/8 grid points that are not outside it."""
+    poly = draw(star_polygons())
+    pts = [p for p in _locate_queries(poly) if poly.locate(p) != "out"]
+    return poly, draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+
+
+@settings(max_examples=100)
+@given(star_polygon_guards())
+def test_window_test_matches_eager_on_star_polygons(case):
+    _same_as_eager(*case)
+
+
+@pytest.mark.parametrize("make_complex, n",
+                         [(circle_complex, 3), (sphere_complex, 3),
+                          (mobius_complex, 1)],
+                         ids=["circle", "sphere", "mobius"])
+def test_window_test_matches_eager_on_galleries(make_complex, n):
+    k = make_complex()
+    g = _gallery(k)
+    rng = random.Random(11)
+    for x in on_face_samples(k, n, rng):
+        assert _same_as_eager(g.polygon, list(embed(g, x).guards)) is None
+    for x in off_samples_for(g.formula, n, rng):
+        assert _same_as_eager(g.polygon, list(embed(g, x).guards)) is not None
+
+
+def test_window_test_matches_eager_on_genus_2():
+    # a point of band 0 on the orientable genus-2 surface, as in
+    # test_compiler's band coverage test
+    g = compile_surface(2, True)
+    fc1, _ = canonical_removed_faces(torus_complex())
+    rim = next(f for f in face_with_boundary(torus_complex(), fc1).faces
+               if f.count(None) == 1)
+    ks = g.formula.band_constants
+    x = [(ks[0] + ks[1]) / 2] + [_q(1, 2) if v is None else Fraction(v) for v in rim]
+    assert _same_as_eager(g.polygon, list(embed(g, x).guards)) is None
+
+
+def test_near_guard_holding_the_midpoint_does_not_dismiss():
+    # histogram of column heights 5, 4, 1, 2.  Guard a sees past the reflex
+    # corner (3, 1) along its window w to (0, 0); guard b's visibility
+    # polygon holds w's midpoint (3/2, 1/2), but b's window from (2, 1)
+    # crosses w at (5/2, 5/6), and the stretch of w between (3, 1) and that
+    # point has no guard on its hidden side.  b is near w, so w is cut and
+    # its pieces are decided one by one.
+    poly = SimplePolygon([pt(x, y) for x, y in (
+        (0, 0), (4, 0), (4, 2), (3, 2), (3, 1), (2, 1), (2, 4), (1, 4),
+        (1, 5), (0, 5))])
+    gpts = [pt(_q(15, 4), _q(5, 4)), pt(_q(1, 2), _q(3, 2))]
+    views = [geom._visibility(poly, hpoint(g)) for g in gpts]
+    windows = [(gi, ha, hb) for gi, (_, ws) in enumerate(views) for ha, hb in ws]
+    w = windows.index((0, hpoint(pt(3, 1)), hpoint(pt(0, 0))))
+    assert views[1][0].locate(pt(_q(3, 2), _q(1, 2))) == "in"
+    near, _ = geom._window_candidates(windows)
+    assert near[w] == 0b10
+    stops = [hpoint_to_point(h) for h in _cut_windows(windows)[w][0]]
+    assert stops == [pt(3, 1), pt(_q(5, 2), _q(5, 6)), pt(0, 0)]
+    assert _same_as_eager(poly, gpts) == (pt(3, 1), pt(_q(5, 2), _q(5, 6)))
+
+
+def test_most_moebius_windows_are_dismissed_whole(monkeypatch):
+    # the on-face configurations `verify --seed 1 --on-samples 4` draws
+    counts = Counter()
+    candidates, cut = geom._window_candidates, geom._cut_window
+    monkeypatch.setattr(geom, "_window_candidates",
+                        lambda ws: counts.update(windows=len(ws)) or candidates(ws))
+    monkeypatch.setattr(geom, "_cut_window",
+                        lambda ha, hb, c: counts.update(cut=1) or cut(ha, hb, c))
+    k = mobius_complex()
+    g = _gallery(k)
+    for x in on_face_samples(k, 4, random.Random(1)):
+        assert covers(g.polygon, embed(g, x)).covered
+    assert 0 < counts["cut"] < counts["windows"] / 4

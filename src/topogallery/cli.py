@@ -155,6 +155,9 @@ def cmd_classify(args) -> int:
                 f"its largest face has dimension {d}" if d >= 0 else "this one has no faces"))
         cell = complex_to_cell_complex(data)
     else:
+        if not data.band_constants:
+            raise FormulaError("classify takes a 2-dimensional complex or a "
+                               "surface formula with bands; this formula has none")
         cell = build_cell_complex(data)
     print(classify_surface(cell).describe())
     return EXIT_OK

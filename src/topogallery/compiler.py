@@ -51,8 +51,10 @@ from .geom import (
     Point,
     Segment,
     SimplePolygon,
+    hpoint,
     key_sorted,
     line_through,
+    orient_h,
     rat,
     rational_key,
     x_at,
@@ -568,19 +570,46 @@ def _check_j_wedge(vg: VariableGadget, idx: int, rec: GuardSegmentRecord):
 
 
 def _audit_chambers(g: Gallery, rows, far_right):
-    """Chamber razor mouths: no foreign segment can sight the deep edges."""
+    """Chamber razor mouths: no foreign segment can sight the deep edges.
+
+    A copy pair's candidate rows are found on the integer keys of
+    `rows`; only when a foreign row is among them are the exact sighting
+    intervals computed, and each row is tested against those as before."""
     records = g.segments
-    order, ys = rows[:2]
+    order, ys, keys = rows
     left_end = min(rec.segment.a.x for rec in records)
+    k_right = rational_key(far_right)
     for pair in g.copy_pairs:
         cg = pair.gadget
         own = {pair.upper, pair.lower}
+        wall = cg.C.x   # the mouth corners lie on the wall plane
+        shaped = left_end > wall and \
+            cg.A.y == cg.B.y >= cg.C.y and cg.U.y == cg.V.y <= cg.T.y
+        # mu * 2^64 > m_lo, for mu = wall - max(A.x, B.x, U.x, V.x)
+        k_wall = rational_key(wall)
+        m_lo = k_wall - max(map(rational_key, (cg.A.x, cg.B.x, cg.U.x, cg.V.x))) - 1
+        near = order
+        if shaped and m_lo > 0:
+            # the exact intervals below are (A.y - (A.y - D.y) / psi_min,
+            # A.y) and (U.y, U.y + (S.y - U.y) / psi_min), where 1 / psi_min
+            # = 1 + (far_right - wall) / mu < (m_lo + r_hi) / m_lo.  Bounding
+            # every term by its key, a row inside an interval has its key
+            # in [lo, k_a] or in [k_u, hi]
+            r_hi = max(k_right + 1 - k_wall, 0)   # > (far_right - wall) * 2^64
+            k_a, k_u = rational_key(cg.A.y), rational_key(cg.U.y)
+            e_ab = max(k_a + 1 - rational_key(cg.D.y), 0)
+            e_uv = max(rational_key(cg.S.y) + 1 - k_u, 0)
+            lo = k_a + (-e_ab * (m_lo + r_hi)) // m_lo
+            hi = k_u - (-e_uv * (m_lo + r_hi)) // m_lo
+            near = order[bisect_left(keys, lo):bisect_right(keys, k_a)] + \
+                order[bisect_left(keys, k_u):bisect_right(keys, hi)]
+        foreign = sorted({i for i in near if records[i].index not in own})
+        if not foreign:
+            continue
         # open height intervals of the rows that can sight AB and UV
         ab = uv = (ys[0] - 1, ys[-1] + 1)
-        wall = cg.C.x   # the mouth corners lie on the wall plane
         mu = wall - max(cg.A.x, cg.B.x, cg.U.x, cg.V.x)
-        if mu > 0 and left_end > wall and \
-                cg.A.y == cg.B.y >= cg.C.y and cg.U.y == cg.V.y <= cg.T.y:
+        if mu > 0 and shaped:
             # at least the share psi_min of a sightline's width from a row
             # to a deep edge lies beyond the wall, so its height there is
             # monotone in the row's: rows outside these intervals pass
@@ -588,13 +617,8 @@ def _audit_chambers(g: Gallery, rows, far_right):
             psi_min = mu / (far_right - wall + mu)
             ab = (cg.A.y - (cg.A.y - cg.D.y) / psi_min, cg.A.y)
             uv = (cg.U.y, cg.U.y + (cg.S.y - cg.U.y) / psi_min)
-        near = set()
-        for lo, hi in (ab, uv):
-            near.update(order[_row_bisect(rows, lo, True):_row_bisect(rows, hi)])
-        for i in sorted(near):
+        for i in foreign:
             rec = records[i]
-            if rec.index in own:
-                continue
             y = rec.segment.a.y
             if ab[0] < y < ab[1]:
                 _check_chamber_blocked(cg, rec, "AB")
@@ -605,13 +629,29 @@ def _audit_chambers(g: Gallery, rows, far_right):
 def _check_chamber_blocked(cg: CopyGadget, rec: GuardSegmentRecord, which: str):
     """Foreign sightlines to a chamber's deep edge must cross the wall
     plane outside the open mouth interval; crossing height is monotone in
-    both endpoints so the four corners decide."""
+    both endpoints so the four corners decide.
+
+    The crossings are compared with the mouth heights without computing
+    them.  The line through a row end p and an edge end q meets the wall
+    x = W at y = q.y + (p.y - q.y)(W - q.x) / (p.x - q.x), so for a mouth
+    corner M = (W, m), (y - m)(p.x - q.x) = (W - q.x)(p.y - q.y) - (m -
+    q.y)(p.x - q.x) = orient(q, M, p): y - m has the sign of
+    orient(q, M, p) * (p.x - q.x), an integer test on the triples.  A
+    vertical line has no crossing and raises as `y_at` does."""
     edge, mouth_lo, mouth_hi = ((cg.A, cg.B), cg.D.y, cg.C.y) if which == "AB" \
         else ((cg.U, cg.V), cg.T.y, cg.S.y)
     wall_x = cg.C.x
-    crossings = [y_at(gp, ep, wall_x)
-                 for gp in (rec.segment.a, rec.segment.b) for ep in edge]
-    if not (max(crossings) <= mouth_lo or min(crossings) >= mouth_hi):
+    hedge = [hpoint(ep) for ep in edge]
+    sights = []
+    for gp in (rec.segment.a, rec.segment.b):
+        hp = hpoint(gp)
+        for ep, hq in zip(edge, hedge):
+            if gp.x == ep.x:
+                y_at(gp, ep, wall_x)
+            sights.append((hq, hp, 1 if gp.x > ep.x else -1))
+    hlo, hhi = hpoint(Point(wall_x, mouth_lo)), hpoint(Point(wall_x, mouth_hi))
+    if not (all(orient_h(hq, hlo, hp) * s <= 0 for hq, hp, s in sights) or
+            all(orient_h(hq, hhi, hp) * s >= 0 for hq, hp, s in sights)):
         raise CompileError(
             f"segment {rec.index} (variable {rec.var}) can sight chamber "
             f"{which} of a copy pair")

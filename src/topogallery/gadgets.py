@@ -17,7 +17,6 @@ from .geom import (
     Segment,
     SimplePolygon,
     hpoint,
-    intersect_lines,
     invert_through,
     key_sorted,
     orient,
@@ -221,8 +220,15 @@ def _check_variable_gadget(vg: VariableGadget):
         raise GadgetError("F, I and the guard segment must share a line")
     if not (f.x < g.x and h.x < i.x):
         raise GadgetError("guard segment not strictly inside segment FI")
-    hf, hi = hpoint(f), hpoint(i)
-    if not (orient_h(hf, hi, hpoint(k)) < 0 and orient_h(hf, hi, hpoint(e)) > 0):
+    # F and I share a row, so orient(F, I, P) is the sign of (I.x - F.x)
+    # * (P.y - F.y): orient(F, I, K) < 0 < orient(F, I, E) iff K and E lie
+    # below and above the row when F.x < I.x, and the other way round
+    # when F.x > I.x
+    if f.x < i.x:
+        flank = k.y < f.y < e.y
+    else:
+        flank = i.x < f.x and e.y < f.y < k.y
+    if not flank:
         raise GadgetError("forced triangles FIK and EFI must flank line FI")
     if not (j.y > g.y):
         raise GadgetError("J apex must sit strictly above the guard line")
@@ -297,6 +303,13 @@ def make_copy_gadget(gh: Segment, no: Segment, wall_x, row_gap) -> CopyGadget:
 
     wall_x is the left wall plane; row_gap is the vertical clearance used
     above the upper row and below the lower row for the chamber slits.
+
+    The occluders C, D, S and T are computed in closed form: each is the
+    meet of two sightlines that cross the wall plane at the same share of
+    their rise (derivation below).  `_check_copy_gadget` then checks them
+    by the eight inversion collinearity tests, and decides the slits'
+    strict convexity from their shape when the slits are walked through
+    the named points.
     """
     g, h = gh.a, gh.b
     n, o = no.a, no.b
@@ -322,20 +335,34 @@ def make_copy_gadget(gh: Segment, no: Segment, wall_x, row_gap) -> CopyGadget:
     gap = yu - yl
     d0 = g.x - wall_x
     # chamber setback: small enough that the razor mouth clears both rows
-    mu = d0 * delta / (2 * gap)
-    length = w * mu / d0
+    ratio = delta / (2 * gap)
+    mu = d0 * ratio
+    length = w * ratio   # = w * mu / d0
 
     y_ab = yu + delta
     b = Point(wall_x - mu, y_ab)
     a = Point(b.x - length, y_ab)
-    c = intersect_lines(g, b, h, a)
-    d = intersect_lines(n, b, o, a)
-
     y_uv = yl - delta
     v = Point(b.x, y_uv)
     u = Point(a.x, y_uv)
-    s = intersect_lines(g, v, h, u)
-    t = intersect_lines(n, v, o, u)
+
+    # The sightline G->B runs left by d0 + mu and meets the wall after d0
+    # of it, at the share d0 / (d0 + mu) of its rise.  H->A runs left by
+    # w + d0 + mu + length = (d0 + mu)(d0 + w) / d0, as length = w*mu/d0,
+    # and meets the wall after d0 + w of it: the same share.  Both rise
+    # by delta, from row yu to row y_ab, so both cross the wall at height
+    # yu + delta*share, and that point is C (the two lines differ, since
+    # G and H lie on another row than B and A).  N and O share G's and
+    # H's x, and V and U share B's and A's, so D (N->B, O->A), S (G->V,
+    # H->U) and T (N->V, O->U) lie on the wall at the same share of their
+    # rises: gap + delta, -(gap + delta) and -delta.  As mu = d0 * ratio,
+    # the share is 1 / (1 + ratio).
+    share = 1 / (1 + ratio)
+    lift, rise = delta * share, (gap + delta) * share
+    c = Point(wall_x, yu + lift)
+    d = Point(wall_x, yl + rise)
+    s = Point(wall_x, yu - rise)
+    t = Point(wall_x, yl - lift)
 
     slit_ab = Niche("left", (c, b, a, d), "AB")
     slit_uv = Niche("left", (s, u, v, t), "UV")
@@ -346,6 +373,22 @@ def make_copy_gadget(gh: Segment, no: Segment, wall_x, row_gap) -> CopyGadget:
 
 
 def _check_copy_gadget(cg: CopyGadget, wall_x):
+    """Every relation the copying lemma needs, checked exactly.
+
+    Slit convexity.  When a slit is walked through the named points,
+    (C, B, A, D) or (S, U, V, T), with its deep edge horizontal (B.y ==
+    A.y, U.y == V.y), the checks before it have established: C, D, S, T
+    lie on the wall x = W; D.y < C.y < A.y; T.y < S.y and U.y < T.y;
+    A.x < B.x and U.x < V.x.  The corner cross products orient(prev,
+    cur, next) are then
+      at C: (C.y - D.y)(W - B.x)    at S: (S.y - T.y)(W - U.x)
+      at B: (A.y - C.y)(B.x - A.x)  at U: (S.y - U.y)(V.x - U.x)
+      at A: (B.x - A.x)(A.y - D.y)  at V: (V.x - U.x)(T.y - U.y)
+      at D: (C.y - D.y)(W - A.x)    at T: (S.y - T.y)(W - V.x)
+    so (C, B, A, D) is strictly convex iff B.x < W, and (S, U, V, T) iff
+    V.x < W (A.x < B.x and U.x < V.x give the remaining corners).  Any
+    other slit is tested corner by corner with `orient_h`.
+    """
     g, h = cg.upper_segment.a, cg.upper_segment.b
     n, o = cg.lower_segment.a, cg.lower_segment.b
     a, b, c, d = cg.A, cg.B, cg.C, cg.D
@@ -392,12 +435,16 @@ def _check_copy_gadget(cg: CopyGadget, wall_x):
             got = invert_through(z, src, target_y)
             raise GadgetError(
                 f"inversion through {z} maps {src} to {got}, expected {expect}")
-    for quad, name in ((cg.slit_AB.points, "AB"), (cg.slit_UV.points, "UV")):
-        hq = [hpoint(p) for p in quad]
-        m = len(hq)
-        for idx in range(m):
-            if orient_h(hq[idx - 1], hq[idx], hq[(idx + 1) % m]) <= 0:
-                raise GadgetError(f"slit {name} is not strictly convex")
+    for quad, named, deep, name in ((cg.slit_AB.points, (c, b, a, d), b, "AB"),
+                                    (cg.slit_UV.points, (s, u, v, t), v, "UV")):
+        if quad == named and named[1].y == named[2].y:
+            convex = deep.x < wall_x
+        else:
+            hq = [hpoint(p) for p in quad]
+            convex = all(orient_h(hq[idx - 1], hq[idx], hq[(idx + 1) % len(hq)]) > 0
+                         for idx in range(len(hq)))
+        if not convex:
+            raise GadgetError(f"slit {name} is not strictly convex")
 
 
 # --- copy strip: a standalone Lemma-3 harness -------------------------------

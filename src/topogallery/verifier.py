@@ -444,36 +444,47 @@ def complex_to_cell_complex(k: CubicalComplex) -> CellComplex2:
     cells: tuple[list, list, list] = ([], [], [])
     bnd1: dict = {}
     bnd2: dict = {}
-    _add_face_cells(k.faces, lambda f: ("f", f), cells, bnd1, bnd2)
+    _add_face_cells(_face_plan(k.faces), lambda f: ("f", f), cells, bnd1, bnd2)
     return CellComplex2(*map(tuple, cells), bnd1, bnd2)
 
 
-def _add_face_cells(faces, tag, cells, bnd1, bnd2):
-    """Append one cell per cubical face of dimension <= 2, in str order of
-    the faces, to cells[dimension], with its boundary in bnd1 or bnd2;
-    tag(face) is the cell's id."""
+def _face_plan(faces) -> list[tuple]:
+    """(face, dimension, boundary faces) for each cubical face, in str
+    order of the faces: a 1-face's two ends in str order, a 2-face's four
+    edges in the cycle order of `_square_cycle`, nothing for a 0-face."""
+    plan = []
     for f in sorted(faces, key=str):
         d = face_dim(f)
-        cells[d].append(tag(f))
+        bnd = ()
         if d == 1:
-            bnd1[tag(f)] = tuple(tag(s) for s in sorted(set(subfaces(f)), key=str))
+            bnd = tuple(sorted(set(subfaces(f)), key=str))
         elif d == 2:
-            edges = sorted(set(subfaces(f)), key=str)
-            bnd2[tag(f)] = _square_cycle(f, [(e, tag(e)) for e in edges])
+            bnd = _square_cycle(f, subfaces(f))
+        plan.append((f, d, bnd))
+    return plan
 
 
-def _square_cycle(face, tagged_edges):
-    """Order the 4 edges of a square face into a boundary cycle.
+def _add_face_cells(plan, tag, cells, bnd1, bnd2):
+    """Append one cell per face of a `_face_plan` of dimension <= 2, in
+    its order, to cells[dimension], with its boundary in bnd1 or bnd2;
+    tag(face) is the cell's id."""
+    for f, d, bnd in plan:
+        t = tag(f)
+        cells[d].append(t)
+        if d:
+            (bnd1 if d == 1 else bnd2)[t] = tuple(map(tag, bnd))
 
-    tagged_edges is a list of (edge_face, cell_tag) pairs."""
+
+def _square_cycle(face, edges):
+    """Order the 4 edges of a square face into a boundary cycle."""
     free = [i for i, v in enumerate(face) if v is None]
     i, j = free
     by_fix = {}
-    for e, tag in tagged_edges:
+    for e in edges:
         if e[i] is not None:
-            by_fix[("i", e[i])] = tag
+            by_fix[("i", e[i])] = e
         else:
-            by_fix[("j", e[j])] = tag
+            by_fix[("j", e[j])] = e
     return (by_fix[("j", 0)], by_fix[("i", 1)], by_fix[("j", 1)], by_fix[("i", 0)])
 
 
@@ -529,31 +540,37 @@ def build_cell_complex(f: CnfFormula) -> CellComplex2:
         slice_complex(lambda lit, b=b: isinstance(lit, Band) and lit.index == b)
         for b in range(nb)]
 
+    # equal slices share one complex, and so one face plan
+    plans: dict[int, list] = {}
+
+    def plan_of(sl: CubicalComplex) -> list:
+        if id(sl) not in plans:
+            plans[id(sl)] = _face_plan(sl.faces)
+        return plans[id(sl)]
+
     cells: tuple[list, list, list] = ([], [], [])
     bnd1: dict = {}
     bnd2: dict = {}
     for b, sl in enumerate(point_slices):
         if sl.dimension() > 2:
             raise VerifyError("point slice has dimension above 2")
-        _add_face_cells(sl.faces, lambda f, b=b: ("pt", b, f), cells, bnd1, bnd2)
+        _add_face_cells(plan_of(sl), lambda f, b=b: ("pt", b, f), cells, bnd1, bnd2)
     for b, sl in enumerate(band_slices):
         if sl.dimension() > 1:
             raise VerifyError(
                 "band slice has dimension above 1: not a surface formula")
-        for face in sorted(sl.faces, key=str):
+        for face, d, ends in plan_of(sl):
             if face not in point_slices[b].faces or \
                     face not in point_slices[b + 1].faces:
                 raise VerifyError("band slice not contained in its end slices")
-            d = face_dim(face)
             tag = ("band", b, face)
             if d == 0:
                 cells[1].append(tag)
                 bnd1[tag] = (("pt", b, face), ("pt", b + 1, face))
             else:
                 cells[2].append(tag)
-                subs = sorted(set(subfaces(face)), key=str)
-                bnd2[tag] = (("pt", b, face), ("band", b, subs[1]),
-                             ("pt", b + 1, face), ("band", b, subs[0]))
+                bnd2[tag] = (("pt", b, face), ("band", b, ends[1]),
+                             ("pt", b + 1, face), ("band", b, ends[0]))
     return CellComplex2(*map(tuple, cells), bnd1, bnd2)
 
 

@@ -31,7 +31,7 @@ from topogallery.compiler import (
     compile_surface,
 )
 from topogallery.formulas import dnf_to_cnf, simplify_cnf
-from topogallery.geom import Point, Segment, intersect_lines
+from topogallery.geom import Point, Segment, intersect_lines, y_at
 
 
 @cache
@@ -156,6 +156,68 @@ def _perturbed_mobius(draw):
 @given(_perturbed_mobius())
 def test_pruned_checks_match_all_pairs_on_perturbed_rows(g):
     _assert_pruned_checks_agree(g)
+
+
+_HAIR = Fraction(1, 2 ** 80)   # below the 2^-64 resolution of the row keys
+
+
+def _sights_chamber(cg, rec, which):
+    """_check_chamber_blocked's verdict from the four crossing heights
+    with the wall, each computed with y_at."""
+    edge, lo, hi = ((cg.A, cg.B), cg.D.y, cg.C.y) if which == "AB" \
+        else ((cg.U, cg.V), cg.T.y, cg.S.y)
+    crossings = [y_at(p, q, cg.C.x) for p in (rec.segment.a, rec.segment.b)
+                 for q in edge]
+    return not (max(crossings) <= lo or min(crossings) >= hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chamber_check_matches_the_crossing_heights(data):
+    # rows moved to where one sightline meets a mouth corner exactly, a
+    # hair (also below 2^-64) or a step away, or anywhere near the mouth
+    g = _gallery("mobius")
+    cg = data.draw(st.sampled_from(g.copy_pairs)).gadget
+    which = data.draw(st.sampled_from(("AB", "UV")))
+    rec = data.draw(st.sampled_from(g.segments))
+    wall = cg.C.x
+    s = rec.segment
+    # now and then the row is also moved left of the deep edge, where the
+    # sightlines run from the row rightward to the wall
+    dx = data.draw(st.sampled_from((0, 0, 0, cg.A.x - 1 - s.b.x)))
+    if data.draw(st.booleans()):
+        px = data.draw(st.sampled_from((s.a.x, s.b.x))) + dx
+        q = data.draw(st.sampled_from((cg.A, cg.B) if which == "AB" else (cg.U, cg.V)))
+        m = data.draw(st.sampled_from((cg.C.y, cg.D.y) if which == "AB" else (cg.S.y, cg.T.y)))
+        y = q.y + (m - q.y) * (px - q.x) / (wall - q.x)
+        y += data.draw(st.sampled_from((0, 0, 1, -1, _HAIR, -_HAIR, Fraction(1, 2 ** 30))))
+    else:
+        y = cg.A.y - Fraction(data.draw(st.integers(0, 4000)), 1000) if which == "AB" \
+            else cg.U.y + Fraction(data.draw(st.integers(0, 4000)), 1000)
+    moved = replace(rec, segment=Segment(Point(s.a.x + dx, y), Point(s.b.x + dx, y)))
+    assert (_outcome(_check_chamber_blocked, cg, moved, which) is not None) == \
+        _sights_chamber(cg, moved, which)
+
+
+@pytest.mark.parametrize("which", ["AB", "UV"])
+@pytest.mark.parametrize("nudge", [0, _HAIR, -_HAIR])
+def test_pruned_chambers_match_all_pairs_at_the_interval_ends(which, nudge):
+    # three foreign rows moved onto one end of a chamber's sighting
+    # interval, or a hair past it, closer than the 2^-64 keys resolve
+    g = _gallery("orientable-2")
+    far_right = max(rec.segment.b.x for rec in g.segments)
+    for pair in g.copy_pairs[:6]:
+        cg = pair.gadget
+        mu = cg.C.x - cg.B.x
+        psi = mu / (far_right - cg.C.x + mu)
+        y = cg.A.y - (cg.A.y - cg.D.y) / psi if which == "AB" \
+            else cg.U.y + (cg.S.y - cg.U.y) / psi
+        foreign = [i for i, rec in enumerate(g.segments)
+                   if rec.index not in (pair.upper, pair.lower)]
+        moved = _with_row_heights(g, {i: y + nudge for i in foreign[:3]})
+        rows = _rows_by_height(moved.segments)
+        assert _outcome(_audit_chambers, moved, rows, far_right) == \
+            _outcome(_all_pairs_chambers, moved)
 
 
 # --- tampered galleries --------------------------------------------------

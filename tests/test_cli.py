@@ -284,10 +284,13 @@ def _gallery_text():
      "classify takes a 2-dimensional complex; its largest face has dimension 1"),
     (".complex", "classify", lambda: write_complex(complex_from_faces(3, ["***"])),
      "classify takes a 2-dimensional complex; its largest face has dimension 3"),
+    (".cnf", "classify", lambda: write_cnf(cnf(1, [[(0, 0)]])),
+     "classify takes a 2-dimensional complex or a surface formula with bands"),
 ], ids=["nvars", "literal-var", "literal-equals", "dimension", "band-index",
         "formula-nvars", "v-three-tokens", "negative-epsilon", "empty-complex",
         "negative-nvars", "negative-dimension", "duplicate-literal",
-        "duplicate-literal-classify", "classify-circle", "classify-3-cube"])
+        "duplicate-literal-classify", "classify-circle", "classify-3-cube",
+        "classify-bandless-cnf"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, suffix, command,
                                        make_text, message):
     path = tmp_path / ("bad" + suffix)

@@ -5,11 +5,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topogallery.gadgets import (
+    CopyGadget,
     GadgetError,
     Niche,
     _check_copy_gadget,
+    _check_variable_gadget,
     Wedge,
     assemble_room,
     build_copy_strip,
@@ -23,9 +26,11 @@ from topogallery.geom import (
     GeometryError,
     Point,
     Segment,
+    hpoint,
     intersect_lines,
     invert_through,
     orient,
+    orient_h,
     pt,
     visible,
     x_at,
@@ -103,6 +108,34 @@ def test_variable_gadget_bad_scale():
         make_variable_gadget(Segment(pt(0, 0), pt(1, 0)), scale=0)
 
 
+_FLANK = "forced triangles FIK and EFI must flank line FI"
+
+
+@pytest.mark.parametrize("f_x", [None, 3, 1], ids=["F-left", "F-right", "F-on-I"])
+@pytest.mark.parametrize("k_dy", [-1, 0, 1])
+@pytest.mark.parametrize("e_dy", [-1, 0, 1])
+def test_variable_gadget_flank_check_matches_the_orientations(f_x, k_dy, e_dy):
+    # K and E on, above or below the row of F and I, with F left of, right
+    # of or level with I: the flank message fires iff orient(F, I, K) < 0
+    # < orient(F, I, E) fails
+    vg = unit_gadget()
+    f, i = vg.F, vg.I
+    g, h = vg.guard_segment.a, vg.guard_segment.b
+    if f_x is not None:
+        # I at x = 1, and a guard segment that still passes the
+        # containment test (F.x < G.x, H.x < I.x)
+        f, i = pt(f_x, 0), pt(1, 0)
+        g, h = pt(4, 0), pt(0, 0)
+    k, e = pt(5, k_dy), pt(-5, e_dy)
+    tampered = replace(vg, F=f, I=i, K=k, E=e, guard_segment=Segment(g, h))
+    try:
+        _check_variable_gadget(tampered)
+        message = None
+    except GadgetError as exc:
+        message = str(exc)
+    assert (message == _FLANK) == (not (orient(f, i, k) < 0 < orient(f, i, e)))
+
+
 # --- copy gadget -------------------------------------------------------------
 
 def default_copy():
@@ -115,6 +148,27 @@ def test_copy_gadget_occluder_definitions():
     cg = default_copy()
     g, h = cg.upper_segment.a, cg.upper_segment.b
     n, o = cg.lower_segment.a, cg.lower_segment.b
+    assert cg.C == intersect_lines(g, cg.B, h, cg.A)
+    assert cg.D == intersect_lines(n, cg.B, o, cg.A)
+    assert cg.S == intersect_lines(g, cg.V, h, cg.U)
+    assert cg.T == intersect_lines(n, cg.V, o, cg.U)
+
+
+_fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+_positive = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gx=_fractions, width=_positive, yl=_fractions, gap=_positive,
+       setback=_positive, row_gap=_positive)
+def test_copy_gadget_closed_form_occluders_meet_the_sightlines(
+        gx, width, yl, gap, setback, row_gap):
+    # C, D, S and T come in closed form; each must be the meet of its two
+    # sightlines, for any aligned rows, wall and clearance
+    gh = Segment(Point(gx, yl + gap), Point(gx + width, yl + gap))
+    no = Segment(Point(gx, yl), Point(gx + width, yl))
+    cg = make_copy_gadget(gh, no, gx - setback, row_gap)
+    g, h, n, o = gh.a, gh.b, no.a, no.b
     assert cg.C == intersect_lines(g, cg.B, h, cg.A)
     assert cg.D == intersect_lines(n, cg.B, o, cg.A)
     assert cg.S == intersect_lines(g, cg.V, h, cg.U)
@@ -267,6 +321,67 @@ def test_copy_gadget_check_names_a_non_convex_slit():
     with pytest.raises(GadgetError) as err:
         _check_copy_gadget(_tamper_copy(slit_AB=bent), Fraction(0))
     assert str(err.value) == "slit AB is not strictly convex"
+
+
+def _strictly_convex(quad) -> bool:
+    hq = [hpoint(p) for p in quad]
+    return all(orient_h(hq[i - 1], hq[i], hq[(i + 1) % len(hq)]) > 0
+               for i in range(len(hq)))
+
+
+def test_copy_gadget_check_names_a_reordered_uv_slit():
+    # a slit not walked through the named points is tested corner by corner
+    cg = default_copy()
+    s, u, v, t = cg.slit_UV.points
+    for points in ((s, v, u, t), (u, s, v, t), (s, u, t, v)):
+        assert not _strictly_convex(points)
+        with pytest.raises(GadgetError) as err:
+            _check_copy_gadget(_tamper_copy(slit_UV=replace(cg.slit_UV, points=points)),
+                               Fraction(0))
+        assert str(err.value) == "slit UV is not strictly convex"
+
+
+def _chambers_beyond_the_wall():
+    """A copy gadget whose rows lie left of the wall x = 3 and whose
+    chambers lie right of it.  Every relation before the convexity test
+    holds (the occluders meet their sightlines on the wall at 11/12 of
+    their rise, and the razor mouths clear the rows), but B.x and V.x
+    exceed the wall, so the slits are walked through the named points
+    and fail the shape condition."""
+    g, h, n, o = pt(0, 10), pt(1, 10), pt(0, 0), pt(1, 0)
+    b, a = pt(Fraction(36, 11), 12), pt(Fraction(35, 11), 12)
+    v, u = pt(Fraction(36, 11), -2), pt(Fraction(35, 11), -2)
+    c = intersect_lines(g, b, h, a)
+    d = intersect_lines(n, b, o, a)
+    s = intersect_lines(g, v, h, u)
+    t = intersect_lines(n, v, o, u)
+    return CopyGadget(Segment(g, h), Segment(n, o), a, b, c, d, u, v, s, t,
+                      Niche("left", (c, b, a, d), "AB"),
+                      Niche("left", (s, u, v, t), "UV"))
+
+
+def test_copy_gadget_check_names_a_slit_failing_the_shape_condition():
+    cg = _chambers_beyond_the_wall()
+    assert cg.B.x > 3 and cg.C.x == cg.D.x == cg.S.x == cg.T.x == 3
+    assert not _strictly_convex(cg.slit_AB.points)
+    assert not _strictly_convex(cg.slit_UV.points)
+    with pytest.raises(GadgetError) as err:
+        _check_copy_gadget(cg, Fraction(3))
+    assert str(err.value) == "slit AB is not strictly convex"
+
+
+@settings(max_examples=40, deadline=None)
+@given(gx=_fractions, width=_positive, yl=_fractions, gap=_positive,
+       setback=_positive, row_gap=_positive)
+def test_copy_gadget_slits_are_strictly_convex_corner_by_corner(
+        gx, width, yl, gap, setback, row_gap):
+    # the shape condition accepts the constructed slits; the corner test
+    # agrees
+    gh = Segment(Point(gx, yl + gap), Point(gx + width, yl + gap))
+    no = Segment(Point(gx, yl), Point(gx + width, yl))
+    cg = make_copy_gadget(gh, no, gx - setback, row_gap)
+    assert _strictly_convex(cg.slit_AB.points)
+    assert _strictly_convex(cg.slit_UV.points)
 
 
 # --- copy strip --------------------------------------------------------------

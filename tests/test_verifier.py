@@ -428,3 +428,70 @@ def test_build_cell_complex_builds_each_distinct_slice_once(orientable, monkeypa
         assert len(validated) == want
         assert len(set(validated)) == want
         assert classify_surface(c).genus == n
+
+
+def _cell_complex_reference(f):
+    """build_cell_complex's cells and boundaries as it assembled them slice
+    by slice before the face plans: each slice's faces (those whose centre
+    satisfies f at the slice's x0) in str order, each face's boundary
+    found again in every slice."""
+    ks = f.band_constants
+    half = Fraction(1, 2)
+    faces = list(product((0, 1, None), repeat=f.n - 1))
+
+    def slice_faces(x0):
+        return {face for face in faces if eval_formula(
+            f, (x0,) + tuple(half if v is None else v for v in face))}
+
+    def subfaces(face):
+        return [face[:i] + (c,) + face[i + 1:]
+                for i, v in enumerate(face) if v is None for c in (0, 1)]
+
+    def square_cycle(face, tagged_edges):
+        i, j = [k for k, v in enumerate(face) if v is None]
+        by_fix = {}
+        for e, tag in tagged_edges:
+            by_fix[("i", e[i]) if e[i] is not None else ("j", e[j])] = tag
+        return (by_fix[("j", 0)], by_fix[("i", 1)], by_fix[("j", 1)], by_fix[("i", 0)])
+
+    cells, bnd1, bnd2 = ([], [], []), {}, {}
+    points = [slice_faces(k) for k in ks]
+    for b, slice_ in enumerate(points):
+        def tag(face, b=b):
+            return ("pt", b, face)
+        for face in sorted(slice_, key=str):
+            d = sum(v is None for v in face)
+            cells[d].append(tag(face))
+            edges = sorted(set(subfaces(face)), key=str)
+            if d == 1:
+                bnd1[tag(face)] = tuple(tag(e) for e in edges)
+            elif d == 2:
+                bnd2[tag(face)] = square_cycle(face, [(e, tag(e)) for e in edges])
+    for b in range(len(ks) - 1):
+        for face in sorted(slice_faces((ks[b] + ks[b + 1]) / 2), key=str):
+            tag = ("band", b, face)
+            if all(v is not None for v in face):
+                cells[1].append(tag)
+                bnd1[tag] = (("pt", b, face), ("pt", b + 1, face))
+            else:
+                cells[2].append(tag)
+                subs = sorted(set(subfaces(face)), key=str)
+                bnd2[tag] = (("pt", b, face), ("band", b, subs[1]),
+                             ("pt", b + 1, face), ("band", b, subs[0]))
+    return cells, bnd1, bnd2
+
+
+@pytest.mark.parametrize("orientable", [True, False],
+                         ids=["orientable", "non-orientable"])
+def test_build_cell_complex_matches_the_per_slice_reference(orientable):
+    # one face plan per distinct slice gives the cells, boundaries and
+    # their order that assembling every slice on its own gave
+    fixture = surface_fixture(orientable)
+    f1, f2 = canonical_removed_faces(fixture)
+    for n in range(2, 9):
+        f = surface_formula(fixture, f1, f2, n)
+        c = build_cell_complex(f)
+        cells, bnd1, bnd2 = _cell_complex_reference(f)
+        assert (list(c.cells0), list(c.cells1), list(c.cells2)) == cells
+        assert list(c.bnd1.items()) == list(bnd1.items())
+        assert list(c.bnd2.items()) == list(bnd2.items())

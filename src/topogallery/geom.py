@@ -4,7 +4,8 @@ Points hold Python Fractions; no floating point is used anywhere.  Hot
 predicates, point location, polygon validation and the visibility layer
 (sweep, visibility polygons, windows and their cuts) run on homogeneous
 integer triples (X, Y, W) so the inner loops do integer multiplication
-instead of repeated Fraction normalization.
+instead of repeated Fraction normalization.  One walk of a sweep gives a
+visibility polygon and its windows, with no point location.
 
 Every integer prefilter rounds on one scale: the keys floor(coordinate *
 2^_BOX_BITS), which never decrease as the coordinate grows.  Edge and
@@ -945,85 +946,80 @@ def visibility_polygon(poly: SimplePolygon, p: Point) -> SimplePolygon:
     whiskers) are dropped: the result is the closure of the 2-dimensional
     visible region.
     """
-    hp = hpoint(p)
-    return _star_polygon(hp, _sweep(poly, hp))
-
-
-def _star_polygon(hp, raw: list) -> SimplePolygon:
-    """The visibility polygon traced by the sweep `raw` around the
-    viewpoint hp.  The triples are all in `hpoint`'s form, so equal
-    points are equal triples."""
-    if all(pc is None for pc in raw):
-        raise GeometryError("no visible area from viewpoint")
-
-    # from the first visible cone round: each cone's two ends, and the
-    # viewpoint once for each run of exterior cones (a gap)
-    start = next(i for i, pc in enumerate(raw) if pc is not None)
-    out: list = []
-    for pc in raw[start:] + raw[:start]:
-        for h in (hp,) if pc is None else pc[1:]:
-            if not out or out[-1] != h:
-                out.append(h)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-
-    # remove straight-through vertices introduced at cone boundaries
-    cleaned = []
-    nn = len(out)
-    for i in range(nn):
-        a, b, c = out[i - 1], out[i], out[(i + 1) % nn]
-        if orient_h(a, b, c) == 0 and _dot_h(a, b, c) > 0:
-            continue
-        cleaned.append(b)
-    return SimplePolygon._of_h(cleaned, hp)
+    return _visibility(poly, hpoint(p))[0]
 
 
 def _visibility(poly: SimplePolygon, hp):
-    """One sweep around the viewpoint hp (an `hpoint` triple), read two
-    ways for exact coverage: the visibility polygon and its windows.  Both
-    share one pass over the vertex directions."""
+    """The visibility polygon of poly around p (the `hpoint` triple hp),
+    from the first visible cone's start, and its windows in the sweep's
+    order: the parts of its boundary inside poly's interior, as pairs of
+    triples with the visible side on their left.  One walk over the
+    junctions of consecutive cones of one `_sweep` reads off both.
+
+    A junction's ends are the two cones' ends, or p at a gap (a run of
+    exterior cones).  Cones on one edge share an end inside it, which is
+    dropped; an end next to a run (below) is kept, as its cone's edge is
+    not on a line through p; other shared ends, and p, are tested.
+
+    A run goes along the ray from p between two different ends.  It lies
+    in the closed poly, and no edge crosses it: that edge would span the
+    cone with the farther end, nearer than its nearest edge.  Split at
+    the vertices on it, a part holds no vertex or crossing inside, so it
+    is either inside poly or along one edge, whose ends are its own or p
+    (no vertex or cone end lies inside an edge).  So a part is a window
+    unless its ends are adjacent vertices or one is p: a gap's run leaves
+    p along the edge through p.  No point is located."""
     vdirs = _vertex_dirs(poly, hp)
     raw = _sweep(poly, hp, vdirs)
-    return _star_polygon(hp, raw), _windows(poly, hp, raw, vdirs)
-
-
-def _windows(poly: SimplePolygon, hp, raw: list,
-             vdirs: list[tuple[int, int] | None]) -> list:
-    """The windows of the visibility polygon traced by `raw` around the
-    viewpoint hp: the parts of its boundary inside poly's interior, each
-    directed so that the visible side is on its left, as pairs (a, b) of
-    triples in `hpoint`'s form.
-
-    Between two consecutive cones the boundary runs along the ray from p
-    through their shared vertex direction, from one cone's far end (or p,
-    at a gap) to the next cone's near end.  Each such run is split at the
-    polygon vertices on it; the parts whose midpoint is inside poly are
-    windows, the rest lie on poly's boundary.
-    """
+    if all(pc is None for pc in raw):
+        raise GeometryError("no visible area from viewpoint")
     hv = poly._h
-    on_ray: dict[tuple[int, int], list[int]] = {}
+    n = len(hv)
+    on_ray: dict = {}  # the vertices on each direction from p
     for v, d in enumerate(vdirs):
-        if d is not None:
-            on_ray.setdefault(d, []).append(v)
-    out = []
+        on_ray.setdefault(d, []).append(v)
     k = len(raw)
+    start = next(i for i, pc in enumerate(raw) if pc is not None)
+    last = next(pc[2] for pc in reversed(raw) if pc)  # the far end before a gap
+    verts, windows, first = [], [], 0
     for i in range(k):
         cur, nxt = raw[i], raw[(i + 1) % k]
-        ha = hp if cur is None else cur[2]
-        hb = hp if nxt is None else nxt[1]
+        if cur is None:
+            if nxt is None:
+                continue
+            ha, hb = hp, nxt[1]
+            if not (orient_h(last, hp, hb) == 0 and _dot_h(last, hp, hb) > 0):
+                verts.append(hp)
+        else:
+            last = ha = cur[2]
+            hb = hp if nxt is None else nxt[1]
+            if ha != hb:
+                verts.append(ha)
+        if (i + 1) % k == start:
+            first = len(verts)
         if ha == hb:
+            # two visible cones meet: on one edge the shared end is dropped
+            if cur[0] != nxt[0] and not (orient_h(cur[1], ha, nxt[2]) == 0
+                                         and _dot_h(cur[1], ha, nxt[2]) > 0):
+                verts.append(ha)
             continue
+        if nxt is not None:
+            verts.append(hb)
+        # the run's stops, each with its vertex index or -1
         hf = hb if ha == hp else ha
         d = _reduce_dir(hf[0] * hp[2] - hp[0] * hf[2],
                         hf[1] * hp[2] - hp[1] * hf[2])
-        stops = {ha, hb}
+        stops = {ha: -1, hb: -1}
         for v in on_ray.get(d, ()):
             if _on_segment_collinear(ha, hb, hv[v]):
-                stops.add(hv[v])
+                stops[hv[v]] = v
         hs = _order_along(ha, hb, stops)
-        out += [(h0, h1) for h0, h1 in zip(hs, hs[1:])
-                if poly._locate_h(_hmid(h0, h1)) == "in"]
-    return out
+        for h0, h1 in zip(hs, hs[1:]):
+            i0, i1 = stops[h0], stops[h1]
+            if hp != h0 and hp != h1 and (
+                    i0 < 0 or i1 < 0 or (i1 - i0) % n not in (1, n - 1)):
+                windows.append((h0, h1))
+    return SimplePolygon._of_h(verts[first:] + verts[:first], hp), windows
 
 
 def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None

@@ -53,7 +53,7 @@ class CoverageReport:
 
 
 def covers(poly_or_gallery, guards: GuardConfig,
-           mode: str = "exact") -> CoverageReport:
+           mode: str = "exact", *, views=None) -> CoverageReport:
     """Decide exactly whether the guard set sees every point of the
     polygon.  `mode` has the one value "exact"; it stays a parameter so
     that callers passing it keep working.
@@ -70,16 +70,11 @@ def covers(poly_or_gallery, guards: GuardConfig,
     certificate: a point beside m on the hidden side, inside the polygon
     and seen by no guard.  `witness_count` is the number of clause witness
     points tested plus the windows dismissed whole and the window pieces
-    tested.
+    tested.  `views` is passed on to `window_test`: one mapping shared by
+    many calls sweeps each guard point once.
     """
     if mode != "exact":
         raise VerifyError(f"unknown coverage mode {mode!r}")
-    return _covers(poly_or_gallery, guards)
-
-
-def _covers(poly_or_gallery, guards: GuardConfig, views=None) -> CoverageReport:
-    """`covers`, with `views` passed on to `window_test`: one mapping
-    shared by many calls sweeps each guard point once."""
     gallery = poly_or_gallery if isinstance(poly_or_gallery, Gallery) else None
     poly = gallery.polygon if gallery else poly_or_gallery
     gpts = list(guards.guards)
@@ -300,6 +295,11 @@ def off_samples_for(f: CnfFormula, count: int, rng: random.Random):
     return [list(cells[rng.randrange(len(cells))]) for _ in range(count)]
 
 
+def _fmt(xs) -> str:
+    """A point of the cube as the reports write it, e.g. (1/2, 1/2)."""
+    return f"({', '.join(map(str, xs))})"
+
+
 def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
                           off_count: int = 100, seed: int = 0,
                           pair_count: int = 50) -> SampleReport:
@@ -308,7 +308,8 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
     The complex and the gallery formula must be equal, which an exact
     grid check decides.  The guards of sampled on-face points must cover
     the gallery and those of off-cell grid representatives must not, as
-    `covers` proves for each sample; an off-cell witness is rechecked
+    `covers` proves for each sample (an on-face sample where the formula
+    is false fails unchecked); an off-cell witness is rechecked
     against every guard.  The off cells are drawn with replacement
     (`off_samples_for`), and each distinct cell drawn is checked once, in
     the order of its first draw; `off_checked` counts those cells.
@@ -329,28 +330,26 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
 
     sep = separating_point(complex_to_dnf(k), g.formula)
     if sep is not None:
-        at = f"({', '.join(map(str, sep))})"
-        lines.append(f"FAIL complex equals gallery formula: {at} "
+        lines.append(f"FAIL complex equals gallery formula: {_fmt(sep)} "
                      + ("satisfies the formula but is off the complex"
                         if eval_formula(g.formula, sep) else
                         "is on the complex but fails the formula"))
 
     ons = on_face_samples(k, on_count, rng)
-    configs = []
+    configs = []  # (x, guards) for the samples where the formula holds
     for x in ons:
         if not k.contains_point(x):
-            raise VerifyError(f"sampled point {x} not on the complex")
+            raise VerifyError(f"sampled point {_fmt(x)} not on the complex")
         if not eval_formula(g.formula, x):
-            raise VerifyError(f"gallery formula false on complex point {x}")
-        configs.append(embed(g, x))
-    # the on-face configurations share guard points: each point is swept
-    # once, and its view is dropped after the last configuration using it
-    uses = Counter(hpoint(p) for c in configs for p in c.guards)
+            lines.append(f"FAIL on-face {_fmt(x)}: formula false, coverage not checked")
+            continue
+        configs.append((x, embed(g, x)))
+    uses = Counter(hpoint(p) for _, c in configs for p in c.guards)
     views: dict = {}
-    for x, guards in zip(ons, configs):
-        rep = _covers(g, guards, views)
+    for x, guards in configs:
+        rep = covers(g, guards, views=views)
         if not rep.covered:
-            lines.append(f"FAIL on-face {x}: uncovered {rep.uncovered_witness}")
+            lines.append(f"FAIL on-face {_fmt(x)}: uncovered {rep.uncovered_witness}")
         for p in guards.guards:
             h = hpoint(p)
             uses[h] -= 1
@@ -362,11 +361,11 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
         guards = embed(g, x)
         rep = covers(g, guards)
         if rep.covered:
-            lines.append(f"FAIL off-cell {x}: unexpectedly covered")
+            lines.append(f"FAIL off-cell {_fmt(x)}: unexpectedly covered")
         else:
             w = rep.uncovered_witness
             if any(visible(g.polygon, gp, w) for gp in guards.guards):
-                lines.append(f"FAIL off-cell witness not certified at {x}")
+                lines.append(f"FAIL off-cell witness not certified at {_fmt(x)}")
 
     sep_sq = g.separation_sq()
     widths = {v: g.segment_width(v) for v in g.columns}
@@ -386,9 +385,10 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
         ga, gb = embed(g, x), embed(g, x2)
         d2 = hausdorff_distance_sq_max(ga.guards, gb.guards)
         if d2 != expected:
-            lines.append(f"FAIL embed metric at {x} vs {x2}: {d2} != {expected}")
+            lines.append(f"FAIL embed metric at {_fmt(x)} vs {_fmt(x2)}: "
+                         f"{d2} != {expected}")
         if d2 <= 0:
-            lines.append(f"FAIL embed injectivity at {x} vs {x2}")
+            lines.append(f"FAIL embed injectivity at {_fmt(x)} vs {_fmt(x2)}")
     passed = not lines
     if passed:
         lines = ["PASS complex equals gallery formula (exact grid check)",

@@ -331,6 +331,25 @@ def test_cli_verify_proper_subcomplex_fails(tmp_path, capsys):
     assert out[-1] == "RESULT FAIL"
 
 
+def test_cli_verify_superset_complex_fails(tmp_path, capsys):
+    # the whole square: its sampled points are off the circle, so the
+    # gallery formula is false there; each is a FAIL line and the report
+    # is still written, with every point as the grid check writes it
+    cpath = tmp_path / "square.complex"
+    cpath.write_text("topogallery complex v1\ndimension 2\nface **\n")
+    gpath = _circle_gallery(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(gpath), "--complex", str(cpath),
+                 "--on-samples", "2", "--off-samples", "2",
+                 "--pair-samples", "2"]) == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert "FAIL complex equals gallery formula: (1/2, 1/2) is on the " \
+        "complex but fails the formula" in out
+    assert out[-1] == "RESULT FAIL"
+    assert "Fraction(" not in captured.out + captured.err
+
+
 def test_cli_verify_dimension_mismatch(tmp_path, capsys):
     gpath = tmp_path / "one.gallery"
     cpath = tmp_path / "mobius.complex"

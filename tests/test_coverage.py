@@ -5,9 +5,11 @@ sweep, which stabs each cone with only its spanning edges, against the
 sweep that scanned every edge for every cone, whose ray probe
 (`_ray_edge_hits`, `_nearer_on_ray`) lives only here; and the integer point
 location, edge buckets, window cutting and `visible` against their
-Fraction versions; and the window test, which dismisses a window whole
+Fraction versions; the window test, which dismisses a window whole
 when a guard with no window near it covers it, against the eager test
-that cut every window."""
+that cut every window; and the one walk of `_visibility`, which tells
+window parts by their ends, against the two walks it replaced, which
+located each part's midpoint and tested every vertex for straight-through."""
 
 import random
 from collections import Counter
@@ -1295,3 +1297,137 @@ def test_most_moebius_windows_are_dismissed_whole(monkeypatch):
     for x in on_face_samples(k, 4, random.Random(1)):
         assert covers(g.polygon, embed(g, x)).covered
     assert 0 < counts["cut"] < counts["windows"] / 4
+
+
+# --- the one-walk visibility polygon and windows against the two walks ---------
+
+def _star_polygon_reference(hp, raw):
+    """The visibility polygon traced by the sweep `raw`: every cone end,
+    p once per gap, then every straight-through vertex removed by
+    `orient_h` and `_dot_h`."""
+    if all(pc is None for pc in raw):
+        raise GeometryError("no visible area from viewpoint")
+    start = next(i for i, pc in enumerate(raw) if pc is not None)
+    out = []
+    for pc in raw[start:] + raw[:start]:
+        for h in (hp,) if pc is None else pc[1:]:
+            if not out or out[-1] != h:
+                out.append(h)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    cleaned = []
+    nn = len(out)
+    for i in range(nn):
+        a, b, c = out[i - 1], out[i], out[(i + 1) % nn]
+        if orient_h(a, b, c) == 0 and geom._dot_h(a, b, c) > 0:
+            continue
+        cleaned.append(b)
+    return SimplePolygon._of_h(cleaned, hp)
+
+
+def _windows_reference(poly, hp, raw, vdirs):
+    """The windows of the sweep `raw`: each run between two cones split at
+    the polygon vertices on it, and the parts whose midpoint is inside."""
+    hv = poly._h
+    on_ray = {}
+    for v, d in enumerate(vdirs):
+        if d is not None:
+            on_ray.setdefault(d, []).append(v)
+    out = []
+    k = len(raw)
+    for i in range(k):
+        cur, nxt = raw[i], raw[(i + 1) % k]
+        ha = hp if cur is None else cur[2]
+        hb = hp if nxt is None else nxt[1]
+        if ha == hb:
+            continue
+        hf = hb if ha == hp else ha
+        d = _reduce_dir(hf[0] * hp[2] - hp[0] * hf[2],
+                        hf[1] * hp[2] - hp[1] * hf[2])
+        stops = {ha, hb}
+        for v in on_ray.get(d, ()):
+            if _on_segment_collinear(ha, hb, hv[v]):
+                stops.add(hv[v])
+        hs = geom._order_along(ha, hb, stops)
+        out += [(h0, h1) for h0, h1 in zip(hs, hs[1:])
+                if poly._locate_h(geom._hmid(h0, h1)) == "in"]
+    return out
+
+
+def _same_visibility(poly, pts):
+    """`_visibility` gives the two walks' vertex triples and windows, in
+    their order, or raises where they raise."""
+    for q in pts:
+        hp = hpoint(q)
+        vdirs = geom._vertex_dirs(poly, hp)
+        try:
+            raw = geom._sweep(poly, hp, vdirs)
+            want = (_star_polygon_reference(hp, raw)._h,
+                    _windows_reference(poly, hp, raw, vdirs))
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                geom._visibility(poly, hp)
+            continue
+        vp, windows = geom._visibility(poly, hp)
+        assert (vp._h, windows) == want, q
+
+
+def _vertices_and_midpoints(poly, step=1):
+    verts = poly.vertices
+    n = len(verts)
+    return list(verts[::step]) + [midpoint(verts[i], verts[(i + 1) % n])
+                                  for i in range(0, n, step)]
+
+
+@settings(max_examples=100)
+@given(histograms())
+def test_visibility_matches_two_walks_on_histograms(case):
+    poly, gpts = case
+    _same_visibility(poly, gpts + _vertices_and_midpoints(poly))
+
+
+@settings(max_examples=100)
+@given(star_polygons())
+def test_visibility_matches_two_walks_on_star_polygons(poly):
+    inside = [p for p in _locate_queries(poly)[2 * len(poly):]
+              if poly.locate(p) == "in"]
+    _same_visibility(poly, inside[::7] + _vertices_and_midpoints(poly))
+
+
+@pytest.mark.parametrize("make_complex",
+                         [circle_complex, sphere_complex, mobius_complex],
+                         ids=["circle", "sphere", "mobius"])
+def test_visibility_matches_two_walks_on_galleries(make_complex):
+    # on-face guards, and every third vertex and edge midpoint
+    k = make_complex()
+    g = _gallery(k)
+    gpts = [q for x in on_face_samples(k, 3, random.Random(7))
+            for q in embed(g, x).guards]
+    _same_visibility(g.polygon, gpts + _vertices_and_midpoints(g.polygon, 3))
+
+
+def test_visibility_matches_two_walks_on_genus_2():
+    g2 = compile_surface(2, True)
+    rng = random.Random(7)
+    x = [Fraction(rng.randint(1, 63), 64) for _ in range(g2.formula.n)]
+    _same_visibility(g2.polygon, rng.sample(embed(g2, x).guards, 3))
+
+
+def test_visibility_walk_locates_no_point(monkeypatch):
+    # the window parts are told apart by their ends: on the Moebius
+    # on-face guards `_visibility` locates exactly the points `_sweep` does
+    k = mobius_complex()
+    g = _gallery(k)
+    guards = list(embed(g, on_face_samples(k, 1, random.Random(7))[0]).guards)
+    calls = []
+    locate_h = SimplePolygon._locate_h
+    monkeypatch.setattr(SimplePolygon, "_locate_h",
+                        lambda self, hq: calls.append(hq) or locate_h(self, hq))
+    for q in guards:
+        hp = hpoint(q)
+        geom._sweep(g.polygon, hp)
+        swept = len(calls)
+        calls.clear()
+        _, windows = geom._visibility(g.polygon, hp)
+        assert windows and len(calls) == swept, q
+        calls.clear()

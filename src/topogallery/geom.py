@@ -5,7 +5,9 @@ predicates, point location, polygon validation and the visibility layer
 (sweep, visibility polygons, windows and their cuts) run on homogeneous
 integer triples (X, Y, W) so the inner loops do integer multiplication
 instead of repeated Fraction normalization.  One walk of a sweep gives a
-visibility polygon and its windows, with no point location.
+visibility polygon and its windows, with no point location; a room (a
+rectangle with convex pockets through its side walls, as every gallery
+is) seen from its open rectangle gets them pocket by pocket instead.
 
 Every integer prefilter rounds on one scale: the keys floor(coordinate *
 2^_BOX_BITS), which never decrease as the coordinate grows.  Edge and
@@ -474,11 +476,13 @@ class SimplePolygon:
     The polygon is held as the `hpoint` triples of its vertices (`_h`).
     `vertices`, the Points, is made on first read for a polygon built
     from triples (`_of_h`, as the visibility layer builds them), so
-    polygons that are only located in never make a Point.
+    polygons that are only located in never make a Point.  `_room`, the
+    room structure of `_room_of`, is recognised on the first visibility
+    query, not here.
     """
 
     __slots__ = ("_vertices", "_h", "_fx", "_fy", "_ybuckets", "_boxes",
-                 "_edge_lines")
+                 "_edge_lines", "_room")
 
     def __init__(self, vertices: Sequence[Point]):
         self._vertices = tuple(vertices)
@@ -510,6 +514,7 @@ class SimplePolygon:
         self._ybuckets = None
         self._boxes = None
         self._edge_lines = None
+        self._room = None
         if kernel is None or not _star_simple(kernel, hv):
             self._validate()
 
@@ -681,6 +686,235 @@ class SimplePolygon:
         return "in" if inside else "out"
 
 
+# --- rooms ------------------------------------------------------------------
+
+
+class _Room:
+    """A polygon read as a room: the rectangle [xl, xr] x [yb, yt] with
+    convex pockets cut out through its side walls x = xr and x = xl, the
+    shape `gadgets.assemble_room` gives every gallery.
+
+    - `lo` and `hi`: the triples of the corners (xl, yb) and (xr, yt);
+    - `plan`: the boundary, ccw from the corner (xr, yb).  Each vertex on
+      a wall line (a corner, a wall vertex or a mouth corner) is its index;
+      between the two corners of a pocket's mouth stands the pocket, the
+      tuple of its vertex indices from one mouth corner to the other, both
+      included;
+    - `straight`: the indices of the vertices where the boundary runs
+      straight on;
+    - `walls`: for the right wall, then the left, the triple of a corner
+      on it and its pockets as (lower corner, upper corner, pocket), in
+      order of height."""
+
+    __slots__ = ("lo", "hi", "plan", "straight", "walls")
+
+    def holds(self, hp) -> bool:
+        """True iff the point hp lies in the open rectangle."""
+        X, Y, W = hp
+        lo, hi = self.lo, self.hi
+        return (lo[0] * W < X * lo[2] and X * hi[2] < hi[0] * W
+                and lo[1] * W < Y * lo[2] and Y * hi[2] < hi[1] * W)
+
+
+def _room_of(poly: SimplePolygon) -> _Room | None:
+    """The room structure of poly, recognised from its vertex cycle on
+    first use and kept in `poly._room`; None if poly is not a room.
+
+    poly is a room when exactly one edge, the bottom, has both ends at
+    the least y of any vertex, running from (xl, yb) to (xr, yb), and
+    exactly one, the top, has both at the greatest, running from (xr, yt)
+    to (xl, yt); so every vertex lies in the closed y-span.  From
+    (xr, yb) to (xr, yt) every vertex has x >= xr, and from (xl, yt) to
+    (xl, yb) every vertex has x <= xl.  Each maximal run of vertices
+    strictly beyond a wall is a pocket, whose mouth runs between the wall
+    vertices before and after the run; no wall vertex is a mouth corner
+    of two pockets, and each pocket, closed by its mouth, is convex: it
+    turns left or runs straight at every vertex of the run.  Each check
+    compares exact coordinates of the triples, or is one `orient_h`.
+
+    The rest follows from poly being simple and ccw: xl < xr, as the
+    interior lies above the bottom edge; and along each wall the wall
+    vertices rise (right wall) or fall (left wall) strictly.  Take the
+    first step that does not: until then the wall edges and mouths cover
+    the wall line from the corner up, so a wall edge down would run along
+    an earlier edge or into an earlier pocket, shut in by its chain; and
+    a pocket whose mouth ends below its start would close, with its
+    mouth, into a simple cw polygon, whose turns sum to -2 pi, though it
+    turns left along its run and by more than -pi at each mouth corner.
+    So each pocket turns left at its mouth corners too, and is convex."""
+    room = poly._room
+    if room is None:
+        room = poly._room = _recognise_room(poly) or False
+    return room or None
+
+
+def _recognise_room(poly: SimplePolygon) -> _Room | None:
+    """The `_Room` of poly, or None (see `_room_of`)."""
+    hv = poly._h
+    n = len(hv)
+
+    def cmp(i, j, c) -> int:
+        """The sign of coordinate c (0 for x, 1 for y) of vertex i minus
+        that of vertex j."""
+        a, b = hv[i], hv[j]
+        return _sign(a[c] * b[2] - b[c] * a[2])
+
+    low = high = 0
+    for i in range(1, n):
+        if cmp(i, low, 1) < 0:
+            low = i
+        elif cmp(i, high, 1) > 0:
+            high = i
+    level = [[i for i in range(n) if cmp(i, v, 1) == 0
+              and cmp(i + 1 if i + 1 < n else 0, v, 1) == 0] for v in (low, high)]
+    if len(level[0]) != 1 or len(level[1]) != 1:
+        return None
+    a, c = level[0][0], level[1][0]
+    b, d = (a + 1) % n, (c + 1) % n
+    if cmp(a, d, 0) or cmp(b, c, 0):
+        return None
+    plan: list = []
+    walls = []
+    for start, end, side in ((b, c, 1), (d, a, -1)):
+        pockets = []
+        i, shared = start, -1
+        while True:
+            plan.append(i)
+            if i == end:
+                break
+            j = i + 1 if i + 1 < n else 0
+            s = side * cmp(j, start, 0)  # > 0 beyond the wall
+            if s < 0:
+                return None
+            if s == 0:
+                i = j
+                continue
+            if i == shared:
+                return None
+            run = [i]
+            while s > 0:
+                run.append(j)
+                j = j + 1 if j + 1 < n else 0
+                s = side * cmp(j, start, 0)
+            if s < 0:
+                return None
+            run.append(j)
+            if any(orient_h(hv[u], hv[v], hv[w]) < 0
+                   for u, v, w in zip(run, run[1:], run[2:])):
+                return None
+            pocket = tuple(run)
+            plan.append(pocket)
+            m0, m1 = hv[run[0]], hv[run[-1]]
+            pockets.append((m0, m1, pocket) if side > 0 else (m1, m0, pocket))
+            i = shared = j
+        walls.append((hv[start], pockets if side > 0 else pockets[::-1]))
+    room = _Room()
+    room.lo, room.hi = hv[a], hv[c]
+    room.plan = plan
+    # a valid polygon has no fold-back, so collinear means straight on
+    fx, fy = poly._fx, poly._fy
+    room.straight = {
+        i for i in range(n)
+        if not _keys_orient(fx[i - 1], fy[i - 1], fx[i], fy[i],
+                            fx[(i + 1) % n], fy[(i + 1) % n])
+        and orient_h(hv[i - 1], hv[i], hv[(i + 1) % n]) == 0}
+    room.walls = walls
+    return room
+
+
+def _room_view(poly: SimplePolygon, room: _Room, hp):
+    """`_visibility(poly, hp)` for a viewpoint hp in the room's open
+    rectangle, pocket by pocket; see `_visibility` for the proof and the
+    order."""
+    hv = poly._h
+    lines = poly.edge_lines()
+    straight = room.straight
+    vs: list = []  # the view's boundary from the corner (xr, yb), ccw
+    flat = []  # the places in vs of vertices where poly runs straight on
+    windows = []
+    for item in room.plan:
+        if item.__class__ is int:
+            if item in straight:
+                flat.append(len(vs))
+            vs.append(hv[item])
+            continue
+        # a pocket between the mouth corners m0 (just added to vs) and m1
+        # (added next), clipped to the wedge from p through its mouth: a
+        # point is kept when l0 . h >= 0 >= l1 . h
+        hs = [hv[v] for v in item]
+        l0, l1 = _hline(hp, hs[0]), _hline(hp, hs[-1])
+        s0 = [l0[0] * h[0] + l0[1] * h[1] + l0[2] * h[2] for h in hs]
+        s1 = [l1[0] * h[0] + l1[1] * h[1] + l1[2] * h[2] for h in hs]
+        first = len(vs)
+        k = len(hs) - 1
+        for t in range(1, k + 1):
+            if s0[t - 1] < 0 < s0[t]:
+                vs.append(_hcanon(_hmeet(l0, lines[item[t - 1]])))
+            if s1[t - 1] < 0 < s1[t]:
+                vs.append(_hcanon(_hmeet(l1, lines[item[t - 1]])))
+            if t < k and s0[t] >= 0 >= s1[t]:
+                if item[t] in straight:
+                    flat.append(len(vs))
+                vs.append(hs[t])
+        if s0[1] < 0:
+            windows.append((hs[0], vs[first]))
+        if s1[k - 1] > 0:
+            windows.append((vs[-1], hs[-1]))
+    if flat:
+        m = len(vs)
+        drop = {i for i in flat
+                if orient_h(vs[i - 1], vs[i], vs[(i + 1) % m]) == 0}
+        vs = [h for i, h in enumerate(vs) if i not in drop]
+    # the view vertex of least direction: the first with angle 0 or more,
+    # all on the right wall or beyond it
+    X, Y, W = hp
+    j = next(i for i, h in enumerate(vs)
+             if h[0] * W > X * h[2] and h[1] * W >= Y * h[2])
+    h = vs[j]
+    if orient_h(hp, h, vs[j + 1]) == 0:
+        # a radial pair: the view starts at its second vertex when no
+        # vertex of poly lies at a direction below it
+        dx, dy = h[0] * W - X * h[2], h[1] * W - Y * h[2]
+        if dy == 0 or not any(  # at angle 0 nothing lies below
+                (uy > 0 or (uy == 0 and ux > 0)) and ux * dy > uy * dx
+                for ux, uy in ((v[0] * W - X * v[2], v[1] * W - Y * v[2])
+                               for v in hv)):
+            j += 1
+    view = vs[j:] + vs[:j]
+    place = {h: i for i, h in enumerate(view)}
+    windows.sort(key=lambda w: place[w[0]])
+    return SimplePolygon._of_h(view, hp), windows
+
+
+def _room_sees(poly: SimplePolygon, room: _Room, hp, hq) -> bool:
+    """`visible` for p (triple hp) in the room's open rectangle and q
+    (triple hq) in poly; see `visible` for the proof."""
+    X, Y, W = hq
+    lo, hi = room.lo, room.hi
+    right = X * hi[2] > hi[0] * W
+    if not right and X * lo[2] >= lo[0] * W:
+        return True
+    corner, pockets = room.walls[0 if right else 1]
+    # where pq crosses the wall line
+    m = _hmeet(_hline(hp, hq), (corner[2], 0, -corner[0]))
+    # the last pocket whose lower mouth corner is not above that crossing
+    i, j = 0, len(pockets)
+    while i < j:
+        k = (i + j) // 2
+        if pockets[k][0][1] * m[2] <= m[1] * pockets[k][0][2]:
+            i = k + 1
+        else:
+            j = k
+    if i == 0:
+        return False
+    _, top, pocket = pockets[i - 1]
+    if m[1] * top[2] > top[1] * m[2]:
+        return False
+    lines = poly.edge_lines()
+    return all(lines[e][0] * X + lines[e][1] * Y + lines[e][2] * W >= 0
+               for e in pocket[:-1])
+
+
 def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     """True iff the closed segment pq lies inside the closed polygon.
 
@@ -688,10 +922,24 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     GeometryError if either endpoint is outside the polygon (distinct
     from a plain 'not visible' answer).
 
-    pq is cut where it meets the boundary: at the polygon vertices on it
-    and at its proper crossings with edges.  Each piece between two cuts
-    lies on one side of every edge, so its midpoint decides it.  All of
-    this runs on the homogeneous triples.
+    Both endpoints are located first.  For p in the open rectangle of a
+    room (`_room_of`), the answer is read off the room: True for q in the
+    closed rectangle; for q beyond a wall, True iff pq crosses the wall
+    line inside the closed mouth of a pocket that holds q, a binary search
+    over that wall's mouths and one side test per edge of that pocket
+    (`_room_sees`).  Proof: pq runs in the rectangle up to the wall line,
+    which it crosses at one point w.  If w lies in the closed mouth of
+    the convex pocket Q holding q, wq lies in Q, which lies in the
+    polygon (see `_visibility`).  Otherwise pq leaves the polygon: just
+    beyond w if w is on a wall edge or at a wall vertex that is no mouth
+    corner, and through the chain of the pocket it enters if that pocket
+    is not Q, since two pockets meet at most on the wall line.
+
+    Any other p, and any polygon that is not a room, takes the segment
+    cutter: pq is cut where it meets the boundary, at the polygon
+    vertices on it and at its proper crossings with edges.  Each piece
+    between two cuts lies on one side of every edge, so its midpoint
+    decides it.  All of this runs on the homogeneous triples.
     """
     lp = poly.locate(p)
     lq = poly.locate(q)
@@ -700,6 +948,9 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     if p == q:
         return True
     hp, hq = hpoint(p), hpoint(q)
+    room = _room_of(poly)
+    if room is not None and room.holds(hp):
+        return _room_sees(poly, room, hp, hq)
     # each vertex on pq is the first end of one edge; vertices and p, q
     # are hpoint triples, so the set keeps one copy of a vertex equal to p
     # or q; a proper crossing is interior to pq and to one edge only
@@ -944,7 +1195,9 @@ def visibility_polygon(poly: SimplePolygon, p: Point) -> SimplePolygon:
 
     p is in the kernel of the result.  Zero-width lines of sight (pinhole
     whiskers) are dropped: the result is the closure of the 2-dimensional
-    visible region.
+    visible region.  A viewpoint in the open rectangle of a room, as every
+    guard of a gallery is, gets it pocket by pocket in linear time; any
+    other viewpoint or polygon gets the angular sweep (`_visibility`).
     """
     return _visibility(poly, hpoint(p))[0]
 
@@ -953,8 +1206,63 @@ def _visibility(poly: SimplePolygon, hp):
     """The visibility polygon of poly around p (the `hpoint` triple hp),
     from the first visible cone's start, and its windows in the sweep's
     order: the parts of its boundary inside poly's interior, as pairs of
-    triples with the visible side on their left.  One walk over the
-    junctions of consecutive cones of one `_sweep` reads off both.
+    triples with the visible side on their left.
+
+    A room (`_room_of`) seen from its open rectangle takes the room view
+    (`_room_view`), which returns exactly what the sweep would: the same
+    triples in the same order, and the same windows in the same order.
+    Every other viewpoint, including a room's boundary points and points
+    beyond its walls, and every polygon that is not a room, takes the
+    sweep.
+
+    The room view.  Let R be the closed rectangle and p a point of its
+    open interior; a pocket Q means the convex polygon of its vertices,
+    closed by its mouth M from m0 to m1 (in boundary order).
+    - The open rectangle lies inside poly: the bottom and top edges lie on
+      the lines y = yb and y = yt and every other edge in x >= xr or
+      x <= xl, so no edge meets it, and it lies left of the bottom edge.
+    - A pocket meets its wall line only in its mouth, and the mouths of
+      one wall are disjoint, so no two pockets overlap and no edge enters
+      a pocket's interior; as its open mouth borders the open rectangle,
+      each Q lies in poly.
+    - A ray from p through M runs in R up to M and then stays in the
+      convex Q until it meets Q's chain; a point q beyond the wall is
+      seen iff pq crosses M and q lies in Q (see `visible`).  So the view
+      is R together with each Q clipped to the closed wedge W from p
+      through M, on the triples: a point h of Q is kept when
+      orient(p, m0, h) >= 0 >= orient(p, m1, h).
+    - Q and W are convex, and Q meets W in a set with interior (it holds
+      a half-disc beyond the middle of M, which lies inside W), as R has
+      interior: the view is the closure of its interior, with no
+      whiskers, the region whose boundary the sweep walks.
+    The view's boundary, ccw from (xr, yb), runs along R and, at each
+    mouth, through the clipped pocket: m0; where the chain's first edge
+    lies right of the ray from p through m0, that ray's far end A in Q;
+    the chain vertices in W; where the chain leaves W across the ray
+    through m1, its far end B; then m1.  The windows are (m0, A) and
+    (B, m1): on a wedge line and not edges of poly (when the chain runs
+    along the ray, the pair is an edge of poly instead).  The sweep keeps
+    no vertex where the boundary runs straight on.  A and B turn, and so
+    do m0 and m1 where a window meets them; every other view vertex has
+    its neighbours on the edges of poly at it, so only vertices where
+    poly itself runs straight on are tested.
+
+    The order.  The sweep's cones start at dirs[0], the least direction
+    from p of any vertex of poly (`_dir_cmp`: angle 0 up to 2 pi).  So its
+    polygon starts at the view vertex of least direction and runs ccw,
+    and its windows come in increasing direction; but the walk splits a
+    radial pair (two view vertices on one ray, in ccw order) on dirs[0]:
+    the polygon starts at its second vertex, and a window there comes
+    last.  View vertices of angle in [0, pi/2) lie on the right wall or
+    beyond, where the walk from (xr, yb) meets them by increasing angle,
+    so the least is the first at p's height or above.  A radial pair
+    there lies on dirs[0] when its angle is 0 (every row guard of a
+    gallery has its own I slit's mouth corner at angle 0), or else when
+    no vertex of poly lies at a smaller angle; only then are all vertices
+    tested.
+
+    The sweep.  One walk over the junctions of consecutive cones of one
+    `_sweep` reads off the polygon and its windows.
 
     A junction's ends are the two cones' ends, or p at a gap (a run of
     exterior cones).  Cones on one edge share an end inside it, which is
@@ -969,6 +1277,9 @@ def _visibility(poly: SimplePolygon, hp):
     (no vertex or cone end lies inside an edge).  So a part is a window
     unless its ends are adjacent vertices or one is p: a gap's run leaves
     p along the edge through p.  No point is located."""
+    room = _room_of(poly)
+    if room is not None and room.holds(hp):
+        return _room_view(poly, room, hp)
     vdirs = _vertex_dirs(poly, hp)
     raw = _sweep(poly, hp, vdirs)
     if all(pc is None for pc in raw):
@@ -1068,13 +1379,16 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
     window carries nothing, and each window starts afresh.  Otherwise,
     and for a dismissal, the guard that covered the last located midpoint
     is tried first.  Each guard is turned into its `hpoint` triple once;
-    the sweep, the windows, the cuts and the piece tests all run on
+    the views, the windows, the cuts and the piece tests all run on
     triples, and Points are made only for the uncovered piece returned.
+    A guard in a room's open rectangle, as every guard of a gallery is,
+    gets its view pocket by pocket; any other guard, or a polygon that is
+    not a room, is swept (`_visibility`); both give the same view.
 
     `views`, if given, maps a guard's `hpoint` triple to its view, the
     pair of `_visibility` for this polygon: the visibility polygon and its
     windows, each window a pair of triples.  A guard found there is not
-    swept again; a guard missing from it is swept and its view added.  A
+    viewed again; a guard missing from it is viewed and its view added.  A
     caller checking many configurations of one polygon passes one mapping
     to all of them, and removes each view after the last configuration
     that places a guard there.

@@ -9,7 +9,9 @@ Fraction versions; the window test, which dismisses a window whole
 when a guard with no window near it covers it, against the eager test
 that cut every window; and the one walk of `_visibility`, which tells
 window parts by their ends, against the two walks it replaced, which
-located each part's midpoint and tested every vertex for straight-through."""
+located each part's midpoint and tested every vertex for straight-through;
+and the room view and `visible` from a room's open rectangle, against the
+sweep and the segment cutter they bypass."""
 
 import random
 from collections import Counter
@@ -758,13 +760,13 @@ def test_one_sweep_per_guard(monkeypatch):
 
 def test_sample_solution_space_sweeps_each_guard_point_once(monkeypatch):
     # the on-face configurations share guard points: each distinct point
-    # is swept once, all calls share one mapping of views, and every view
-    # is dropped after its last use
-    swept = []
-    sweep = geom._sweep
-    monkeypatch.setattr(geom, "_sweep",
-                        lambda poly, hp, *vdirs:
-                        swept.append(hp) or sweep(poly, hp, *vdirs))
+    # is viewed once (one `_visibility` call; a guard in the room's open
+    # rectangle takes the room view, not `_sweep`), all calls share one
+    # mapping of views, and every view is dropped after its last use
+    viewed = []
+    view = geom._visibility
+    monkeypatch.setattr(geom, "_visibility",
+                        lambda poly, hp: viewed.append(hp) or view(poly, hp))
     shared = []
     window_test = verifier.window_test
 
@@ -781,7 +783,7 @@ def test_sample_solution_space_sweeps_each_guard_point_once(monkeypatch):
     uses = Counter(hpoint(p) for x in on_face_samples(k, 6, random.Random(3))
                    for p in embed(g, x).guards)
     assert len(uses) < sum(uses.values())  # the samples do share points
-    assert sorted(swept) == sorted(uses)
+    assert sorted(viewed) == sorted(uses)
     assert len(shared) == 6 and all(v is shared[0] for v in shared)
     assert shared[0] == {}
 
@@ -1414,20 +1416,223 @@ def test_visibility_matches_two_walks_on_genus_2():
 
 
 def test_visibility_walk_locates_no_point(monkeypatch):
-    # the window parts are told apart by their ends: on the Moebius
-    # on-face guards `_visibility` locates exactly the points `_sweep` does
-    k = mobius_complex()
-    g = _gallery(k)
-    guards = list(embed(g, on_face_samples(k, 1, random.Random(7))[0]).guards)
+    # the window parts are told apart by their ends: at Moebius gallery
+    # vertices and edge midpoints, boundary viewpoints that still take the
+    # sweep, `_visibility` locates exactly the points `_sweep` does
+    poly = _gallery(mobius_complex()).polygon
     calls = []
     locate_h = SimplePolygon._locate_h
     monkeypatch.setattr(SimplePolygon, "_locate_h",
                         lambda self, hq: calls.append(hq) or locate_h(self, hq))
-    for q in guards:
+    with_windows = 0
+    for q in _vertices_and_midpoints(poly, 5):
         hp = hpoint(q)
-        geom._sweep(g.polygon, hp)
+        geom._sweep(poly, hp)
         swept = len(calls)
         calls.clear()
-        _, windows = geom._visibility(g.polygon, hp)
-        assert windows and len(calls) == swept, q
+        _, windows = geom._visibility(poly, hp)
+        assert len(calls) == swept, q
+        with_windows += bool(windows)
         calls.clear()
+    assert with_windows > 0
+
+
+# --- the room view and `visible` on rooms against the sweep and the cutter -----
+
+_ROOM_GALLERIES = {}
+
+
+def _room_gallery(name):
+    """The gallery of one fixture and the guards of its on-face samples
+    (three configurations; for orientable genus 2, one seeded point),
+    built once."""
+    if name not in _ROOM_GALLERIES:
+        if name == "orientable-2":
+            g = compile_surface(2, True)
+            rng = random.Random(7)
+            xs = [[Fraction(rng.randint(1, 63), 64) for _ in range(g.formula.n)]]
+        else:
+            k = {"circle": circle_complex, "sphere": sphere_complex,
+                 "mobius": mobius_complex}[name]()
+            g = _gallery(k)
+            xs = on_face_samples(k, 3, random.Random(7))
+        guards = list(dict.fromkeys(q for x in xs for q in embed(g, x).guards))
+        _ROOM_GALLERIES[name] = g, guards
+    return _ROOM_GALLERIES[name]
+
+
+def _without_room(poly):
+    """poly as a polygon that is not read as a room: its views take the
+    sweep and `visible` the segment cutter."""
+    ref = SimplePolygon._of_h(poly._h)
+    ref._room = False
+    return ref
+
+
+@st.composite
+def _room_points(draw, poly):
+    """A rational point of the room's open rectangle: at a free height, at
+    the height of a vertex (so that vertex lies at angle 0 or pi), or on
+    the line of an edge (so that edge lies along a ray from the point)."""
+    room = geom._room_of(poly)
+    lo, hi = hpoint_to_point(room.lo), hpoint_to_point(room.hi)
+    x = lo.x + (hi.x - lo.x) * Fraction(draw(st.integers(1, 1023)), 1024)
+    mode = draw(st.sampled_from(["free", "vertex", "edge"]))
+    if mode == "free":
+        y = lo.y + (hi.y - lo.y) * Fraction(draw(st.integers(1, 1023)), 1024)
+    elif mode == "vertex":
+        y = draw(st.sampled_from(poly.vertices)).y
+    else:
+        a, b = draw(st.sampled_from(list(poly.edges())))
+        assume(a.x != b.x)
+        y = a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
+    assume(lo.y < y < hi.y)
+    return Point(x, y)
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere", "mobius", "orientable-2"])
+def test_room_view_matches_sweep_on_galleries(name):
+    # every on-face guard lies in the open rectangle and takes the room
+    # view; it and drawn points give the sweep's polygon and windows
+    g, guards = _room_gallery(name)
+    poly = g.polygon
+    room = geom._room_of(poly)
+    assert room is not None and all(room.holds(hpoint(q)) for q in guards)
+    _same_visibility(poly, guards)
+
+    @settings(max_examples=25 if name == "orientable-2" else 60, deadline=None)
+    @given(st.lists(_room_points(poly), min_size=1, max_size=3))
+    def drawn(pts):
+        _same_visibility(poly, pts)
+
+    drawn()
+
+
+def test_room_is_recognised_on_the_first_view_only():
+    # compiling, assembling and validating the room leave it unread
+    g = _gallery(circle_complex())
+    assert g.polygon._room is None
+    geom.visibility_polygon(g.polygon, embed(g, [_q(1, 2)] * g.formula.n).guards[0])
+    assert isinstance(g.polygon._room, geom._Room)
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere", "mobius"])
+def test_room_visible_matches_segment_cutter(name):
+    # from the guards of one configuration and the rectangle's centre, to
+    # every vertex, edge midpoint and clause witness
+    g, guards = _room_gallery(name)
+    poly = g.polygon
+    ref = _without_room(poly)
+    room = geom._room_of(poly)
+    lo, hi = hpoint_to_point(room.lo), hpoint_to_point(room.hi)
+    ps = guards[:len(embed(g, [_q(1, 2)] * g.formula.n).guards)]
+    ps.append(midpoint(lo, hi))
+    qs = (_vertices_and_midpoints(poly)
+          + [cg.witness_point for cg in g.clause_gadgets])
+    seen = Counter()
+    for p in ps:
+        for q in qs:
+            want = visible(ref, p, q)
+            assert visible(poly, p, q) == want, (p, q)
+            seen[want] += 1
+    assert seen[True] and seen[False]
+
+
+@st.composite
+def rooms(draw):
+    """A room [0, w] x [0, 12] with pockets through both walls: triangles,
+    trapezoids and triangles with a straight-through vertex on an edge,
+    apexes up to two units past their mouth's heights but off the floor
+    and the ceiling lines (else the floor or ceiling would be two edges,
+    which `_room_of` refuses); wall vertices
+    between two wall edges run straight on.  Returns the polygon and
+    1-3 points of its open rectangle."""
+    w = draw(st.integers(2, 6))
+    h = 12
+
+    def wall(x, out):
+        """The wall's vertices from y = 0 to y = 12, pockets included."""
+        ys = [0] + sorted(draw(st.sets(st.integers(1, h - 1), max_size=6))) + [h]
+        verts = [pt(x, 0)]
+        mouth = False
+        for y0, y1 in zip(ys, ys[1:]):
+            mouth = not mouth and draw(st.booleans())
+            if mouth:
+                d = draw(st.integers(1, 3))
+                a, b = sorted(draw(st.integers(max(1, y0 - 2), min(h - 1, y1 + 2)))
+                              for _ in range(2))
+                shape = draw(st.sampled_from(["tri", "trap", "straight"]))
+                if shape == "trap" and a < b:
+                    chain = [pt(x + out * d, a), pt(x + out * d, b)]
+                else:
+                    apex = pt(x + out * d, a)
+                    chain = [apex]
+                    if shape == "straight" and draw(st.booleans()):
+                        chain.insert(0, midpoint(pt(x, y0), apex))
+                    elif shape == "straight":
+                        chain.append(midpoint(apex, pt(x, y1)))
+                verts += chain
+            verts.append(pt(x, y1))
+        return verts
+
+    right = wall(w, 1)
+    left = wall(0, -1)
+    verts = [pt(0, 0)] + right + left[::-1][:-1]
+    try:
+        poly = SimplePolygon(verts)
+    except GeometryError:
+        assume(False)
+    pts = [Point(Fraction(draw(st.integers(1, 8 * w - 1)), 8),
+                 draw(st.sampled_from([Fraction(draw(st.integers(1, 8 * h - 1)), 8),
+                                       Fraction(draw(st.integers(1, h - 1)))])))
+           for _ in range(draw(st.integers(1, 3)))]
+    return poly, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(rooms())
+def test_room_paths_match_sweep_and_cutter_on_random_rooms(case):
+    poly, pts = case
+    assert geom._room_of(poly) is not None
+    _same_visibility(poly, pts)
+    ref = _without_room(poly)
+    for p in pts:
+        for q in _vertices_and_midpoints(poly):
+            assert visible(poly, p, q) == visible(ref, p, q), (p, q)
+
+
+def _reflex_pocket_room():
+    # the right wall's pocket turns right at (5, 2)
+    return SimplePolygon([pt(x, y) for x, y in (
+        (0, 0), (4, 0), (4, 1), (6, 1), (5, 2), (6, 3), (4, 3), (4, 4), (0, 4))])
+
+
+def _pocket_below_floor_room():
+    # the pocket's apex (6, 0) lies below the floor y = 1
+    return SimplePolygon([pt(x, y) for x, y in (
+        (0, 1), (4, 1), (4, 2), (6, 0), (4, 3), (4, 5), (0, 5))])
+
+
+def _shared_mouth_corner_room():
+    # two pockets meet at the mouth corner (4, 3)
+    return SimplePolygon([pt(x, y) for x, y in (
+        (0, 0), (4, 0), (4, 1), (5, 2), (4, 3), (5, 4), (4, 5), (4, 6), (0, 6))])
+
+
+@pytest.mark.parametrize("poly, p", [
+    (l_shape(), pt(_q(1, 2), _q(1, 2))),
+    (comb_polygon(), pt(_q(5, 2), _q(1, 2))),
+    (_reflex_pocket_room(), pt(2, 2)),
+    (_pocket_below_floor_room(), pt(2, 3)),
+    (_shared_mouth_corner_room(), pt(2, 3)),
+], ids=["l-shape", "comb", "reflex-pocket", "pocket-below-floor",
+        "shared-mouth-corner"])
+def test_recogniser_negatives_take_the_sweep(monkeypatch, poly, p):
+    swept = []
+    sweep = geom._sweep
+    monkeypatch.setattr(geom, "_sweep",
+                        lambda poly, hp, *vdirs:
+                        swept.append(hp) or sweep(poly, hp, *vdirs))
+    assert geom._room_of(poly) is None
+    geom._visibility(poly, hpoint(p))
+    assert swept == [hpoint(p)]

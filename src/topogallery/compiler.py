@@ -310,7 +310,7 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
 
     # copy chains per variable (top to bottom)
     chains: dict[int, list[int]] = {}
-    for idx in sorted(range(len(records)), key=lambda i: -records[i].segment.a.y):
+    for idx in reversed(order):
         chains.setdefault(records[idx].var, []).append(idx)
 
     # The left wall must sit far enough left that chamber mouths accept

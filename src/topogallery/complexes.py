@@ -77,12 +77,9 @@ class CubicalComplex:
     def __post_init__(self):
         if self.n < 0:
             raise ComplexError(f"negative dimension {self.n}")
-        for f in self.faces:
-            if len(f) != self.n:
-                raise ComplexError(
-                    f"face {face_string(f)} has length {len(f)}, expected {self.n}")
-            if any(v not in (0, 1, None) for v in f):
-                raise ComplexError(f"bad face entry in {face_string(f)}")
+        bad = [f for f in self.faces if _face_fault(f, self.n)]
+        if bad:
+            raise ComplexError(_face_fault(min(bad, key=face_string), self.n))
 
     def maximal_faces(self) -> list[Face]:
         maxi = []
@@ -110,23 +107,40 @@ def _face_subset(f: Face, g: Face) -> bool:
     return all(gv is None or gv == fv for fv, gv in zip(f, g))
 
 
+def _face_fault(face: Face, n: int) -> str | None:
+    """Why face cannot be a face of the n-cube, or None if it can."""
+    if len(face) != n:
+        return f"face {face_string(face)} has length {len(face)}, expected {n}"
+    if any(v not in (0, 1, None) for v in face):
+        return f"bad face entry in {face_string(face)}"
+    return None
+
+
 def complex_from_faces(n: int, faces: Iterable[Face | str]) -> CubicalComplex:
-    """Complex generated by the given faces (downward closure taken)."""
+    """Complex generated by the given faces (downward closure taken).  The
+    given faces are checked first, in order, so an error names one of
+    them rather than a face of its closure; CubicalComplex reports a
+    negative n."""
     gen = [parse_face(f) if isinstance(f, str) else tuple(f) for f in faces]
     closed: set[Face] = set()
     for f in gen:
+        fault = _face_fault(f, n) if n >= 0 else None
+        if fault:
+            raise ComplexError(fault)
         closed |= face_closure(f)
     return CubicalComplex(n, frozenset(closed))
 
 
 def validate_complex(k: CubicalComplex) -> CubicalComplex:
-    """Check downward closure; returns k unchanged if valid."""
-    for f in k.faces:
-        for g in subfaces(f):
-            if g not in k.faces:
-                raise ComplexError(
-                    f"closure violation: face {face_string(f)} is present "
-                    f"but sub-face {face_string(g)} is missing")
+    """Check downward closure; returns k unchanged if valid.  A violation
+    names the least present face (by `face_string`) that lacks a sub-face,
+    and its least missing sub-face."""
+    bad = [(f, g) for f in k.faces for g in subfaces(f) if g not in k.faces]
+    if bad:
+        f, g = min(bad, key=lambda fg: (face_string(fg[0]), face_string(fg[1])))
+        raise ComplexError(
+            f"closure violation: face {face_string(f)} is present "
+            f"but sub-face {face_string(g)} is missing")
     return k
 
 

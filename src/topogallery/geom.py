@@ -113,12 +113,17 @@ def orient_h(a, b, c) -> int:
     return _sign(ux * vy - uy * vx)
 
 
+def _dot_dirs(ha, hb, hc, hd) -> int:
+    """A positive multiple of (b - a) . (d - c), on homogeneous points."""
+    # the dropped factor aw * bw * cw * dw is positive
+    return ((hb[0] * ha[2] - ha[0] * hb[2]) * (hd[0] * hc[2] - hc[0] * hd[2])
+            + (hb[1] * ha[2] - ha[1] * hb[2]) * (hd[1] * hc[2] - hc[1] * hd[2]))
+
+
 def _dot_h(a, b, c) -> int:
     """A positive multiple of (b - a) . (c - b), on homogeneous points;
     for collinear a, b, c it is positive iff b is strictly between."""
-    # the dropped factor aw * bw^2 * cw is positive
-    return ((b[0] * a[2] - a[0] * b[2]) * (c[0] * b[2] - b[0] * c[2])
-            + (b[1] * a[2] - a[1] * b[2]) * (c[1] * b[2] - b[1] * c[2]))
+    return _dot_dirs(a, b, b, c)
 
 
 def orient(p: Point, q: Point, r: Point) -> int:
@@ -252,17 +257,9 @@ def hausdorff_distance_sq_max(g0: Iterable[Point], g1: Iterable[Point]) -> Fract
     return Fraction(*(d1 if d0[0] * d1[1] < d1[0] * d0[1] else d0))
 
 
-def _between_1d(an, aw, bn, bw, pn, pw) -> bool:
-    """min(a,b) <= p <= max(a,b) for rationals an/aw etc., all w > 0."""
-    lo_ok = (an * pw <= pn * aw) or (bn * pw <= pn * bw)
-    hi_ok = (pn * aw <= an * pw) or (pn * bw <= bn * pw)
-    return lo_ok and hi_ok
-
-
 def _on_segment_collinear(a, b, p) -> bool:
-    """p on closed segment ab given that a, b, p are collinear (homogeneous)."""
-    return _between_1d(a[0], a[2], b[0], b[2], p[0], p[2]) and \
-        _between_1d(a[1], a[2], b[1], b[2], p[1], p[2])
+    """p on closed segment ab, for collinear a, b, p: (p-a).(b-p) >= 0."""
+    return _dot_h(a, p, b) >= 0
 
 
 def _segments_touch_h(ha, hb, hc, hd) -> bool:
@@ -936,10 +933,10 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     is not Q, since two pockets meet at most on the wall line.
 
     Any other p, and any polygon that is not a room, takes the segment
-    cutter: pq is cut where it meets the boundary, at the polygon
-    vertices on it and at its proper crossings with edges.  Each piece
-    between two cuts lies on one side of every edge, so its midpoint
-    decides it.  All of this runs on the homogeneous triples.
+    cutter `_cut_window`: pq is cut where it meets the boundary, at the
+    polygon vertices on it and at its proper crossings with edges.  Each
+    piece between two cuts lies on one side of every edge, so its
+    midpoint decides it.  All of this runs on the homogeneous triples.
     """
     lp = poly.locate(p)
     lq = poly.locate(q)
@@ -951,31 +948,18 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     room = _room_of(poly)
     if room is not None and room.holds(hp):
         return _room_sees(poly, room, hp, hq)
-    # each vertex on pq is the first end of one edge; vertices and p, q
-    # are hpoint triples, so the set keeps one copy of a vertex equal to p
-    # or q; a proper crossing is interior to pq and to one edge only
-    cuts = {hp, hq}
+    # every edge that meets pq has a key box that meets pq's
     x0, y0, x1, y1 = _key_box((hp, hq))
-    lpq = _hline(hp, hq)
     hv = poly._h
     n = len(hv)
     # the edges' key boxes, built on first use
     boxes = poly._boxes
     if boxes is None:
         boxes = poly._boxes = _edge_boxes(poly._fx, poly._fy)
-    lines = poly.edge_lines()
-    for i in range(n):
-        bx = boxes[i]
-        if bx[2] < x0 or x1 < bx[0] or bx[3] < y0 or y1 < bx[1]:
-            continue
-        ha, hb = hv[i], hv[i + 1 if i + 1 < n else 0]
-        oa = orient_h(hp, hq, ha)
-        if oa == 0 and _on_segment_collinear(hp, hq, ha):
-            cuts.add(ha)
-        elif oa * orient_h(hp, hq, hb) < 0 \
-                and orient_h(ha, hb, hp) * orient_h(ha, hb, hq) < 0:
-            cuts.add(_hmeet(lpq, lines[i]))
-    stops = _order_along(hp, hq, cuts)
+    stops, _, _ = _cut_window(hp, hq, [
+        (0, hv[i], hv[i + 1 if i + 1 < n else 0])
+        for i, bx in enumerate(boxes)
+        if not (bx[2] < x0 or x1 < bx[0] or bx[3] < y0 or y1 < bx[1])])
     return all(poly._locate_h(_hmid(h0, h1)) != "out"
                for h0, h1 in zip(stops, stops[1:]))
 
@@ -1376,11 +1360,10 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
     between them (`_cut_window` records the guards whose windows pass
     through each cut), so the guard that covered the last piece is
     carried to the next without a locate.  A piece decided by an opposite
-    window carries nothing, and each window starts afresh.  Otherwise,
-    and for a dismissal, the guard that covered the last located midpoint
-    is tried first.  Each guard is turned into its `hpoint` triple once;
-    the views, the windows, the cuts and the piece tests all run on
-    triples, and Points are made only for the uncovered piece returned.
+    window carries nothing, and each window starts afresh.  Each guard is
+    turned into its `hpoint` triple once; the views, the windows, the cuts
+    and the piece tests all run on triples, and Points are made only for
+    the uncovered piece returned.
     A guard in a room's open rectangle, as every guard of a gallery is,
     gets its view pocket by pocket; any other guard, or a polygon that is
     not a room, is swept (`_visibility`); both give the same view.
@@ -1404,17 +1387,12 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
             view = views[h] = _visibility(poly, h)
         vps.append(view[0])
         windows += [(gi, ha, hb) for ha, hb in view[1]]
-    # the guards in the order tried: the last good one, then the others
-    order = list(range(len(vps)))
 
     def cover(hm, allow):
-        """The first guard of `order` in the bitmask allow whose VP holds
-        hm inside, moved to the front of `order`; -1 if there is none."""
-        nonlocal order
-        for j in order:
-            if allow >> j & 1 and vps[j]._locate_h(hm) == "in":
-                if j != order[0]:
-                    order = [j] + [i for i in range(len(vps)) if i != j]
+        """The first guard in the bitmask allow whose VP holds hm inside;
+        -1 if there is none."""
+        for j, vp in enumerate(vps):
+            if allow >> j & 1 and vp._locate_h(hm) == "in":
                 return j
         return -1
 
@@ -1473,7 +1451,8 @@ def _cut_window(ha, hb, cand):
     `hpoint`'s form, ordered from a to b, ends included; for each cut point
     the bitmask of the other guards that have a window through it (bit gi
     for guard index gi); and the windows (c, d) of other guards that lie
-    along it in the opposite direction.
+    along it in the opposite direction.  `visible` cuts its segment here
+    too, with the polygon edges (0, c, d) near it as candidates.
 
     Cuts are the crossings and touches with other guards' windows and the
     ends of collinear overlaps.  On the Moebius gallery nearly every
@@ -1522,12 +1501,6 @@ def _cut_window(ha, hb, cand):
             if _on_segment_collinear(hc, hd, h):
                 masks[k] |= 1 << gj
     return stops, masks, opposite
-
-
-def _dot_dirs(ha, hb, hc, hd) -> int:
-    """A positive multiple of (b - a) . (d - c), on homogeneous points."""
-    return ((hb[0] * ha[2] - ha[0] * hb[2]) * (hd[0] * hc[2] - hc[0] * hd[2])
-            + (hb[1] * ha[2] - ha[1] * hb[2]) * (hd[1] * hc[2] - hc[1] * hd[2]))
 
 
 # --- triangulation and convex clipping ------------------------------------

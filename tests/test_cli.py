@@ -236,6 +236,12 @@ def _gallery_text():
     return write_gallery(compile_gallery(cnf(1, [[(0, 0)]])))
 
 
+# a written face longer than the dimension; its closure holds faces such
+# as 1**, *01 and *11 of the same wrong length, and the error must name
+# the face the file holds
+_FACE_LENGTH_TEXT = "topogallery complex v1\ndimension 2\nface ***\n"
+
+
 @pytest.mark.parametrize("suffix, command, make_text, message", [
     (".cnf", "compile",
      lambda: write_cnf(cnf(1, [[(0, 0)]])).replace("nvars 1", "nvars two"),
@@ -286,11 +292,13 @@ def _gallery_text():
      "classify takes a 2-dimensional complex; its largest face has dimension 3"),
     (".cnf", "classify", lambda: write_cnf(cnf(1, [[(0, 0)]])),
      "classify takes a 2-dimensional complex or a surface formula with bands"),
+    (".complex", "compile", lambda: _FACE_LENGTH_TEXT,
+     "face *** has length 3, expected 2"),
 ], ids=["nvars", "literal-var", "literal-equals", "dimension", "band-index",
         "formula-nvars", "v-three-tokens", "negative-epsilon", "empty-complex",
         "negative-nvars", "negative-dimension", "duplicate-literal",
         "duplicate-literal-classify", "classify-circle", "classify-3-cube",
-        "classify-bandless-cnf"])
+        "classify-bandless-cnf", "face-length"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, suffix, command,
                                        make_text, message):
     path = tmp_path / ("bad" + suffix)
@@ -447,6 +455,39 @@ def test_output_independent_of_hash_seed(tmp_path):
     assert lines[-3].startswith("exact CoverageReport(covered=False, ")
     assert lines[-2].startswith("mobius on-face True ")
     assert lines[-1] == "pinched cells orientable True"
+
+
+_ERROR_TEXT_SCRIPT = """
+import sys
+from topogallery.cli import main
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    print(command, path, main([command, path]), file=sys.stderr)
+"""
+
+
+def test_error_text_independent_of_hash_seed(tmp_path):
+    # input errors go to stderr; a message built from a set of faces or
+    # literals must not depend on the hash seed
+    cases = [("compile", "face.complex", _FACE_LENGTH_TEXT),
+             ("classify", "face.complex", _FACE_LENGTH_TEXT),
+             ("compile", "dup.cnf",
+              write_cnf(cnf(2, [[(0, 0), (1, 1)]])).replace(
+                  "x1=1", "x1=1 x0=0"))]
+    argv = []
+    for command, name, text in cases:
+        (tmp_path / name).write_text(text)
+        argv += [command, str(tmp_path / name)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    errors = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _ERROR_TEXT_SCRIPT, *argv], env=env,
+            capture_output=True, text=True, timeout=60, check=True)
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1]
+    assert errors[0].count("input error: ") == len(cases)
+    assert "face *** has length 3, expected 2" in errors[0]
 
 
 def test_cli_unsat_exit_code(tmp_path):

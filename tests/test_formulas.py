@@ -11,6 +11,7 @@ from topogallery.complexes import (
     circle_complex,
     complex_from_faces,
     complex_to_dnf,
+    face_closure,
     mobius_complex,
     parse_face,
     validate_complex,
@@ -57,6 +58,25 @@ def test_missing_subface_reported():
     k = CubicalComplex(2, frozenset({parse_face("0*")}))
     with pytest.raises(ComplexError, match="closure violation"):
         validate_complex(k)
+
+
+def test_closure_violation_names_the_least_face():
+    # *0 lacks 10 and *1 lacks 11; the least face by its string is named
+    k = CubicalComplex(2, frozenset(map(parse_face, ["*0", "*1", "00", "01"])))
+    with pytest.raises(ComplexError, match="^closure violation: face \\*0 is "
+                       "present but sub-face 10 is missing$"):
+        validate_complex(k)
+
+
+def test_wrong_length_face_names_the_written_or_least_face():
+    # complex_from_faces names the first written face at fault; a complex
+    # built directly names the least face of those at fault
+    with pytest.raises(ComplexError, match="^face 1\\*0 has length 3, expected 2$"):
+        complex_from_faces(2, ["1*", "1*0", "***"])
+    with pytest.raises(ComplexError, match="^face \\*\\*\\* has length 3, expected 2$"):
+        CubicalComplex(2, frozenset(face_closure(parse_face("***"))))
+    with pytest.raises(ComplexError, match="^bad face entry in 02$"):
+        CubicalComplex(2, frozenset({(0, 2), (1, 3), (0, 0)}))
 
 
 def test_mobius_complex_valid():

@@ -19,6 +19,7 @@ from topogallery.geom import (
     _box_pairs,
     _dir_cmp,
     _dir_key,
+    _dot_dirs,
     _dot_h,
     _hcanon,
     _keys_orient,
@@ -92,6 +93,50 @@ def test_hcanon_is_hpoint_of_the_point(x, y, w, f):
 def test_sum_sign_matches_fraction_sum(terms):
     total = sum(Fraction(t, d) for d, t in terms.items())
     assert _sum_sign(terms) == (total > 0) - (total < 0)
+
+
+FRACS = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+def _triple(x, y, f):
+    """A homogeneous triple of (x, y), scaled by the positive factor f."""
+    return tuple(c * f for c in hpoint(Point(x, y)))
+
+
+def _fdot(a, b, c, d):
+    """(b - a) . (d - c) on Fraction points (x, y)."""
+    return (b[0] - a[0]) * (d[0] - c[0]) + (b[1] - a[1]) * (d[1] - c[1])
+
+
+@settings(max_examples=300)
+@given(FRACS, FRACS, FRACS, FRACS, FRACS, FRACS,
+       st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+@example(1, 2, 3, -1, 0, 0, 1, 1, 1)         # a == b == p
+@example(1, 2, 3, -1, 1, 0, 2, 3, 1)         # a == b, p elsewhere
+@example(0, 0, 1, 2, 0, 1, 1, 2, 3)          # p at a
+@example(0, 0, 1, 2, 1, 1, 3, 1, 2)          # p at b
+@example(0, 0, 1, 2, -1, 1, 1, 1, 1)         # p beyond a
+@example(0, 0, 1, 2, 3, 1, 1, 1, 1)          # p beyond b
+@example(0, 0, 1, 0, Fraction(1, 2), 1, 1, 1, 1)  # p strictly between
+def test_collinear_predicates_match_fraction_definitions(
+        ax, ay, dx, dy, t, s, fa, fb, fp):
+    # a, b = a + s*d and p = a + t*d are collinear; each triple carries
+    # its own positive factor, which the predicates must not depend on
+    a = (Fraction(ax), Fraction(ay))
+    b = (a[0] + s * dx, a[1] + s * dy)
+    p = (a[0] + t * dx, a[1] + t * dy)
+    ha, hb, hp = _triple(*a, fa), _triple(*b, fb), _triple(*p, fp)
+    on = all(min(u, v) <= w <= max(u, v) for u, v, w in zip(a, b, p))
+    assert _on_segment_collinear(ha, hb, hp) == on
+    # the dropped factors are the products of the triples' w
+    wa, wb, wp = ha[2], hb[2], hp[2]
+    assert _dot_h(ha, hp, hb) == _fdot(a, p, p, b) * wa * wp * wp * wb
+    assert _dot_h(hp, ha, hb) == _fdot(p, a, a, b) * wp * wa * wa * wb
+    named = {"a": (a, ha), "b": (b, hb), "p": (p, hp)}
+    for names in ("abpb", "paba", "apab", "bbap"):
+        fs, hs = zip(*(named[c] for c in names))
+        assert _dot_dirs(*hs) == \
+            _fdot(*fs) * hs[0][2] * hs[1][2] * hs[2][2] * hs[3][2]
 
 
 # --- orient ---------------------------------------------------------------

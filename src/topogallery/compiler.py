@@ -52,7 +52,6 @@ from .geom import (
     Segment,
     SimplePolygon,
     hpoint,
-    key_sorted,
     line_through,
     orient_h,
     rat,
@@ -414,8 +413,7 @@ def _rows_by_height(records) -> tuple[list[int], list[Fraction], list[int]]:
     their integer keys (`rational_key`), for `_row_bisect`."""
     ys = [rec.segment.a.y for rec in records]
     keys = [rational_key(y) for y in ys]
-    rows = key_sorted([(k, i) for i, k in enumerate(keys)],
-                      lambda i, j: (ys[i] > ys[j]) - (ys[i] < ys[j]))
+    rows = sorted(range(len(ys)), key=lambda i: (keys[i], ys[i]))
     return rows, [ys[i] for i in rows], [keys[i] for i in rows]
 
 
@@ -472,10 +470,9 @@ def _audit(g: Gallery):
                 f"column strip extents of variables {v1} and {v2} overlap in y")
 
     # forced slivers pairwise disjoint (their y-intervals are)
-    ivs = [(vg.forced_zone[2].y, vg.E.y, vg) for vg in g.variable_gadgets]
-    ivs = key_sorted([(rational_key(iv[0]), iv) for iv in ivs],
-                     lambda u, v: (u > v) - (u < v))
-    for (a1, b1, _), (a2, b2, _) in zip(ivs, ivs[1:]):
+    ivs = sorted(((vg.forced_zone[2].y, vg.E.y) for vg in g.variable_gadgets),
+                 key=lambda iv: (rational_key(iv[0]), *iv))
+    for (_, b1), (a2, _) in zip(ivs, ivs[1:]):
         if a2 <= b1:
             raise CompileError("forced slivers of two rows overlap in y")
 

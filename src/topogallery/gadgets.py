@@ -18,7 +18,6 @@ from .geom import (
     SimplePolygon,
     hpoint,
     invert_through,
-    key_sorted,
     orient,
     orient_h,
     rat,
@@ -53,9 +52,9 @@ class Niche:
 def assemble_room(x_left, x_right, y_bottom, y_top, niches) -> SimplePolygon:
     """Axis-aligned room with niches spliced into its side walls.
 
-    The wall checks and the mouth order compare coordinates on their
-    integer keys (`rational_key`), and exactly only where two keys are
-    equal."""
+    The wall checks and the mouth order compare coordinates as (integer
+    key, value) pairs (`rational_key`), so the exact values are compared
+    only where two keys are equal."""
     x_left, x_right = rat(x_left), rat(x_right)
     y_bottom, y_top = rat(y_bottom), rat(y_top)
     left = [n for n in niches if n.wall == "left"]
@@ -63,17 +62,8 @@ def assemble_room(x_left, x_right, y_bottom, y_top, niches) -> SimplePolygon:
     if len(left) + len(right) != len(niches):
         raise GadgetError("only left/right wall niches are supported")
 
-    def keyed(v: Fraction) -> tuple[Fraction, int]:
-        return (v, rational_key(v))
-
-    def less(u, v) -> bool:
-        """u < v, for keyed values."""
-        return u[1] < v[1] or (u[1] == v[1] and u[0] < v[0])
-
-    def order(u, v) -> int:
-        """Mouths in order of (lo, hi, label)."""
-        u, v = (u[0][0], u[1][0], u[2]), (v[0][0], v[1][0], v[2])
-        return (u > v) - (u < v)
+    def keyed(v: Fraction) -> tuple[int, Fraction]:
+        return (rational_key(v), v)
 
     bottom, top = keyed(y_bottom), keyed(y_top)
 
@@ -83,20 +73,20 @@ def assemble_room(x_left, x_right, y_bottom, y_top, niches) -> SimplePolygon:
         ivs = []
         for n in group:
             lo, hi = keyed(n.points[0].y), keyed(n.points[-1].y)
-            if less(hi, lo):
+            if hi < lo:
                 lo, hi = hi, lo
-            if not (less(bottom, lo) and less(hi, top)):
+            if not (bottom < lo and hi < top):
                 raise GadgetError(f"niche {n.label!r} mouth outside wall span")
             if n.points[0].x != wall_x or n.points[-1].x != wall_x:
                 raise GadgetError(f"niche {n.label!r} mouth not on wall plane")
             for q in n.points[1:-1]:
                 qx = keyed(q.x)
-                if not (less(qx, wall) if inward_sign > 0 else less(wall, qx)):
+                if not (qx < wall if inward_sign > 0 else wall < qx):
                     raise GadgetError(f"niche {n.label!r} does not point outward")
-            ivs.append((lo[1], (lo, hi, n.label, n)))
-        ivs = key_sorted(ivs, order)
+            ivs.append((lo, hi, n.label, n))
+        ivs.sort(key=lambda iv: iv[:3])
         for (_, h1, a, _), (l2, _, b, _) in zip(ivs, ivs[1:]):
-            if not less(h1, l2):
+            if l2 <= h1:
                 raise GadgetError(f"niche mouths {a!r} and {b!r} overlap")
         return [iv[3] for iv in ivs]
 

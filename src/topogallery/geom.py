@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby
 from math import gcd
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -343,31 +341,13 @@ def rational_key(v: Fraction) -> int:
     return (v.numerator << _BOX_BITS) // v.denominator
 
 
-def key_sorted(keyed, cmp) -> list:
-    """The items of the pairs (key, item) in keyed, in the order of the
-    comparator cmp, given integer keys that never decrease along that
-    order: sorted by the keys, and by cmp only within runs of equal keys,
-    so exact comparisons of long coordinates are made only where the keys
-    cannot tell two items apart.  Items that cmp finds equal keep their
-    order in keyed, as in a stable sort."""
-    keyed.sort(key=itemgetter(0))
-    if len({k for k, _ in keyed}) == len(keyed):
-        return [h for _, h in keyed]
-    out = []
-    for _, run in groupby(keyed, itemgetter(0)):
-        out += sorted((h for _, h in run), key=cmp_to_key(cmp))
-    return out
-
-
 def _order_along(ha, hb, pts) -> list:
     """The homogeneous points pts, all on segment ab, a and b among them,
     ordered from a to b.
 
     The dominant coordinate of b - a (x if |dx| >= |dy|, else y) is
     strictly monotone along ab, so the points between the ends are
-    sorted by it, negated if the segment runs towards smaller values: by
-    the keys floor(coordinate * 2^_BOX_BITS), then exactly within equal
-    keys."""
+    sorted by it, negated if the segment runs towards smaller values."""
     inner = [h for h in pts if h != ha and h != hb]
     if not inner:
         return [ha, hb]
@@ -375,8 +355,8 @@ def _order_along(ha, hb, pts) -> list:
     dy = hb[1] * ha[2] - ha[1] * hb[2]
     c = 0 if abs(dx) >= abs(dy) else 1
     s = -1 if (dx, dy)[c] < 0 else 1
-    return [ha, *key_sorted([((s * h[c] << _BOX_BITS) // h[2], h) for h in inner],
-                            lambda h, k: s * (h[c] * k[2] - k[c] * h[2])), hb]
+    return [ha, *sorted(inner, key=cmp_to_key(
+        lambda h, k: s * (h[c] * k[2] - k[c] * h[2]))), hb]
 
 
 def polygon_area2(vertices: Sequence[Point]) -> Fraction:
@@ -938,13 +918,11 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     piece between two cuts lies on one side of every edge, so its
     midpoint decides it.  All of this runs on the homogeneous triples.
     """
-    lp = poly.locate(p)
-    lq = poly.locate(q)
-    if lp == "out" or lq == "out":
-        raise GeometryError("visibility query endpoint outside polygon")
-    if p == q:
-        return True
     hp, hq = hpoint(p), hpoint(q)
+    if poly._locate_h(hp) == "out" or poly._locate_h(hq) == "out":
+        raise GeometryError("visibility query endpoint outside polygon")
+    if hp == hq:
+        return True
     room = _room_of(poly)
     if room is not None and room.holds(hp):
         return _room_sees(poly, room, hp, hq)
@@ -986,21 +964,6 @@ def _dir_cmp(d1, d2) -> int:
         return -1 if h1 < h2 else 1
     cr = d1[0] * d2[1] - d1[1] * d2[0]
     return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-
-def _dir_key(d) -> int:
-    """An integer key that never decreases along `_dir_cmp`'s order: the
-    half (`_dir_half`) in the top bits, then floor(2^_BOX_BITS * s), with
-    s the diamond angle dx / (|dx| + |dy|) signed to grow ccw within the
-    half.  On the upper half (dy > 0, or the ray of angle 0) the direction
-    turns from (1, 0) towards (-1, 0) and dx / (|dx| + |dy|) falls from 1
-    towards -1, so s is its negative; on the lower half it rises from -1
-    towards 1.  s lies in [-1, 1), so each half's keys fit in
-    [0, 2^(_BOX_BITS + 1))."""
-    dx, dy = d
-    if _dir_half(d) == 0:
-        return (1 << _BOX_BITS) + (-dx << _BOX_BITS) // (abs(dx) + abs(dy))
-    return (3 << _BOX_BITS) + (dx << _BOX_BITS) // (abs(dx) + abs(dy))
 
 
 def _reduce_dir(dx: int, dy: int) -> tuple[int, int]:
@@ -1068,8 +1031,8 @@ def _sweep(poly: SimplePolygon, hp,
     a vertex direction, so no representative ray meets it and it is
     skipped.
 
-    The directions are sorted on integer keys (`_dir_key`), exactly only
-    within equal keys.  Since the representative ray r meets every edge
+    The directions are sorted by `_dir_cmp`, exactly, in O(n log n)
+    comparisons.  Since the representative ray r meets every edge
     that spans its cone exactly once, ahead of p, the nearest edge is the
     one with the least ray parameter t: p + t r lies on the edge's line l
     where t = -(l . hp) / ((l_x r_x + l_y r_y) W), and the common factor
@@ -1096,8 +1059,8 @@ def _sweep(poly: SimplePolygon, hp,
     if vdirs is None:
         vdirs = _vertex_dirs(poly, hp)
 
-    sorted_dirs = key_sorted([(_dir_key(d), d) for d in
-                              {d for d in vdirs if d is not None}], _dir_cmp)
+    sorted_dirs = sorted({d for d in vdirs if d is not None},
+                         key=cmp_to_key(_dir_cmp))
     m = len(sorted_dirs)
     if m < 2:
         raise GeometryError("degenerate direction set in visibility sweep")

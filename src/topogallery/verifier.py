@@ -70,8 +70,8 @@ def covers(poly_or_gallery, guards: GuardConfig,
     certificate: a point beside m on the hidden side, inside the polygon
     and seen by no guard.  `witness_count` is the number of clause witness
     points tested plus the windows dismissed whole and the window pieces
-    tested.  `views` is passed on to `window_test`: one mapping shared by
-    many calls sweeps each guard point once.
+    tested.  `views` is passed on to `window_test`: with one mapping
+    shared by many calls, each guard point is viewed once.
     """
     if mode != "exact":
         raise VerifyError(f"unknown coverage mode {mode!r}")
@@ -318,7 +318,7 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
 
     The on-face configurations are embedded first, and the uses of each
     guard point (its `hpoint` triple) are counted.  Their window tests
-    share one mapping of views, so each point is swept once; its view is
+    share one mapping of views, so each point is viewed once; its view is
     dropped after its last use, so the views held at once are those of
     points still to be used, not of every point sampled.
     """

@@ -327,3 +327,16 @@ def test_audit_rejects_strip_sloping_down():
     with pytest.raises(CompileError,
                        match=r"strip of clause 0 does not rise to the right"):
         _audit(bad)
+
+
+def test_audit_rejects_slivers_with_equal_spans():
+    # a second gadget with row 0's sliver span but another J: the sliver
+    # order ties on the span, and the overlap is reported, not a failed
+    # comparison of the gadgets
+    g = _gallery("mobius")
+    vg0 = g.variable_gadgets[0]
+    twin = replace(vg0, J=Point(vg0.J.x - 1, vg0.J.y))
+    bad = replace(g, variable_gadgets=g.variable_gadgets + (twin,))
+    with pytest.raises(CompileError,
+                       match=r"forced slivers of two rows overlap in y"):
+        bad.audit()

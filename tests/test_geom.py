@@ -18,7 +18,7 @@ from topogallery.geom import (
     _BOX_BITS,
     _box_pairs,
     _dir_cmp,
-    _dir_key,
+    _dir_half,
     _dot_dirs,
     _dot_h,
     _hcanon,
@@ -33,7 +33,6 @@ from topogallery.geom import (
     hpoint_to_point,
     hausdorff_distance_sq_max,
     intersect_lines,
-    key_sorted,
     invert_through,
     orient,
     orient_h,
@@ -910,7 +909,7 @@ def test_star_simple_refusal_keeps_the_full_message():
     assert str(got.value) == str(want.value)
 
 
-# --- keyed sorts against their comparators -------------------------------
+# --- exact orders against independent oracles ---------------------------
 
 NEAR_BASES = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1),
               (0, -1), (1, -1), (1, -2)]
@@ -920,8 +919,7 @@ NEAR_BASES = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1),
 def direction_sets(draw):
     """Distinct reduced integer directions: small ones, and ones of 1,500
     bits or more that differ from a few base directions by a small
-    offset, so their angles differ by far less than 2^-64 and their keys
-    tie."""
+    offset, so their angles differ by far less than 2^-64."""
     small = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5))
                           .filter(lambda d: d != (0, 0)), max_size=12))
     big = 2 ** draw(st.integers(1500, 1600)) + draw(st.integers(0, 99))
@@ -930,28 +928,48 @@ def direction_sets(draw):
     return list({_reduce_dir(*d) for d in small + near})
 
 
+def _diamond_angle(d):
+    """The exact oracle for the sweep's direction order: the half, then
+    the diamond angle as a Fraction, which grows ccw within each half:
+    -dx / (|dx| + |dy|) on the upper half, dx / (|dx| + |dy|) on the
+    lower."""
+    dx, dy = d
+    half, s = _dir_half(d), Fraction(dx, abs(dx) + abs(dy))
+    return (half, -s if half == 0 else s)
+
+
 @settings(max_examples=300)
 @given(direction_sets())
 @example([(2 ** 1500 + 1, 2 ** 1500), (2 ** 1500 + 2, 2 ** 1500 + 1),
           (2 ** 1500, 2 ** 1500 + 1), (1, 0), (-1, 0)])
 def test_dir_key_sort_matches_comparator(dirs):
-    want = sorted(dirs, key=cmp_to_key(_dir_cmp))
-    assert key_sorted([(_dir_key(d), d) for d in dirs], _dir_cmp) == want
-    assert [_dir_key(d) for d in want] == sorted(_dir_key(d) for d in dirs)
+    # the sweep sorts its directions by cmp_to_key(_dir_cmp)
+    want = sorted(dirs, key=_diamond_angle)
+    assert sorted(dirs, key=cmp_to_key(_dir_cmp)) == want
 
 
 def test_dir_keys_tie_on_long_directions():
+    # two 1,500-bit directions whose angles differ by far less than
+    # 2^-64, so any fixed-width key ties on them: the sweep's sort key
+    # still tells them apart, in the oracle's order
     a, b = (2 ** 1500 + 1, 2 ** 1500), (2 ** 1500 + 2, 2 ** 1500 + 1)
-    assert _dir_key(a) == _dir_key(b) and _dir_cmp(a, b) != 0
+    assert _diamond_angle(a) != _diamond_angle(b)
+    assert _dir_cmp(a, b) == (-1 if _diamond_angle(a) < _diamond_angle(b) else 1)
+    assert sorted([b, a], key=cmp_to_key(_dir_cmp)) == \
+        sorted([a, b], key=_diamond_angle)
 
 
 def _order_along_reference(ha, hb, pts):
-    """`_order_along` as a comparator sort on the dominant coordinate."""
-    dx = hb[0] * ha[2] - ha[0] * hb[2]
-    dy = hb[1] * ha[2] - ha[1] * hb[2]
-    c, down = (0, dx < 0) if abs(dx) >= abs(dy) else (1, dy < 0)
-    return sorted(pts, key=cmp_to_key(lambda h, k: h[c] * k[2] - k[c] * h[2]),
-                  reverse=down)
+    """pts by their exact parameter along a -> b: the projection of
+    p - a onto b - a, over |b - a|^2."""
+    a, b = hpoint_to_point(ha), hpoint_to_point(hb)
+    dx, dy = b.x - a.x, b.y - a.y
+
+    def t(h):
+        p = hpoint_to_point(h)
+        return ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)
+
+    return sorted(pts, key=t)
 
 
 @st.composite

@@ -8,6 +8,8 @@ instead of repeated Fraction normalization.  One walk of a sweep gives a
 visibility polygon and its windows, with no point location; a room (a
 rectangle with convex pockets through its side walls, as every gallery
 is) seen from its open rectangle gets them pocket by pocket instead.
+Exact coverage of a room guarded from its open rectangle needs no views
+at all (`pocket_test`); every other case takes the window test.
 
 Every integer prefilter rounds on one scale: the keys floor(coordinate *
 2^_BOX_BITS), which never decrease as the coordinate grows.  Edge and
@@ -892,6 +894,101 @@ def _room_sees(poly: SimplePolygon, room: _Room, hp, hq) -> bool:
                for e in pocket[:-1])
 
 
+def _dot(l, h) -> int:
+    """l . h, which has the sign of orient(a, b, h) for l = `_hline`(a, b)."""
+    return l[0] * h[0] + l[1] * h[1] + l[2] * h[2]
+
+
+def _clip_h(hs, l) -> list:
+    """The convex polygon hs (ccw triples, W > 0) clipped to the closed
+    half-plane l . h >= 0."""
+    s = [_dot(l, h) for h in hs]
+    out = []
+    for i, h in enumerate(hs):
+        if s[i - 1] * s[i] < 0:
+            x = _hmeet(l, _hline(hs[i - 1], h))
+            out.append(x if x[2] > 0 else (-x[0], -x[1], -x[2]))
+        if s[i] >= 0:
+            out.append(h)
+    return out
+
+
+def _inner_point(hs):
+    """The mean of the first vertex of the convex polygon hs and two
+    consecutive others not collinear with it, a point of its interior;
+    None if hs has no area."""
+    for b, c in zip(hs[1:], hs[2:]):
+        if orient_h(hs[0], b, c):
+            (ax, ay, aw), (bx, by, bw), (cx, cy, cw) = hs[0], b, c
+            return (ax * bw * cw + bx * aw * cw + cx * aw * bw,
+                    ay * bw * cw + by * aw * cw + cy * aw * bw, 3 * aw * bw * cw)
+    return None
+
+
+def _pocket_miss(hs, hgs):
+    """A point (triple) inside the pocket hs, its vertex triples from one
+    mouth corner to the other, that no guard hgs sees; None if they see
+    all of it.  See `pocket_test` for the proof."""
+    m0, m1, inner = hs[0], hs[-1], hs[1:-1]
+    lines = []
+    for hg in hgs:
+        l0, l1 = _hline(hg, m0), _hline(hg, m1)
+        if all(_dot(l0, h) >= 0 >= _dot(l1, h) for h in inner):
+            return None
+        lines.append((l0, l1, hg))
+    # A_a lies in A_b iff l0_a . g_b >= 0
+    lines.sort(key=cmp_to_key(lambda a, b: _dot(a[0], b[2])))
+    cut = None  # the line l1 of the least B so far
+    for l0, l1, hg in lines:
+        clip = _clip_h(hs, (-l0[0], -l0[1], -l0[2]))
+        w = _inner_point(clip if cut is None else _clip_h(clip, cut))
+        if w is not None:
+            return w
+        if cut is None or _dot(cut, hg) < 0:
+            cut = l1
+    return _inner_point(_clip_h(hs, cut))
+
+
+def pocket_test(poly: SimplePolygon, guards: Sequence[Point]
+                ) -> tuple[int, Point | None] | None:
+    """Exact coverage of a room by guards in its open rectangle: None if
+    poly is not a room (`_room_of`) or a guard lies elsewhere; otherwise
+    the number of pockets checked and a point of the first pocket that no
+    guard sees, or None if the guards (at least one) see all of poly.
+
+    Every guard sees the closed rectangle, which is convex and lies in
+    poly, and sees a point q of a pocket Q beyond it iff q lies in the
+    closed wedge l0 . q >= 0 >= l1 . q, with l0 and l1 the lines from the
+    guard through the mouth corners m0 and m1, the first and last vertices
+    of the pocket (see `_visibility` and `visible`).  So poly is covered
+    iff every Q lies in the union of the guards' wedges.  A pocket whose
+    vertices all lie in one wedge is covered.  Otherwise guard g misses q
+    iff q is in A_g = {l0 . q < 0} or in B_g = {l1 . q > 0}; beyond the
+    wall line the A_g are wedges at m0 between the wall and the ray from
+    g through m0, so they are nested, and so are the B_g at m1.  Sort the
+    guards so that A grows: q is missed by all iff, for the first k with
+    q in A_k, q lies in the least B_j of the guards j before k.  The missed
+    part of Q is thus a staircase, the union of Q meet A_k meet that
+    least B over k (and of Q meet the least B of all guards).  It is
+    relatively open in Q, so it is empty iff no such piece has area, which
+    clipping Q to the pieces' closed half-planes decides; the mean of
+    three vertices of a clip with area, not collinear, lies in Q's
+    interior and in no wedge.  All of this runs on the triples."""
+    room = _room_of(poly)
+    hgs = [hpoint(g) for g in guards]
+    if room is None or not all(room.holds(h) for h in hgs):
+        return None
+    hv = poly._h
+    checked = 0
+    for _, pockets in room.walls:
+        for _, _, pocket in pockets:
+            checked += 1
+            w = _pocket_miss([hv[v] for v in pocket], hgs)
+            if w is not None:
+                return checked, hpoint_to_point(w)
+    return checked, None
+
+
 def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     """True iff the closed segment pq lies inside the closed polygon.
 
@@ -1280,7 +1377,7 @@ def _visibility(poly: SimplePolygon, hp):
     return SimplePolygon._of_h(verts[first:] + verts[:first], hp), windows
 
 
-def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
+def window_test(poly: SimplePolygon, guards: Sequence[Point]
                 ) -> tuple[int, tuple[Point, Point] | None]:
     """The window test of exact coverage: the number of windows and window
     pieces tested, and the first piece whose hidden side no other guard
@@ -1330,26 +1427,13 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point], views=None
     A guard in a room's open rectangle, as every guard of a gallery is,
     gets its view pocket by pocket; any other guard, or a polygon that is
     not a room, is swept (`_visibility`); both give the same view.
-
-    `views`, if given, maps a guard's `hpoint` triple to its view, the
-    pair of `_visibility` for this polygon: the visibility polygon and its
-    windows, each window a pair of triples.  A guard found there is not
-    viewed again; a guard missing from it is viewed and its view added.  A
-    caller checking many configurations of one polygon passes one mapping
-    to all of them, and removes each view after the last configuration
-    that places a guard there.
     """
-    if views is None:
-        views = {}
     vps = []
     windows = []
     for gi, g in enumerate(guards):
-        h = hpoint(g)
-        view = views.get(h)
-        if view is None:
-            view = views[h] = _visibility(poly, h)
-        vps.append(view[0])
-        windows += [(gi, ha, hb) for ha, hb in view[1]]
+        vp, ws = _visibility(poly, hpoint(g))
+        vps.append(vp)
+        windows += [(gi, ha, hb) for ha, hb in ws]
 
     def cover(hm, allow):
         """The first guard in the bitmask allow whose VP holds hm inside;

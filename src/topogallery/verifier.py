@@ -5,7 +5,6 @@ surface classification."""
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,8 +29,8 @@ from .geom import (
     Point,
     SimplePolygon,
     hausdorff_distance_sq_max,
-    hpoint,
     midpoint,
+    pocket_test,
     visible,
     window_test,
 )
@@ -53,7 +52,7 @@ class CoverageReport:
 
 
 def covers(poly_or_gallery, guards: GuardConfig,
-           mode: str = "exact", *, views=None) -> CoverageReport:
+           mode: str = "exact") -> CoverageReport:
     """Decide exactly whether the guard set sees every point of the
     polygon.  `mode` has the one value "exact"; it stays a parameter so
     that callers passing it keep working.
@@ -61,17 +60,31 @@ def covers(poly_or_gallery, guards: GuardConfig,
     For a `Gallery` a certificate comes first: the clause witness points
     are tested with `visible`, and one that is in the polygon and seen by
     no guard is returned at once.  With no guard, a polygon vertex is
-    returned: nothing is seen.  Otherwise (and for a plain polygon) the
-    window test (`geom.window_test`) decides, by the argument of exact art
-    gallery solvers: cut the windows at the windows of the other guards,
-    and test each piece's hidden side at its midpoint m; a window that a
-    guard with no window near it covers at its midpoint is covered whole
-    and not cut.  If a piece is not covered, the report carries a
-    certificate: a point beside m on the hidden side, inside the polygon
-    and seen by no guard.  `witness_count` is the number of clause witness
-    points tested plus the windows dismissed whole and the window pieces
-    tested.  `views` is passed on to `window_test`: with one mapping
-    shared by many calls, each guard point is viewed once.
+    returned: nothing is seen.
+
+    Otherwise a room (a rectangle with convex pockets cut through its side
+    walls, as every gallery is, whether passed as a `Gallery` or as its
+    plain polygon) whose guards all lie in its open rectangle takes the
+    pocket test (`geom.pocket_test`).  Every guard sees the whole closed
+    rectangle; it sees into a pocket only through the pocket's mouth, so
+    the guards cover the polygon iff they cover each pocket; and the part
+    of a pocket that no guard sees is a staircase of wedges between the
+    lines from the guards through the mouth corners, which clipping the
+    pocket decides.  An uncovered pocket gives a point of its interior
+    outside every guard's wedge, which `visible` certifies here.
+    `witness_count` is the number of clause witness points tested plus
+    the pockets checked.
+
+    Any other polygon, or a guard elsewhere (on the rectangle's boundary
+    or in a pocket), takes the window test (`geom.window_test`), the
+    argument of exact art gallery solvers: cut the windows at the windows
+    of the other guards, and test each piece's hidden side at its midpoint
+    m; a window that a guard with no window near it covers at its midpoint
+    is covered whole and not cut.  If a piece is not covered, the report
+    carries a certificate: a point beside m on the hidden side, inside the
+    polygon and seen by no guard.  `witness_count` is then the number of
+    clause witness points tested plus the windows dismissed whole and the
+    window pieces tested.
     """
     if mode != "exact":
         raise VerifyError(f"unknown coverage mode {mode!r}")
@@ -91,9 +104,17 @@ def covers(poly_or_gallery, guards: GuardConfig,
                 return CoverageReport(False, w, tested)
 
     if not gpts:
-        # the window argument needs a guard; with none, nothing is seen
+        # both tests below need a guard; with none, nothing is seen
         return CoverageReport(False, poly.vertices[0], tested)
-    pieces, bad = window_test(poly, gpts, views)
+    found = pocket_test(poly, gpts)
+    if found is not None:
+        checked, w = found
+        if w is not None and (poly.locate(w) != "in"
+                              or any(visible(poly, g, w) for g in gpts)):
+            raise VerifyError("internal inconsistency: the pocket test's "
+                              f"witness {w} is not certified")
+        return CoverageReport(w is None, w, tested + checked)
+    pieces, bad = window_test(poly, gpts)
     if bad is not None:
         return CoverageReport(False, _hidden_side_witness(poly, gpts, *bad),
                               tested + pieces)
@@ -315,12 +336,6 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
     the order of its first draw; `off_checked` counts those cells.
     Embedded pairs respect the Hausdorff sup-norm equality.  Deterministic
     for a fixed seed.
-
-    The on-face configurations are embedded first, and the uses of each
-    guard point (its `hpoint` triple) are counted.  Their window tests
-    share one mapping of views, so each point is viewed once; its view is
-    dropped after its last use, so the views held at once are those of
-    points still to be used, not of every point sampled.
     """
     validate_complex(k)
     if k.n != g.formula.n:
@@ -344,17 +359,10 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
             lines.append(f"FAIL on-face {_fmt(x)}: formula false, coverage not checked")
             continue
         configs.append((x, embed(g, x)))
-    uses = Counter(hpoint(p) for _, c in configs for p in c.guards)
-    views: dict = {}
     for x, guards in configs:
-        rep = covers(g, guards, views=views)
+        rep = covers(g, guards)
         if not rep.covered:
             lines.append(f"FAIL on-face {_fmt(x)}: uncovered {rep.uncovered_witness}")
-        for p in guards.guards:
-            h = hpoint(p)
-            uses[h] -= 1
-            if not uses[h]:
-                views.pop(h, None)
     offs = [list(xs) for xs in dict.fromkeys(
         map(tuple, off_samples_for(g.formula, off_count, rng)))]
     for x in offs:

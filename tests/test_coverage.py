@@ -11,7 +11,9 @@ that cut every window; and the one walk of `_visibility`, which tells
 window parts by their ends, against the two walks it replaced, which
 located each part's midpoint and tested every vertex for straight-through;
 and the room view and `visible` from a room's open rectangle, against the
-sweep and the segment cutter they bypass."""
+sweep and the segment cutter they bypass; and the pocket test, which
+decides a room guarded from its open rectangle with no view at all,
+against the window test."""
 
 import random
 from collections import Counter
@@ -38,7 +40,7 @@ from topogallery.compiler import (
     compile_surface,
     embed,
 )
-from topogallery.formulas import dnf_to_cnf, simplify_cnf
+from topogallery.formulas import dnf_to_cnf, eval_formula, grid_axes, simplify_cnf
 from topogallery.gadgets import build_copy_strip
 from topogallery.geom import (
     FanPiece,
@@ -526,10 +528,11 @@ def _assert_certified(poly, gpts, w):
 
 
 def _agree(poly, gpts):
-    """Exact covers and the reference give the same verdict; an uncovered
-    report carries a certified witness."""
+    """Exact covers, the window test and the reference give the same
+    verdict; an uncovered report carries a certified witness."""
     rep = covers(poly, GuardConfig(tuple(gpts)))
     assert rep.covered == _fragment_cover(poly, gpts)[0]
+    assert rep.covered == (geom.window_test(poly, gpts)[1] is None)
     if not rep.covered:
         _assert_certified(poly, gpts, rep.uncovered_witness)
     return rep
@@ -620,7 +623,8 @@ def test_window_test_matches_reference_on_mobius():
                          ids=["circle", "sphere", "mobius"])
 def test_clause_certificate_agrees_with_window_test(make_complex):
     # a gallery is first screened at its clause witness points; the plain
-    # polygon goes straight to the window test
+    # polygon goes straight to the pocket test, whose verdict the window
+    # test shares
     k = make_complex()
     g = _gallery(k)
     rng = random.Random(3)
@@ -629,6 +633,7 @@ def test_clause_certificate_agrees_with_window_test(make_complex):
         cfg = embed(g, x)
         rep_g, rep_p = covers(g, cfg), covers(g.polygon, cfg)
         assert rep_g.covered == rep_p.covered == on, x
+        assert (geom.window_test(g.polygon, cfg.guards)[1] is None) == on, x
         if on:
             assert rep_g.witness_count == \
                 len(g.clause_gadgets) + rep_p.witness_count
@@ -758,41 +763,28 @@ def test_one_sweep_per_guard(monkeypatch):
     assert calls == list(three.guards)
 
 
-def test_sample_solution_space_sweeps_each_guard_point_once(monkeypatch):
-    # the on-face configurations share guard points: each distinct point
-    # is viewed once (one `_visibility` call; a guard in the room's open
-    # rectangle takes the room view, not `_sweep`), all calls share one
-    # mapping of views, and every view is dropped after its last use
-    viewed = []
-    view = geom._visibility
+def test_sample_solution_space_views_no_guard_point(monkeypatch):
+    # every guard of a gallery lies in the room's open rectangle, so the
+    # pocket test decides each configuration: no guard point is viewed
+    # and no window is tested
+    calls = []
     monkeypatch.setattr(geom, "_visibility",
-                        lambda poly, hp: viewed.append(hp) or view(poly, hp))
-    shared = []
-    window_test = verifier.window_test
-
-    def recording(poly, guards, views=None):
-        shared.append(views)
-        return window_test(poly, guards, views)
-
-    monkeypatch.setattr(verifier, "window_test", recording)
+                        lambda poly, hp: calls.append("view"))
+    monkeypatch.setattr(verifier, "window_test",
+                        lambda poly, guards: calls.append("window_test"))
     k = mobius_complex()
     g = _gallery(k)
-    report = verifier.sample_solution_space(g, k, on_count=6, off_count=0,
+    report = verifier.sample_solution_space(g, k, on_count=6, off_count=6,
                                             seed=3, pair_count=0)
     assert report.passed
-    uses = Counter(hpoint(p) for x in on_face_samples(k, 6, random.Random(3))
-                   for p in embed(g, x).guards)
-    assert len(uses) < sum(uses.values())  # the samples do share points
-    assert sorted(viewed) == sorted(uses)
-    assert len(shared) == 6 and all(v is shared[0] for v in shared)
-    assert shared[0] == {}
+    assert calls == []
 
 
 def test_window_layer_makes_points_only_at_the_edge(monkeypatch):
-    # one Moebius on-face configuration with a fresh views mapping: each
-    # guard is made a triple once, and the sweeps, windows, cuts and piece
-    # tests of a covered configuration make no Point; a visibility polygon
-    # makes its Points when they are first read
+    # one Moebius on-face configuration: each guard is made a triple once,
+    # and the sweeps, windows, cuts and piece tests of a covered
+    # configuration make no Point; a visibility polygon makes its Points
+    # when they are first read
     k = mobius_complex()
     g = _gallery(k)
     guards = list(embed(g, on_face_samples(k, 1, random.Random(7))[0]).guards)
@@ -806,7 +798,7 @@ def test_window_layer_makes_points_only_at_the_edge(monkeypatch):
     init = Point.__init__
     monkeypatch.setattr(Point, "__init__",
                         lambda self, x, y: built.append(1) or init(self, x, y))
-    tested, bad = geom.window_test(g.polygon, guards, {})
+    tested, bad = geom.window_test(g.polygon, guards)
     assert bad is None and tested > 0
     assert calls == {"hpoint": len(guards)} and built == []
     vp = geom.visibility_polygon(g.polygon, guards[0])
@@ -835,7 +827,7 @@ def test_visibility_polygons_take_the_linear_validation(monkeypatch):
         raise AssertionError("full validation of a visibility polygon")
 
     monkeypatch.setattr(SimplePolygon, "_validate", refuse)
-    tested, bad = geom.window_test(g.polygon, guards, {})
+    tested, bad = geom.window_test(g.polygon, guards)
     assert bad is None and tested > 0
     for q in guards2:
         geom.visibility_polygon(g2.polygon, q)
@@ -1297,7 +1289,7 @@ def test_most_moebius_windows_are_dismissed_whole(monkeypatch):
     k = mobius_complex()
     g = _gallery(k)
     for x in on_face_samples(k, 4, random.Random(1)):
-        assert covers(g.polygon, embed(g, x)).covered
+        assert geom.window_test(g.polygon, embed(g, x).guards)[1] is None
     assert 0 < counts["cut"] < counts["windows"] / 4
 
 
@@ -1636,3 +1628,170 @@ def test_recogniser_negatives_take_the_sweep(monkeypatch, poly, p):
     assert geom._room_of(poly) is None
     geom._visibility(poly, hpoint(p))
     assert swept == [hpoint(p)]
+
+
+# --- the pocket test against the window test ----------------------------------
+
+def _same_as_window_test(poly, gpts):
+    """The pocket test runs on poly and gives the window test's verdict;
+    its witness is inside poly and seen by no guard.  Returns the
+    verdict."""
+    found = geom.pocket_test(poly, gpts)
+    assert found is not None
+    _, w = found
+    assert (w is None) == (geom.window_test(poly, gpts)[1] is None)
+    if w is not None:
+        _assert_certified(poly, gpts, w)
+    return w is None
+
+
+@pytest.mark.parametrize("make_complex",
+                         [circle_complex, sphere_complex, mobius_complex],
+                         ids=["circle", "sphere", "mobius"])
+def test_pocket_test_matches_window_test_on_galleries(make_complex):
+    # three on-face and three off-cell configurations, on the gallery and
+    # on a plain copy of its polygon
+    k = make_complex()
+    g = _gallery(k)
+    plain = SimplePolygon(g.polygon.vertices)
+    rng = random.Random(5)
+    configs = on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng)
+    for x, on in zip(configs, [True] * 3 + [False] * 3):
+        cfg = embed(g, x)
+        assert _same_as_window_test(plain, cfg.guards) == on, x
+        assert covers(g, cfg).covered == covers(plain, cfg).covered == on, x
+
+
+def test_pocket_test_matches_window_test_on_genus_2():
+    # a point of band 0 on the orientable genus-2 surface that satisfies
+    # the formula and one that does not, as in test_compiler
+    g = compile_surface(2, True)
+    fc1, _ = canonical_removed_faces(torus_complex())
+    rim = next(f for f in face_with_boundary(torus_complex(), fc1).faces
+               if f.count(None) == 1)
+    ks = g.formula.band_constants
+    mid = (ks[0] + ks[1]) / 2
+    x_on = [mid] + [_q(1, 2) if v is None else Fraction(v) for v in rim]
+    x_off = [mid] + [_q(1, 2) if v is None else Fraction(v) for v in fc1]
+    assert _same_as_window_test(g.polygon, embed(g, x_on).guards)
+    assert not _same_as_window_test(g.polygon, embed(g, x_off).guards)
+
+
+@st.composite
+def _pocket_rooms(draw):
+    """A room of `rooms` and its points, with up to three more guards on the
+    line through a mouth corner and its neighbour on the pocket's chain
+    (a wedge side then runs along that pocket edge)."""
+    poly, pts = draw(rooms())
+    room = geom._room_of(poly)
+    pockets = [pocket for _, ps in room.walls for _, _, pocket in ps]
+    hv = poly._h
+    for _ in range(draw(st.integers(0, 3) if pockets else st.just(0))):
+        pocket = draw(st.sampled_from(pockets))
+        m, c = draw(st.sampled_from([pocket[:2], pocket[:-3:-1]]))
+        a, b = hpoint_to_point(hv[m]), hpoint_to_point(hv[c])
+        t = Fraction(draw(st.integers(1, 16)), 8)
+        g = Point(a.x + t * (a.x - b.x), a.y + t * (a.y - b.y))
+        if room.holds(hpoint(g)):
+            pts.append(g)
+    return poly, pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pocket_rooms())
+def test_pocket_test_matches_window_test_on_random_rooms(case):
+    _same_as_window_test(*case)
+
+
+def _one_wedge_room():
+    # the square [0, 8]^2 with the pocket (8, 3), (12, 4), (8, 5)
+    return SimplePolygon([pt(x, y) for x, y in (
+        (0, 0), (8, 0), (8, 3), (12, 4), (8, 5), (8, 8), (0, 8))])
+
+
+def test_pocket_missed_between_two_guards_is_one_wedge():
+    # the guard at (4, 1) sees the pocket above the line from it through
+    # (8, 3), the guard at (4, 7) below the line from it through (8, 5):
+    # the missed part is the one staircase wedge between those lines,
+    # around the apex; a guard at (4, 4) sees the whole pocket
+    poly = _one_wedge_room()
+    low, high = pt(4, 1), pt(4, 7)
+    assert not _same_as_window_test(poly, [low, high])
+    checked, w = geom.pocket_test(poly, [low, high])
+    assert checked == 1
+    assert orient(low, pt(8, 3), w) < 0 < orient(high, pt(8, 5), w)
+    assert _same_as_window_test(poly, [low, high, pt(4, 4)])
+    # a wedge side along the edge (8, 3)-(12, 4), or at the lower mouth
+    # corner's height, still lets one guard see the whole pocket
+    assert _same_as_window_test(poly, [pt(4, 2)])
+    assert _same_as_window_test(poly, [pt(4, 3)])
+
+
+def test_pocket_test_matches_window_test_on_a_moved_guard():
+    # each guard of one Moebius configuration moved off its segment, by a
+    # step within the open rectangle
+    k = mobius_complex()
+    g = _gallery(k)
+    room = geom._room_of(g.polygon)
+    guards = list(embed(g, on_face_samples(k, 1, random.Random(7))[0]).guards)
+    verdicts = Counter()
+    for i, q in enumerate(guards):
+        moved = Point(q.x + _q(1, 16), q.y - _q(1, 16))
+        assert room.holds(hpoint(moved))
+        verdicts[_same_as_window_test(
+            g.polygon, guards[:i] + [moved] + guards[i + 1:])] += 1
+    assert verdicts[False]
+
+
+def test_pocket_test_matches_window_test_on_a_widened_copy_mouth():
+    # the lower mouth corner D of a copy chamber moved down the left wall,
+    # halfway to the next wall vertex: the chamber stays convex and opens
+    # toward the rows
+    k = mobius_complex()
+    g = _gallery(k)
+    verts = list(g.polygon.vertices)
+    for pair in g.copy_pairs[:2]:
+        i = verts.index(pair.gadget.D)
+        wide = SimplePolygon(verts[:i] + [midpoint(verts[i], verts[i + 1])]
+                             + verts[i + 1:])
+        assert geom._room_of(wide) is not None
+        for x in on_face_samples(k, 2, random.Random(7)):
+            _same_as_window_test(wide, embed(g, x).guards)
+
+
+@pytest.mark.parametrize("poly, gpts", [
+    (square(), [pt(1, 0)]),
+    (square(), [pt(2, 2), pt(4, 4)]),
+    (_one_wedge_room(), [pt(4, 4), pt(10, 4)]),
+    (_one_wedge_room(), [pt(8, 4)]),
+    (comb_polygon(), [pt(_q(1, 2), _q(3, 2))]),
+    (l_shape(), [pt(_q(1, 2), _q(1, 2))]),
+], ids=["square-edge", "square-corner", "in-pocket", "in-mouth", "comb",
+        "l-shape"])
+def test_pocket_test_falls_back_to_window_test(monkeypatch, poly, gpts):
+    # a guard on the rectangle's boundary or beyond it, or a polygon that
+    # is not a room, takes the window test
+    called = []
+    window_test = verifier.window_test
+    monkeypatch.setattr(verifier, "window_test", lambda poly, guards:
+                        called.append(1) or window_test(poly, guards))
+    assert geom.pocket_test(poly, gpts) is None
+    covers(poly, GuardConfig(tuple(gpts)))
+    assert called == [1]
+
+
+def test_exact_coverage_at_non_orientable_genus_2():
+    # 7,764 vertices and 446 guards: one on-cell configuration, found by a
+    # seeded search over the grid representatives, is covered; one
+    # off-cell configuration is not, with a certified witness
+    g = compile_surface(2, False)
+    f = g.formula
+    rng = random.Random(0)
+    cells = [[rng.choice(axis) for axis in grid_axes(f)] for _ in range(64)]
+    x_on = next(x for x in cells if eval_formula(f, x))
+    x_off = next(x for x in cells if not eval_formula(f, x))
+    assert covers(g, embed(g, x_on)).covered
+    cfg = embed(g, x_off)
+    rep = covers(g.polygon, cfg)
+    assert not rep.covered
+    _assert_certified(g.polygon, cfg.guards, rep.uncovered_witness)

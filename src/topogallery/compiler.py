@@ -127,12 +127,23 @@ class Gallery:
         return hi - lo
 
     def separation_sq(self) -> Fraction:
-        """Squared half-distance between the two closest distinct segments."""
+        """Squared half-distance between the two closest distinct segments.
+
+        The segments (horizontal rows) are sorted by height once, and each
+        is compared only with the rows above it, in that order, until one
+        has dy^2 >= best, the least squared distance so far.  The stop is
+        exact: every squared distance is at least dy^2, and dy only grows
+        further up, so no later pair is nearer; every pair not compared is
+        such a later pair, so best is the all-pairs minimum."""
         best = None
-        segs = [r.segment for r in self.segments]
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                d = _segment_dist_sq(segs[i], segs[j])
+        segs = sorted((r.segment for r in self.segments), key=lambda s: s.a.y)
+        for i, s in enumerate(segs):
+            y = s.a.y
+            for t in segs[i + 1:]:
+                dy = t.a.y - y
+                if best is not None and dy * dy >= best:
+                    break
+                d = _segment_dist_sq(s, t)
                 if best is None or d < best:
                     best = d
         return best / 4 if best is not None else Fraction(0)
@@ -164,8 +175,21 @@ def embed(g: Gallery, x) -> GuardConfig:
             f"point has dimension {len(xs)}, gallery formula has {g.formula.n}")
     if any(v < 0 or v > 1 for v in xs):
         raise CompileError("coordinates must lie in [0, 1]")
-    guards = tuple(rec.segment.point_at(xs[rec.var]) for rec in g.segments)
-    return GuardConfig(guards)
+    # a horizontal segment keeps its y, and the segments of one column
+    # share their ends, so each (var, a.x, b.x) gives one x
+    xat: dict = {}
+    guards = []
+    for rec in g.segments:
+        a, b = rec.segment.a, rec.segment.b
+        if a.y != b.y:
+            guards.append(rec.segment.point_at(xs[rec.var]))
+            continue
+        key = (rec.var, a.x, b.x)
+        x = xat.get(key)
+        if x is None:
+            x = xat[key] = a.x + xs[rec.var] * (b.x - a.x)
+        guards.append(Point(x, a.y))
+    return GuardConfig(tuple(guards))
 
 
 # --- layout -------------------------------------------------------------

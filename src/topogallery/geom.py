@@ -20,6 +20,7 @@ that meet, both for polygon validation and for cutting windows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -233,22 +234,44 @@ def hausdorff_distance_sq_max(g0: Iterable[Point], g1: Iterable[Point]) -> Fract
 
     Distances are compared on homogeneous triples: the squared distance of
     (X, Y, W) and (U, V, Z) is (num, den) = ((XZ - UW)^2 + (YZ - VW)^2,
-    (WZ)^2), and one Fraction is made for the result."""
+    (WZ)^2), and one Fraction is made for the result.
+
+    The nearest point of one set to a point p of the other is found by a
+    walk over that set in the order of the y keys floor(y * 2^_BOX_BITS),
+    from p's place in that order up, then down.  A side's walk stops at a
+    point whose key differs from p's by k where g = k - 1 > 0 and
+    (g^2 * den) >> 2 _BOX_BITS >= num, for (num, den) the nearest distance
+    so far.  The stop is exact: each key is off from the scaled y by less
+    than 1, so that point's |dy| * 2^_BOX_BITS exceeds g, and its squared
+    distance is at least dy^2 > g^2 / 2^(2 _BOX_BITS) >= num / den; the
+    keys never decrease along the order, so g only grows further along
+    the side, and no point there is nearer."""
     a = [hpoint(p) for p in g0]
     b = [hpoint(q) for q in g1]
     if not a or not b:
         raise GeometryError("hausdorff distance of an empty set")
+    shift = 2 * _BOX_BITS
 
     def directed(src, dst):
+        dst = sorted(((y << _BOX_BITS) // w, x, y, w) for x, y, w in dst)
+        keys = [d[0] for d in dst]
         worst = (0, 1)
         for px, py, pw in src:
+            kp = (py << _BOX_BITS) // pw
+            i = bisect_left(keys, kp)
             near = None
-            for qx, qy, qw in dst:
-                dx = px * qw - qx * pw
-                dy = py * qw - qy * pw
-                d = (dx * dx + dy * dy, (pw * qw) ** 2)
-                if near is None or d[0] * near[1] < near[0] * d[1]:
-                    near = d
+            for side in (range(i, len(dst)), range(i - 1, -1, -1)):
+                for j in side:
+                    k, qx, qy, qw = dst[j]
+                    if near is not None:
+                        g = abs(k - kp) - 1
+                        if g > 0 and (g * g * near[1]) >> shift >= near[0]:
+                            break
+                    dx = px * qw - qx * pw
+                    dy = py * qw - qy * pw
+                    d = (dx * dx + dy * dy, (pw * qw) ** 2)
+                    if near is None or d[0] * near[1] < near[0] * d[1]:
+                        near = d
             if worst[0] * near[1] < near[0] * worst[1]:
                 worst = near
         return worst
@@ -925,17 +948,29 @@ def _inner_point(hs):
     return None
 
 
-def _pocket_miss(hs, hgs):
+def _pocket_miss(hs, hgs, order, keys):
     """A point (triple) inside the pocket hs, its vertex triples from one
     mouth corner to the other, that no guard hgs sees; None if they see
-    all of it.  See `pocket_test` for the proof."""
+    all of it.  order lists the guards' indices by y key and keys holds
+    those keys in that order.  See `pocket_test` for the proof and the
+    order in which the guards are tried."""
     m0, m1, inner = hs[0], hs[-1], hs[1:-1]
-    lines = []
-    for hg in hgs:
+    lines = [None] * len(hgs)
+    k = ((m0[1] << _BOX_BITS) // m0[2] + (m1[1] << _BOX_BITS) // m1[2]) >> 1
+    up = bisect_left(keys, k)
+    down = up - 1
+    while up < len(keys) or down >= 0:
+        if down < 0 or (up < len(keys) and keys[up] - k <= k - keys[down]):
+            i = order[up]
+            up += 1
+        else:
+            i = order[down]
+            down -= 1
+        hg = hgs[i]
         l0, l1 = _hline(hg, m0), _hline(hg, m1)
         if all(_dot(l0, h) >= 0 >= _dot(l1, h) for h in inner):
             return None
-        lines.append((l0, l1, hg))
+        lines[i] = (l0, l1, hg)
     # A_a lies in A_b iff l0_a . g_b >= 0
     lines.sort(key=cmp_to_key(lambda a, b: _dot(a[0], b[2])))
     cut = None  # the line l1 of the least B so far
@@ -973,17 +1008,30 @@ def pocket_test(poly: SimplePolygon, guards: Sequence[Point]
     relatively open in Q, so it is empty iff no such piece has area, which
     clipping Q to the pieces' closed half-planes decides; the mean of
     three vertices of a clip with area, not collinear, lies in Q's
-    interior and in no wedge.  All of this runs on the triples."""
+    interior and in no wedge.  All of this runs on the triples.
+
+    Guard order: the guards are sorted once per call by their y keys
+    floor(y * 2^_BOX_BITS).  The one-wedge pre-pass tries them, for each
+    pocket, outward from the key halfway between its mouth corners' keys,
+    the nearer key first: a pocket that one guard sees whole is mostly
+    seen from the row at its own height.  The order decides only how
+    soon a covering guard is found, not whether: every guard is tried
+    before the staircase runs.  The staircase sorts the guards from index
+    order, so its comparator's ties, and with them the witness, do not
+    depend on the pre-pass."""
     room = _room_of(poly)
     hgs = [hpoint(g) for g in guards]
     if room is None or not all(room.holds(h) for h in hgs):
         return None
     hv = poly._h
+    ky = [(y << _BOX_BITS) // w for _, y, w in hgs]
+    order = sorted(range(len(hgs)), key=ky.__getitem__)
+    keys = [ky[i] for i in order]
     checked = 0
     for _, pockets in room.walls:
         for _, _, pocket in pockets:
             checked += 1
-            w = _pocket_miss([hv[v] for v in pocket], hgs)
+            w = _pocket_miss([hv[v] for v in pocket], hgs, order, keys)
             if w is not None:
                 return checked, hpoint_to_point(w)
     return checked, None

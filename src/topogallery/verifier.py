@@ -309,11 +309,15 @@ def _off_cells(f: CnfFormula) -> list[tuple]:
     return cells
 
 
+def _draw_cells(cells: list[tuple], count: int, rng: random.Random):
+    """count draws with replacement from cells, each as a list."""
+    return [list(cells[rng.randrange(len(cells))]) for _ in range(count)]
+
+
 def off_samples_for(f: CnfFormula, count: int, rng: random.Random):
     """Representatives of grid cells where the formula is false, count
     draws with replacement."""
-    cells = _off_cells(f)
-    return [list(cells[rng.randrange(len(cells))]) for _ in range(count)]
+    return _draw_cells(_off_cells(f), count, rng)
 
 
 def _fmt(xs) -> str:
@@ -331,9 +335,10 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
     the gallery and those of off-cell grid representatives must not, as
     `covers` proves for each sample (an on-face sample where the formula
     is false fails unchecked); an off-cell's uncovered witness is
-    certified by `covers` itself.  The off cells are drawn with replacement
-    (`off_samples_for`), and each distinct cell drawn is checked once, in
-    the order of its first draw; `off_checked` counts those cells.
+    certified by `covers` itself.  The off cells are counted once and
+    drawn with replacement, as `off_samples_for` draws them, and each
+    distinct cell drawn is checked once, in the order of its first draw;
+    `off_checked` counts those cells.
     Embedded pairs respect the Hausdorff sup-norm equality.  Deterministic
     for a fixed seed.
     """
@@ -363,8 +368,9 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
         rep = covers(g, guards)
         if not rep.covered:
             lines.append(f"FAIL on-face {_fmt(x)}: uncovered {rep.uncovered_witness}")
+    off_cells = _off_cells(g.formula)
     offs = [list(xs) for xs in dict.fromkeys(
-        map(tuple, off_samples_for(g.formula, off_count, rng)))]
+        map(tuple, _draw_cells(off_cells, off_count, rng)))]
     for x in offs:
         guards = embed(g, x)
         rep = covers(g, guards)
@@ -398,7 +404,7 @@ def sample_solution_space(g: Gallery, k: CubicalComplex, on_count: int = 120,
         lines = ["PASS complex equals gallery formula (exact grid check)",
                  f"PASS on-face coverage ({len(ons)} points)",
                  f"PASS off-cell non-coverage ({len(offs)} distinct cells "
-                 f"of {len(_off_cells(g.formula))})",
+                 f"of {len(off_cells)})",
                  f"PASS embed metric/injectivity ({pair_checked} pairs)"]
     return SampleReport(len(ons), len(offs), pair_checked, seed, passed,
                         tuple(lines))

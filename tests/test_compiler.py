@@ -2,12 +2,24 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from topogallery.complexes import torus_complex
+from topogallery.complexes import (
+    circle_complex,
+    complex_to_dnf,
+    mobius_complex,
+    sphere_complex,
+    torus_complex,
+)
 from topogallery.compiler import (
     CompileError,
+    Gallery,
     canonical_removed_faces,
     compile_gallery,
     compile_surface,
@@ -19,9 +31,11 @@ from topogallery.formulas import (
     Band,
     VarEq,
     cnf,
+    dnf_to_cnf,
     eval_formula,
+    simplify_cnf,
 )
-from topogallery.geom import hausdorff_distance_sq_max, visible
+from topogallery.geom import Point, Segment, hausdorff_distance_sq_max, visible
 
 
 def mobius_eq1():
@@ -227,3 +241,94 @@ def test_surface_gallery_band_coverage():
     x_bad = [mid] + [Fraction(1, 2) if v is None else Fraction(v) for v in fc1]
     assert not eval_formula(f, x_bad)
     assert not covers(g, embed(g, x_bad)).covered
+
+
+# --- the sampling checks against their all-pairs references --------------------
+
+SAMPLED = ["circle", "sphere", "mobius", "orientable-2", "non-orientable-2"]
+
+
+@lru_cache(maxsize=None)
+def _sampled_gallery(name):
+    """A gallery the sampling checks run on, compiled once per session."""
+    makers = {"circle": circle_complex, "sphere": sphere_complex,
+              "mobius": mobius_complex}
+    if name in makers:
+        return compile_gallery(simplify_cnf(dnf_to_cnf(complex_to_dnf(
+            makers[name]()))))
+    return compile_surface(2, name == "orientable-2")
+
+
+def _separation_sq_reference(g):
+    """Every pair of rows, on integers over one common denominator."""
+    segs = [r.segment for r in g.segments]
+    assert all(s.a.y == s.b.y and s.a.x < s.b.x for s in segs)
+    den = lcm(*(v.denominator for s in segs for v in (s.a.x, s.b.x, s.a.y)))
+    rows = [(int(s.a.x * den), int(s.b.x * den), int(s.a.y * den))
+            for s in segs]
+    best = min(max(lo2 - hi1, lo1 - hi2, 0) ** 2 + (y1 - y2) ** 2
+               for (lo1, hi1, y1), (lo2, hi2, y2) in combinations(rows, 2))
+    return Fraction(best, 4 * den * den)
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_embed_matches_point_at_on_every_segment(name):
+    g = _sampled_gallery(name)
+    n = g.formula.n
+    rng = random.Random(27)
+    xs = [[Fraction(0)] * n, [Fraction(1)] * n] + [
+        [Fraction(rng.randint(0, 2048), 2048) for _ in range(n)]
+        for _ in range(4)]
+    for x in xs:
+        assert embed(g, x).guards == tuple(
+            rec.segment.point_at(x[rec.var]) for rec in g.segments), x
+
+
+_row = st.builds(
+    lambda lo, length, y: (Fraction(lo, 4), Fraction(lo + length, 4),
+                           Fraction(y, 10)),
+    st.integers(0, 12), st.integers(1, 6), st.integers(0, 24))
+
+
+@settings(max_examples=200)
+# the nearest pair is not adjacent in height, and its dy exceeds the
+# distance of the adjacent pair but not its square root
+@example([(Fraction(0), Fraction(1), Fraction(0)),
+          (Fraction(3, 2), Fraction(2), Fraction(1, 10)),
+          (Fraction(0), Fraction(1), Fraction(3, 10))])
+@given(st.lists(_row, min_size=2, max_size=12))
+def test_separation_sq_matches_all_pairs_on_random_rows(rows):
+    # rows (lo, hi, y) in a stand-in with the one attribute the sweep reads
+    g = SimpleNamespace(segments=[
+        SimpleNamespace(segment=Segment(Point(lo, y), Point(hi, y)))
+        for lo, hi, y in rows])
+    assert Gallery.separation_sq(g) == _separation_sq_reference(g)
+
+
+@pytest.mark.parametrize("name", SAMPLED[:-1])
+def test_separation_sq_matches_all_pairs(name):
+    # non-orientable genus 2 is checked by the scaling test below
+    g = _sampled_gallery(name)
+    assert g.separation_sq() == _separation_sq_reference(g)
+
+
+def test_sampling_checks_scale_to_non_orientable_genus_2():
+    # 446 guards: the row sweep gives the all-pairs separation, and ten
+    # embedded pairs below it give the Hausdorff distance max(width * dx)^2
+    # exactly, as `sample_solution_space` checks them
+    g = _sampled_gallery("non-orientable-2")
+    assert g.k == 446
+    sep_sq = g.separation_sq()
+    assert sep_sq == _separation_sq_reference(g)
+    widths = {v: g.segment_width(v) for v in g.columns}
+    rng = random.Random(27)
+    checked = 0
+    while checked < 10:
+        x = [Fraction(rng.randint(1, 63), 64) for _ in range(g.formula.n)]
+        x2 = [a + Fraction(rng.randint(-16, 16), 2048) for a in x]
+        expected = max(w * abs(x[v] - x2[v]) for v, w in widths.items()) ** 2
+        if expected == 0 or expected > sep_sq:
+            continue
+        d2 = hausdorff_distance_sq_max(embed(g, x).guards, embed(g, x2).guards)
+        assert d2 == expected, (x, x2)
+        checked += 1

@@ -1632,12 +1632,46 @@ def test_recogniser_negatives_take_the_sweep(monkeypatch, poly, p):
 
 # --- the pocket test against the window test ----------------------------------
 
+def _pocket_test_index_order(poly, gpts):
+    """`geom.pocket_test` with its pre-pass trying the guards in index
+    order: the reference for the nearest-row-first order."""
+    room = geom._room_of(poly)
+    hgs = [hpoint(g) for g in gpts]
+    if room is None or not all(room.holds(h) for h in hgs):
+        return None
+    checked = 0
+    for _, pockets in room.walls:
+        for _, _, pocket in pockets:
+            checked += 1
+            hs = [poly._h[v] for v in pocket]
+            m0, m1, inner = hs[0], hs[-1], hs[1:-1]
+            lines = [(_hline(hg, m0), _hline(hg, m1), hg) for hg in hgs]
+            if any(all(geom._dot(l0, h) >= 0 >= geom._dot(l1, h)
+                       for h in inner) for l0, l1, _ in lines):
+                continue
+            lines.sort(key=cmp_to_key(lambda a, b: geom._dot(a[0], b[2])))
+            cut = None
+            for l0, l1, hg in lines:
+                clip = geom._clip_h(hs, (-l0[0], -l0[1], -l0[2]))
+                w = geom._inner_point(
+                    clip if cut is None else geom._clip_h(clip, cut))
+                if w is not None:
+                    return checked, hpoint_to_point(w)
+                if cut is None or geom._dot(cut, hg) < 0:
+                    cut = l1
+            w = geom._inner_point(geom._clip_h(hs, cut))
+            if w is not None:
+                return checked, hpoint_to_point(w)
+    return checked, None
+
+
 def _same_as_window_test(poly, gpts):
-    """The pocket test runs on poly and gives the window test's verdict;
-    its witness is inside poly and seen by no guard.  Returns the
-    verdict."""
+    """The pocket test runs on poly and gives the window test's verdict
+    and the index-order reference's result; its witness is inside poly and
+    seen by no guard.  Returns the verdict."""
     found = geom.pocket_test(poly, gpts)
     assert found is not None
+    assert found == _pocket_test_index_order(poly, gpts)
     _, w = found
     assert (w is None) == (geom.window_test(poly, gpts)[1] is None)
     if w is not None:
@@ -1795,3 +1829,9 @@ def test_exact_coverage_at_non_orientable_genus_2():
     rep = covers(g.polygon, cfg)
     assert not rep.covered
     _assert_certified(g.polygon, cfg.guards, rep.uncovered_witness)
+    # the nearest-row-first pre-pass checks the same pockets and finds the
+    # same witness as the index-order reference
+    for x in (x_on, x_off):
+        gpts = embed(g, x).guards
+        assert geom.pocket_test(g.polygon, gpts) == \
+            _pocket_test_index_order(g.polygon, gpts)

@@ -282,6 +282,37 @@ def test_hausdorff_matches_fraction_definition(a, b):
     assert d == hausdorff_distance_sq_max(b, a)
 
 
+@st.composite
+def _clustered_point_sets(draw):
+    """Two sets of up to 40 points over one denominator beyond 2^64, so
+    numerators run beyond 64 bits.  Their xs come from a few columns and
+    their ys from a few heights next to multiples of 2^-64, where the y
+    keys step; each coordinate is nudged by up to two steps of 1/den, less
+    than 2^-64, so many points share a y, and points whose ys differ by
+    less than 2^-64 share a y key or lie on the two sides of a step."""
+    den = draw(st.sampled_from([2 ** 72, 3 ** 47, 5 * 2 ** 70 + 1]))
+    columns = draw(st.lists(st.integers(-8 * den, 8 * den), min_size=1,
+                            max_size=3))
+    heights = draw(st.lists(st.integers(-3 << 64, 3 << 64), min_size=1,
+                            max_size=4))
+    nudge = st.integers(-2, 2)
+    point = st.builds(
+        lambda x, dx, h, dy: Point(Fraction(x + dx, den),
+                                   Fraction((h * den >> 64) + dy, den)),
+        st.sampled_from(columns), nudge, st.sampled_from(heights), nudge)
+    return (draw(st.lists(point, min_size=1, max_size=40)),
+            draw(st.lists(point, min_size=1, max_size=40)))
+
+
+@settings(max_examples=100)
+@given(_clustered_point_sets())
+def test_hausdorff_matches_fraction_definition_on_clustered_rows(sets):
+    a, b = sets
+    d = hausdorff_distance_sq_max(a, b)
+    assert d == _hausdorff_reference(a, b)
+    assert d == hausdorff_distance_sq_max(b, a)
+
+
 # --- x_at / y_at ---------------------------------------------------------
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)

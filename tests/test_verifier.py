@@ -167,6 +167,28 @@ def test_sample_checks_each_distinct_off_cell_once(monkeypatch):
     assert "PASS off-cell non-coverage (7 distinct cells of 45)" in rep.lines
 
 
+def test_sample_catches_a_guard_off_its_segment(monkeypatch):
+    # one guard lifted off its row by x_var / 2048 of its column: the
+    # metric check, on the row-sorted Hausdorff walk, reports the pairs in
+    # which that guard's variable moves most
+    g = compile_gallery(mobius_eq1())
+    k = mobius_complex()
+    rec = g.segments[0]
+
+    def lifted(gal, x):
+        guards = list(embed(gal, x).guards)
+        p = guards[0]
+        guards[0] = Point(p.x, p.y + Fraction(x[rec.var])
+                          * gal.segment_width(rec.var) / 2048)
+        return GuardConfig(tuple(guards))
+
+    monkeypatch.setattr(verifier, "embed", lifted)
+    rep = sample_solution_space(g, k, on_count=0, off_count=0, seed=7,
+                                pair_count=50)
+    assert not rep.passed
+    assert any(l.startswith("FAIL embed metric") for l in rep.lines), rep.lines
+
+
 def test_sample_report_deterministic():
     g = compile_gallery(mobius_eq1())
     k = mobius_complex()

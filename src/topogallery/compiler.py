@@ -168,28 +168,18 @@ def vertex_count(g: Gallery) -> int:
 
 
 def embed(g: Gallery, x) -> GuardConfig:
-    """One guard per segment, at affine parameter x_var along it."""
+    """One guard per segment, at affine parameter x_var along it.  Every
+    row is horizontal and spans its column (`_audit`), so the guard is
+    its column's x at the row's y."""
     xs = [rat(v) for v in x]
     if len(xs) != g.formula.n:
         raise CompileError(
             f"point has dimension {len(xs)}, gallery formula has {g.formula.n}")
     if any(v < 0 or v > 1 for v in xs):
         raise CompileError("coordinates must lie in [0, 1]")
-    # a horizontal segment keeps its y, and the segments of one column
-    # share their ends, so each (var, a.x, b.x) gives one x
-    xat: dict = {}
-    guards = []
-    for rec in g.segments:
-        a, b = rec.segment.a, rec.segment.b
-        if a.y != b.y:
-            guards.append(rec.segment.point_at(xs[rec.var]))
-            continue
-        key = (rec.var, a.x, b.x)
-        x = xat.get(key)
-        if x is None:
-            x = xat[key] = a.x + xs[rec.var] * (b.x - a.x)
-        guards.append(Point(x, a.y))
-    return GuardConfig(tuple(guards))
+    xcol = {v: lo + xs[v] * (hi - lo) for v, (lo, hi) in g.columns.items()}
+    return GuardConfig(tuple(Point(xcol[rec.var], rec.segment.a.y)
+                             for rec in g.segments))
 
 
 # --- layout -------------------------------------------------------------

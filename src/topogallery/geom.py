@@ -948,15 +948,15 @@ def _inner_point(hs):
     return None
 
 
-def _pocket_miss(hs, hgs, order, keys):
+def _pocket_miss(hs, hgs, order, keys, k):
     """A point (triple) inside the pocket hs, its vertex triples from one
     mouth corner to the other, that no guard hgs sees; None if they see
-    all of it.  order lists the guards' indices by y key and keys holds
-    those keys in that order.  See `pocket_test` for the proof and the
-    order in which the guards are tried."""
+    all of it.  order lists the guards' indices by y key, keys holds
+    those keys in that order, and k is the mouth's mid key.  See
+    `pocket_test` for the proof and the order in which the guards are
+    tried."""
     m0, m1, inner = hs[0], hs[-1], hs[1:-1]
     lines = [None] * len(hgs)
-    k = ((m0[1] << _BOX_BITS) // m0[2] + (m1[1] << _BOX_BITS) // m1[2]) >> 1
     up = bisect_left(keys, k)
     down = up - 1
     while up < len(keys) or down >= 0:
@@ -1023,7 +1023,7 @@ def pocket_test(poly: SimplePolygon, guards: Sequence[Point]
     hgs = [hpoint(g) for g in guards]
     if room is None or not all(room.holds(h) for h in hgs):
         return None
-    hv = poly._h
+    hv, fy = poly._h, poly._fy
     ky = [(y << _BOX_BITS) // w for _, y, w in hgs]
     order = sorted(range(len(hgs)), key=ky.__getitem__)
     keys = [ky[i] for i in order]
@@ -1031,7 +1031,8 @@ def pocket_test(poly: SimplePolygon, guards: Sequence[Point]
     for _, pockets in room.walls:
         for _, _, pocket in pockets:
             checked += 1
-            w = _pocket_miss([hv[v] for v in pocket], hgs, order, keys)
+            w = _pocket_miss([hv[v] for v in pocket], hgs, order, keys,
+                             (fy[pocket[0]] + fy[pocket[-1]]) >> 1)
             if w is not None:
                 return checked, hpoint_to_point(w)
     return checked, None

@@ -478,9 +478,12 @@ class SimplePolygon:
     The polygon is held as the `hpoint` triples of its vertices (`_h`).
     `vertices`, the Points, is made on first read for a polygon built
     from triples (`_of_h`, as the visibility layer builds them), so
-    polygons that are only located in never make a Point.  `_room`, the
-    room structure of `_room_of`, is recognised on the first visibility
-    query, not here.
+    polygons that are only located in never make a Point.  A polygon
+    built from points is first read as a room (`_room_plan`), one pass
+    over its vertex cycle that also proves it simple and ccw; only what
+    that pass refuses is validated in full.  `_room` holds the `_Room`, or
+    False once the pass has refused; a view built around a kernel leaves
+    it None until `_room_of` asks.
     """
 
     __slots__ = ("_vertices", "_h", "_fx", "_fy", "_ybuckets", "_boxes",
@@ -505,7 +508,11 @@ class SimplePolygon:
 
     def _init_h(self, hv, kernel=None):
         """Set up and validate the polygon on its vertex triples hv,
-        around the point kernel if given (see `_of_h`)."""
+        around the point kernel if given (see `_of_h`).  Without a kernel
+        the room pass `_room_plan` runs first: a polygon it reads as a room
+        is simple and ccw (see `_room_of`), so it skips `_validate`; any
+        other polygon gets `_validate`, with its messages, and `_room`
+        False."""
         if len(hv) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         self._h = hv
@@ -517,7 +524,11 @@ class SimplePolygon:
         self._boxes = None
         self._edge_lines = None
         self._room = None
-        if kernel is None or not _star_simple(kernel, hv):
+        if kernel is None:
+            self._room = _room_plan(hv, self._fx, self._fy) or False
+            if not self._room:
+                self._validate()
+        elif not _star_simple(kernel, hv):
             self._validate()
 
     @property
@@ -654,7 +665,15 @@ class SimplePolygon:
         The vertex keys skip an edge first when both its ends are strictly
         above or strictly below hp, or both strictly left of it: such an
         edge neither holds hp nor crosses the ray from hp to the right.  A
-        strictly greater key means a strictly greater coordinate."""
+        strictly greater key means a strictly greater coordinate.
+
+        A polygon whose `_room` is already known answers "in" for a point
+        of the room's open rectangle without the buckets: that rectangle
+        lies in the polygon's interior (the first point of `_visibility`'s
+        room proof).  The room is never recognised here."""
+        room = self._room
+        if room and room.holds(hp):
+            return "in"
         X, Y, W = hp
         hv, fx, fy = self._h, self._fx, self._fy
         n = len(hv)
@@ -719,107 +738,179 @@ class _Room:
 
 
 def _room_of(poly: SimplePolygon) -> _Room | None:
-    """The room structure of poly, recognised from its vertex cycle on
-    first use and kept in `poly._room`; None if poly is not a room.
+    """The room structure of poly, kept in `poly._room`: read by
+    `_room_plan` when poly is built from points, and here on first use
+    for a view built around a kernel; None if poly is not a room.
 
-    poly is a room when exactly one edge, the bottom, has both ends at
-    the least y of any vertex, running from (xl, yb) to (xr, yb), and
-    exactly one, the top, has both at the greatest, running from (xr, yt)
-    to (xl, yt); so every vertex lies in the closed y-span.  From
-    (xr, yb) to (xr, yt) every vertex has x >= xr, and from (xl, yt) to
-    (xl, yb) every vertex has x <= xl.  Each maximal run of vertices
-    strictly beyond a wall is a pocket, whose mouth runs between the wall
-    vertices before and after the run; no wall vertex is a mouth corner
-    of two pockets, and each pocket, closed by its mouth, is convex: it
-    turns left or runs straight at every vertex of the run.  Each check
-    compares exact coordinates of the triples, or is one `orient_h`.
+    `_room_plan` reads a polygon as a room when
+    - exactly one edge, the bottom, has both ends at the least y of any
+      vertex, running from (xl, yb) to (xr, yb) with xl < xr, and exactly
+      one, the top, has both at the greatest, from (xr, yt) to (xl, yt);
+    - from (xr, yb) to (xr, yt) every vertex has x >= xr and those on the
+      wall line x = xr, the wall vertices, rise strictly; from (xl, yt) to
+      (xl, yb) every vertex has x <= xl and those on x = xl fall strictly;
+    - each maximal run of vertices strictly beyond a wall is a pocket,
+      whose mouth joins the wall vertices m0 and m1 before and after the
+      run.  Along m0, the run, m1 the chain turns left or runs straight on
+      at every run vertex, with no fold-back, and the sign of its x steps,
+      taken away from the wall, never grows;
+    - two pockets of one wall whose y key ranges meet have a chain edge of
+      one with every vertex of the other strictly on its right.
+    Each comparison and orientation is taken on the keys floor(coordinate
+    * 2^_BOX_BITS) first, exactly only where they tie.
 
-    The rest follows from poly being simple and ccw: xl < xr, as the
-    interior lies above the bottom edge; and along each wall the wall
-    vertices rise (right wall) or fall (left wall) strictly.  Take the
-    first step that does not: until then the wall edges and mouths cover
-    the wall line from the corner up, so a wall edge down would run along
-    an earlier edge or into an earlier pocket, shut in by its chain; and
-    a pocket whose mouth ends below its start would close, with its
-    mouth, into a simple cw polygon, whose turns sum to -2 pi, though it
-    turns left along its run and by more than -pi at each mouth corner.
-    So each pocket turns left at its mouth corners too, and is convex."""
+    Proof that such a polygon is simple and ccw.  Take the right wall;
+    the left one is the same turned by pi.  A pocket P, its chain closed
+    by the mouth from m1 down to m0, turns left at m0 and at m1, as m0
+    lies below m1 and the run beyond the wall.  Lift the direction of each
+    chain edge to an angle, the first in (-pi/2, pi/2): as the run turns
+    left or runs straight on, it never falls and grows by less than pi per
+    step.  Its x step is positive below
+    pi/2, zero at pi/2 and negative from there to 3 pi/2, so it reaches
+    3 pi/2 or more only from (pi/2, 3 pi/2), with a zero or positive x
+    step after a negative one, which the sign rule refuses.  So the last
+    angle lies in (pi/2, 3 pi/2), the turns of P sum to 2 pi, and P, which
+    turns left or runs straight on at every vertex, bounds a convex
+    region: P is simple and convex, and meets the wall line only in its
+    mouth.  Two closed convex polygons are disjoint iff one has an edge
+    with all of the other strictly on its outer side (the origin lies
+    outside their Minkowski difference iff it is strictly outside one of
+    that polygon's edges, each parallel to an edge of one of them); a
+    mouth has both pockets on its inner side, so only chain edges can
+    separate.  Pockets whose exact y ranges meet have key ranges that
+    meet, so the pockets of one wall are pairwise disjoint (in particular
+    no wall vertex is a mouth corner of two), and those of different
+    walls lie on different sides of xl < xr.
+
+    The boundary is then the bottom and top edges, on y = yb and y = yt
+    within [xl, xr]; the wall edges and mouths, which tile each wall
+    segment from corner to corner without overlap, as the wall vertices
+    run strictly; and the chains, each beyond its wall but for its mouth
+    corners.  A chain meets its wall line only at its mouth corners,
+    which no other pocket shares and which lie on no edge of poly but
+    their neighbours; the bottom and top edges meet the walls only at the
+    corners; the chains of one wall are apart.  So two edges meet only at
+    a vertex they share, and no vertex repeats.  No vertex folds back:
+    between two wall edges the boundary runs straight on; at a corner or
+    a mouth corner it turns, as its neighbours lie on different lines (a
+    pocket vertex at a corner's height next to it would make a second
+    bottom or top edge); and the pockets check their runs.  So `straight`
+    holds the wall vertices between two wall edges and the run vertices
+    where a pocket runs straight on.  The bottom edge runs towards +x at
+    the least y, with the polygon above it, so the polygon is ccw.
+
+    On a simple ccw polygon the rule reads a room iff the levels and
+    walls are as above, no two pockets share a mouth corner, and each run
+    turns left or runs straight on: the rest then holds (a wall whose
+    vertices stepped back would meet an earlier edge or pocket, and a
+    pocket, simple and convex, winds once)."""
     room = poly._room
     if room is None:
-        room = poly._room = _recognise_room(poly) or False
+        room = poly._room = _room_plan(poly._h, poly._fx, poly._fy) or False
     return room or None
 
 
-def _recognise_room(poly: SimplePolygon) -> _Room | None:
-    """The `_Room` of poly, or None (see `_room_of`)."""
-    hv = poly._h
+def _room_plan(hv, fx, fy) -> _Room | None:
+    """The `_Room` of the polygon with vertex triples hv and keys fx, fy,
+    or None if the rule of `_room_of` does not read it as a room."""
     n = len(hv)
 
-    def cmp(i, j, c) -> int:
-        """The sign of coordinate c (0 for x, 1 for y) of vertex i minus
-        that of vertex j."""
+    def cmp(i, j, f, c) -> int:
+        """The sign of coordinate c (0 for x, 1 for y), with keys f, of
+        vertex i minus that of vertex j."""
+        if f[i] != f[j]:
+            return 1 if f[i] > f[j] else -1
         a, b = hv[i], hv[j]
         return _sign(a[c] * b[2] - b[c] * a[2])
 
-    low = high = 0
-    for i in range(1, n):
-        if cmp(i, low, 1) < 0:
-            low = i
-        elif cmp(i, high, 1) > 0:
-            high = i
-    level = [[i for i in range(n) if cmp(i, v, 1) == 0
-              and cmp(i + 1 if i + 1 < n else 0, v, 1) == 0] for v in (low, high)]
-    if len(level[0]) != 1 or len(level[1]) != 1:
+    def turn(u, v, w) -> int:
+        """orient(u, v, w), on the keys first."""
+        return (_keys_orient(fx[u], fy[u], fx[v], fy[v], fx[w], fy[w])
+                or orient_h(hv[u], hv[v], hv[w]))
+
+    def level(k, s):
+        """The edges with both ends at the least (s = 1) or greatest
+        (s = -1) y of any vertex, whose key is k."""
+        ids = [i for i in range(n) if fy[i] == k]
+        e = ids[0]
+        for i in ids:
+            if s * cmp(i, e, fy, 1) < 0:
+                e = i
+        on = {i for i in ids if not cmp(i, e, fy, 1)}
+        return [i for i in on if (i + 1) % n in on]
+
+    def apart(p, q) -> bool:
+        """A chain edge of pocket p has every vertex of q strictly on its
+        right."""
+        return any(all(turn(u, v, w) < 0 for w in q) for u, v in zip(p, p[1:]))
+
+    floor, ceiling = level(min(fy), 1), level(max(fy), -1)
+    if len(floor) != 1 or len(ceiling) != 1:
         return None
-    a, c = level[0][0], level[1][0]
+    a, c = floor[0], ceiling[0]
     b, d = (a + 1) % n, (c + 1) % n
-    if cmp(a, d, 0) or cmp(b, c, 0):
+    if cmp(a, b, fx, 0) >= 0 or cmp(a, d, fx, 0) or cmp(b, c, fx, 0):
         return None
     plan: list = []
     walls = []
+    straight = set()
     for start, end, side in ((b, c, 1), (d, a, -1)):
         pockets = []
-        i, shared = start, -1
+        i, along = start, False
         while True:
             plan.append(i)
             if i == end:
                 break
             j = i + 1 if i + 1 < n else 0
-            s = side * cmp(j, start, 0)  # > 0 beyond the wall
+            s = side * cmp(j, start, fx, 0)  # > 0 beyond the wall
             if s < 0:
                 return None
             if s == 0:
-                i = j
+                if side * cmp(j, i, fy, 1) <= 0:
+                    return None
+                if along:
+                    straight.add(i)
+                i, along = j, True
                 continue
-            if i == shared:
-                return None
             run = [i]
             while s > 0:
                 run.append(j)
                 j = j + 1 if j + 1 < n else 0
-                s = side * cmp(j, start, 0)
-            if s < 0:
-                return None
+                s = side * cmp(j, start, fx, 0)
             run.append(j)
-            if any(orient_h(hv[u], hv[v], hv[w]) < 0
-                   for u, v, w in zip(run, run[1:], run[2:])):
+            if s < 0 or side * cmp(j, i, fy, 1) <= 0:
                 return None
+            step = 1
+            for u, v, w in zip(run, run[1:], run[2:]):
+                o = turn(u, v, w)
+                if o < 0 or o == 0 and _dot_h(hv[u], hv[v], hv[w]) <= 0:
+                    return None
+                if o == 0:
+                    straight.add(v)
+                dx = side * cmp(w, v, fx, 0)
+                if dx > step:
+                    return None
+                step = dx
             pocket = tuple(run)
             plan.append(pocket)
-            m0, m1 = hv[run[0]], hv[run[-1]]
+            m0, m1 = hv[i], hv[j]
             pockets.append((m0, m1, pocket) if side > 0 else (m1, m0, pocket))
-            i = shared = j
+            i, along = j, False
+        # the pockets in order of their least y key, each against those
+        # before it whose greatest y key is not below that
+        active: list = []  # (greatest y key, pocket)
+        for lo, hi, p in sorted((min(map(fy.__getitem__, p)),
+                                 max(map(fy.__getitem__, p)), p)
+                                for _, _, p in pockets):
+            active = [(top, q) for top, q in active if top >= lo]
+            if not all(apart(p, q) or apart(q, p) for _, q in active):
+                return None
+            active.append((hi, p))
         walls.append((hv[start], pockets if side > 0 else pockets[::-1]))
     room = _Room()
     room.lo, room.hi = hv[a], hv[c]
     room.plan = plan
-    # a valid polygon has no fold-back, so collinear means straight on
-    fx, fy = poly._fx, poly._fy
-    room.straight = {
-        i for i in range(n)
-        if not _keys_orient(fx[i - 1], fy[i - 1], fx[i], fy[i],
-                            fx[(i + 1) % n], fy[(i + 1) % n])
-        and orient_h(hv[i - 1], hv[i], hv[(i + 1) % n]) == 0}
+    room.straight = straight
     room.walls = walls
     return room
 

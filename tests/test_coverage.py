@@ -1500,14 +1500,6 @@ def test_room_view_matches_sweep_on_galleries(name):
     drawn()
 
 
-def test_room_is_recognised_on_the_first_view_only():
-    # compiling, assembling and validating the room leave it unread
-    g = _gallery(circle_complex())
-    assert g.polygon._room is None
-    geom.visibility_polygon(g.polygon, embed(g, [_q(1, 2)] * g.formula.n).guards[0])
-    assert isinstance(g.polygon._room, geom._Room)
-
-
 @pytest.mark.parametrize("name", ["circle", "sphere", "mobius"])
 def test_room_visible_matches_segment_cutter(name):
     # from the guards of one configuration and the rectangle's centre, to

@@ -843,11 +843,16 @@ def test_locate_h_near_edges_falls_back_to_orient_h(monkeypatch):
 
 def test_validation_of_the_largest_room_stays_on_the_keys(monkeypatch):
     # the non-orientable genus-32 room (9,804 vertices): without the key
-    # filter its validation makes 25,852 exact orientation tests
+    # filter its full validation makes 25,852 exact orientation tests; the
+    # room pass that stands in for it at construction decides on the keys
+    # too
     verts = compile_surface(32, False).polygon.vertices
     assert len(verts) == 9804
     calls = _count_orient_h(monkeypatch)
-    SimplePolygon(verts)
+    poly = SimplePolygon(verts)
+    built, calls[0] = calls[0], 0
+    assert isinstance(poly._room, geom._Room) and built <= 3000
+    poly._validate()
     assert 0 < calls[0] <= 3000
 
 

@@ -9,7 +9,9 @@ visibility polygon and its windows, with no point location; a room (a
 rectangle with convex pockets through its side walls, as every gallery
 is) seen from its open rectangle gets them pocket by pocket instead.
 Exact coverage of a room guarded from its open rectangle needs no views
-at all (`pocket_test`); every other case takes the window test.
+at all (`pocket_test`); every other case takes the window test, which
+cuts every window at the other guards' windows and tests each piece at
+its midpoint (`window_test`).
 
 Every integer prefilter rounds on one scale: the keys floor(coordinate *
 2^_BOX_BITS), which never decrease as the coordinate grows.  Edge and
@@ -1171,8 +1173,8 @@ def visible(poly: SimplePolygon, p: Point, q: Point) -> bool:
     boxes = poly._boxes
     if boxes is None:
         boxes = poly._boxes = _edge_boxes(poly._fx, poly._fy)
-    stops, _, _ = _cut_window(hp, hq, [
-        (0, hv[i], hv[i + 1 if i + 1 < n else 0])
+    stops, _ = _cut_window(hp, hq, [
+        (hv[i], hv[i + 1 if i + 1 < n else 0])
         for i, bx in enumerate(boxes)
         if not (bx[2] < x0 or x1 < bx[0] or bx[3] < y0 or y1 < bx[1])])
     return all(poly._locate_h(_hmid(h0, h1)) != "out"
@@ -1519,9 +1521,9 @@ def _visibility(poly: SimplePolygon, hp):
 
 def window_test(poly: SimplePolygon, guards: Sequence[Point]
                 ) -> tuple[int, tuple[Point, Point] | None]:
-    """The window test of exact coverage: the number of windows and window
-    pieces tested, and the first piece whose hidden side no other guard
-    covers, or None if there is no such piece.
+    """The window test of exact coverage: the number of window pieces
+    tested, and the first piece whose hidden side no other guard covers,
+    or None if there is no such piece.
 
     Each guard g has a visibility polygon VP(g), closed and star-shaped;
     its windows are the edges, or parts of edges, that run through the
@@ -1532,41 +1534,24 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point]
     stretch of some window has U on its right (hidden) side.  A gap on
     the boundary of P alone cannot exist, so testing every window piece
     decides coverage of all of P, given at least one guard (with none, U
-    is all of P and has no frontier).  A window is cut at every point
-    where another guard's window crosses, touches or stops on it.  Along
-    one piece, which other guard covers the right side cannot change, so
-    the midpoint m decides it: the side is covered iff m is inside another
-    VP(j), or m lies on a window of another guard that runs along the
-    piece in the opposite direction.
+    is all of P and has no frontier).
 
     A window's relative interior lies in P's interior, where the boundary
     of VP(j) runs only along windows of j; so membership in VP(j) changes
-    along a window only where a window of j meets it.  A guard j is near
-    window w if one of j's windows has a key box that meets w's
-    (`_window_candidates`); the key boxes are conservative, so no window
-    of a far guard meets w, or runs along it, and VP(j) holds either all
-    of w's relative interior or none of it.  Hence two rules:
+    along a window only where a window of j meets it.  Each window is cut
+    at every point where another guard's window crosses, touches or stops
+    on it (`_window_candidates`, `_cut_window`).  Along one piece, which
+    other guard covers the right side cannot change, so the midpoint m
+    decides it: the side is covered iff m is inside another VP(j), or m
+    lies on a window of another guard that runs along the piece in the
+    opposite direction.
 
-    - Whole-window dismissal.  If a far guard's VP holds the midpoint of
-      w inside, every piece of w is covered: w is not cut and counts as
-      one tested piece.
-    - Otherwise w is cut against its candidates only (`_cut_window`);
-      its cuts come from the pairs that contain it, so its pieces are the
-      ones a cut of every window makes.  No far guard holds any of its
-      pieces, so only near guards are tried on them.
-
-    Pieces are decided in runs along each cut window.  If piece k is
-    inside VP(j), piece k + 1 is too unless j's bit is set on the cut
-    between them (`_cut_window` records the guards whose windows pass
-    through each cut), so the guard that covered the last piece is
-    carried to the next without a locate.  A piece decided by an opposite
-    window carries nothing, and each window starts afresh.  Each guard is
-    turned into its `hpoint` triple once; the views, the windows, the cuts
-    and the piece tests all run on triples, and Points are made only for
-    the uncovered piece returned.
-    A guard in a room's open rectangle, as every guard of a gallery is,
-    gets its view pocket by pocket; any other guard, or a polygon that is
-    not a room, is swept (`_visibility`); both give the same view.
+    Each guard is turned into its `hpoint` triple once; the views, the
+    windows, the cuts and the piece tests all run on triples, and Points
+    are made only for the uncovered piece returned.  A guard in a room's
+    open rectangle gets its view pocket by pocket; any other guard, or a
+    polygon that is not a room, is swept (`_visibility`); both give the
+    same view.
     """
     vps = []
     windows = []
@@ -1574,100 +1559,64 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point]
         vp, ws = _visibility(poly, hpoint(g))
         vps.append(vp)
         windows += [(gi, ha, hb) for ha, hb in ws]
-
-    def cover(hm, allow):
-        """The first guard in the bitmask allow whose VP holds hm inside;
-        -1 if there is none."""
-        for j, vp in enumerate(vps):
-            if allow >> j & 1 and vp._locate_h(hm) == "in":
-                return j
-        return -1
-
-    every = (1 << len(vps)) - 1
-    near, cand = _window_candidates(windows)
     tested = 0
-    for w, (gi, ha, hb) in enumerate(windows):
-        if cover(_hmid(ha, hb), every & ~(near[w] | 1 << gi)) >= 0:
+    for (gi, ha, hb), cand in zip(windows, _window_candidates(windows)):
+        hs, opposite = _cut_window(ha, hb, cand)
+        for h0, h1 in zip(hs, hs[1:]):
             tested += 1
-            continue
-        hs, masks, opposite = _cut_window(ha, hb, cand[w])
-        carried = -1  # the guard whose VP held the last piece, or -1
-        for k in range(len(hs) - 1):
-            tested += 1
-            if carried >= 0 and not masks[k] >> carried & 1:
+            hm = _hmid(h0, h1)
+            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
                 continue
-            carried = -1
-            hm = _hmid(hs[k], hs[k + 1])
-            if opposite and any(_on_segment_collinear(hc, hd, hm)
-                                for hc, hd in opposite):
-                continue
-            carried = cover(hm, near[w])
-            if carried < 0:
-                return tested, (hpoint_to_point(hs[k]), hpoint_to_point(hs[k + 1]))
+            if not any(j != gi and vp._locate_h(hm) == "in"
+                       for j, vp in enumerate(vps)):
+                return tested, (hpoint_to_point(h0), hpoint_to_point(h1))
     return tested, None
 
 
-def _window_candidates(windows) -> tuple[list[int], list[list]]:
+def _window_candidates(windows) -> list[list]:
     """For the windows (guard index, a, b), a and b triples in `hpoint`'s
-    form: per window, the bitmask of its near guards (bit gi for guard
-    index gi) and its candidates, the windows of other guards whose key
-    boxes meet its own.
+    form: per window, its candidates, the windows (c, d) of other guards
+    whose key boxes meet its own.
 
     Every window of another guard that meets a window is among its
-    candidates.  The sweep over y of `_box_pairs` finds the pairs: on the
-    Moebius gallery it meets 30 times fewer active windows than a sweep
-    over x, whose extents overlap far more.  The pairs of one guard's
-    windows are dropped: they never cross (they are edges of one simple
-    polygon)."""
-    near = [0] * len(windows)
+    candidates; the sweep over y of `_box_pairs` finds the pairs.  The
+    pairs of one guard's windows are dropped: they never cross (they are
+    edges of one simple polygon)."""
     cand: list[list] = [[] for _ in windows]
     for i, j in _box_pairs([_key_box(w[1:]) for w in windows]):
-        gi, gj = windows[i][0], windows[j][0]
-        if gi != gj:
-            near[i] |= 1 << gj
-            near[j] |= 1 << gi
-            cand[i].append(windows[j])
-            cand[j].append(windows[i])
-    return near, cand
+        if windows[i][0] != windows[j][0]:
+            cand[i].append(windows[j][1:])
+            cand[j].append(windows[i][1:])
+    return cand
 
 
 def _cut_window(ha, hb, cand):
-    """For the window from a to b (`hpoint` triples) and its candidates
-    cand from `_window_candidates`, windows (guard index, c, d) of other
-    guards, the triple (stops, masks, opposite): its cut points, triples in
-    `hpoint`'s form, ordered from a to b, ends included; for each cut point
-    the bitmask of the other guards that have a window through it (bit gi
-    for guard index gi); and the windows (c, d) of other guards that lie
-    along it in the opposite direction.  `visible` cuts its segment here
-    too, with the polygon edges (0, c, d) near it as candidates.
+    """For the segment from a to b (`hpoint` triples) and the candidate
+    segments cand, pairs (c, d) of triples, the pair (stops, opposite):
+    the cut points, triples in `hpoint`'s form ordered from a to b, ends
+    included; and the candidates that lie along ab in the opposite
+    direction.  `window_test` cuts a window against the windows of other
+    guards (`_window_candidates`); `visible` cuts its segment against the
+    polygon edges near it.
 
-    Cuts are the crossings and touches with other guards' windows and the
-    ends of collinear overlaps.  On the Moebius gallery nearly every
-    candidate is a touch or a crossing.  The stops are ordered along the
-    window by `_order_along`, masks are ORed and `opposite` is only
-    searched, so nothing depends on the order of cand, and `opposite`
-    carries no order.  A crossing is put in hpoint's form (`_hcanon`),
+    Cuts are the crossings and touches with the candidates and the ends
+    of collinear overlaps.  The stops are ordered along the segment by
+    `_order_along` and `opposite` is only searched, so nothing depends on
+    the order of cand.  A crossing is put in hpoint's form (`_hcanon`),
     which names a point uniquely, so the set of cuts holds each point
-    once.  A crossing or a touch sets the other guard's bit at that point;
-    a window of another guard on the same line sets its bit at every cut
-    point of the stretch they share, the ends of the overlap included.
+    once.
     """
-    # the cut points, each with the guard bits found there
-    cuts = {ha: 0, hb: 0}
+    cuts = {ha, hb}
     # l . h has the sign of orient_h(a, b, h) for the line l through a, b
     li = _hline(ha, hb)
     opposite = []
-    along = []  # the candidates on the window's line
-    for gj, hc, hd in cand:
+    for hc, hd in cand:
         s1 = li[0] * hc[0] + li[1] * hc[1] + li[2] * hc[2]
         s2 = li[0] * hd[0] + li[1] * hd[1] + li[2] * hd[2]
         if (s1 > 0 and s2 > 0) or (s1 < 0 and s2 < 0):
             continue
         if s1 == 0 and s2 == 0:
-            for h in (hc, hd):
-                if _on_segment_collinear(ha, hb, h):
-                    cuts.setdefault(h, 0)
-            along.append((gj, hc, hd))
+            cuts.update(h for h in (hc, hd) if _on_segment_collinear(ha, hb, h))
             if _dot_dirs(ha, hb, hc, hd) < 0:
                 opposite.append((hc, hd))
             continue
@@ -1677,17 +1626,9 @@ def _cut_window(ha, hb, cand):
         if (s3 > 0 and s4 > 0) or (s3 < 0 and s4 < 0):
             continue
         # an endpoint on the other line is the unique crossing
-        hx = (hc if s1 == 0 else hd if s2 == 0 else ha if s3 == 0
-              else hb if s4 == 0 else _hcanon(_hmeet(li, lj)))
-        cuts[hx] = cuts.get(hx, 0) | 1 << gj
-    stops = _order_along(ha, hb, cuts)
-    masks = [cuts[h] for h in stops]
-    # a collinear window through a cut holds it on its whole overlap
-    for gj, hc, hd in along:
-        for k, h in enumerate(stops):
-            if _on_segment_collinear(hc, hd, h):
-                masks[k] |= 1 << gj
-    return stops, masks, opposite
+        cuts.add(hc if s1 == 0 else hd if s2 == 0 else ha if s3 == 0
+                 else hb if s4 == 0 else _hcanon(_hmeet(li, lj)))
+    return _order_along(ha, hb, cuts), opposite
 
 
 # --- triangulation and convex clipping ------------------------------------

@@ -55,57 +55,40 @@ def covers(poly_or_gallery, guards: GuardConfig,
            mode: str = "exact") -> CoverageReport:
     """Decide exactly whether the guard set sees every point of the
     polygon.  `mode` has the one value "exact"; it stays a parameter so
-    that callers passing it keep working.
+    that callers passing it keep working.  A `Gallery` is read as its
+    polygon.  With no guard, a polygon vertex is returned: nothing is
+    seen.
 
-    For a `Gallery` a certificate comes first: the clause witness points
-    are tested with `visible`, and one that is in the polygon and seen by
-    no guard is returned at once.  With no guard, a polygon vertex is
-    returned: nothing is seen.
-
-    Otherwise a room (a rectangle with convex pockets cut through its side
-    walls, as every gallery is, whether passed as a `Gallery` or as its
-    plain polygon) whose guards all lie in its open rectangle takes the
-    pocket test (`geom.pocket_test`).  Every guard sees the whole closed
-    rectangle; it sees into a pocket only through the pocket's mouth, so
-    the guards cover the polygon iff they cover each pocket; and the part
-    of a pocket that no guard sees is a staircase of wedges between the
-    lines from the guards through the mouth corners, which clipping the
-    pocket decides.  An uncovered pocket gives a point of its interior
-    outside every guard's wedge, which `visible` certifies here.
-    `witness_count` is the number of clause witness points tested plus
-    the pockets checked.
+    A room (a rectangle with convex pockets cut through its side walls,
+    as every gallery is) whose guards all lie in its open rectangle takes
+    the pocket test (`geom.pocket_test`).  Every guard sees the whole
+    closed rectangle; it sees into a pocket only through the pocket's
+    mouth, so the guards cover the polygon iff they cover each pocket;
+    and the part of a pocket that no guard sees is a staircase of wedges
+    between the lines from the guards through the mouth corners, which
+    clipping the pocket decides.  An uncovered pocket gives a point of
+    its interior outside every guard's wedge, which `visible` certifies
+    here.  `witness_count` is the number of pockets checked.
 
     Any other polygon, or a guard elsewhere (on the rectangle's boundary
     or in a pocket), takes the window test (`geom.window_test`), the
     argument of exact art gallery solvers: cut the windows at the windows
     of the other guards, and test each piece's hidden side at its midpoint
-    m; a window that a guard with no window near it covers at its midpoint
-    is covered whole and not cut.  If a piece is not covered, the report
-    carries a certificate: a point beside m on the hidden side, inside the
-    polygon and seen by no guard.  `witness_count` is then the number of
-    clause witness points tested plus the windows dismissed whole and the
-    window pieces tested.
+    m.  If a piece is not covered, the report carries a certificate: a
+    point beside m on the hidden side, inside the polygon and seen by no
+    guard.  `witness_count` is then the number of window pieces tested.
     """
     if mode != "exact":
         raise VerifyError(f"unknown coverage mode {mode!r}")
-    gallery = poly_or_gallery if isinstance(poly_or_gallery, Gallery) else None
-    poly = gallery.polygon if gallery else poly_or_gallery
+    poly = (poly_or_gallery.polygon if isinstance(poly_or_gallery, Gallery)
+            else poly_or_gallery)
     gpts = list(guards.guards)
     for g in gpts:
         if poly.locate(g) == "out":
             raise VerifyError(f"guard {g} outside polygon")
-
-    tested = 0
-    if gallery is not None:
-        for cg in gallery.clause_gadgets:
-            tested += 1
-            w = cg.witness_point
-            if poly.locate(w) != "out" and not any(visible(poly, g, w) for g in gpts):
-                return CoverageReport(False, w, tested)
-
     if not gpts:
         # both tests below need a guard; with none, nothing is seen
-        return CoverageReport(False, poly.vertices[0], tested)
+        return CoverageReport(False, poly.vertices[0], 0)
     found = pocket_test(poly, gpts)
     if found is not None:
         checked, w = found
@@ -113,12 +96,12 @@ def covers(poly_or_gallery, guards: GuardConfig,
                               or any(visible(poly, g, w) for g in gpts)):
             raise VerifyError("internal inconsistency: the pocket test's "
                               f"witness {w} is not certified")
-        return CoverageReport(w is None, w, tested + checked)
+        return CoverageReport(w is None, w, checked)
     pieces, bad = window_test(poly, gpts)
     if bad is not None:
         return CoverageReport(False, _hidden_side_witness(poly, gpts, *bad),
-                              tested + pieces)
-    return CoverageReport(True, None, tested + pieces)
+                              pieces)
+    return CoverageReport(True, None, pieces)
 
 
 def _hidden_side_witness(poly: SimplePolygon, gpts, a: Point, b: Point) -> Point:

@@ -1,19 +1,19 @@
 """Exact coverage by the window test, checked against the triangle-subtraction
-check it replaced, against dense rational sampling, and on the degenerate
-configurations the window argument has to get right; the visibility
-sweep, which stabs each cone with only its spanning edges, against the
-sweep that scanned every edge for every cone, whose ray probe
-(`_ray_edge_hits`, `_nearer_on_ray`) lives only here; and the integer point
+check it replaced (on small and degenerate polygons, the brute-force
+searches, the circle, sphere and Moebius galleries, and random orthogonal
+and star-shaped polygons), against dense rational sampling, and on the
+degenerate configurations the window argument has to get right; the
+visibility sweep, which stabs each cone with only its spanning edges,
+against the sweep that scanned every edge for every cone, whose ray probe
+(`_ray_edge_hits`, `_nearer_on_ray`) lives only here; the integer point
 location, edge buckets, window cutting and `visible` against their
-Fraction versions; the window test, which dismisses a window whole
-when a guard with no window near it covers it, against the eager test
-that cut every window; and the one walk of `_visibility`, which tells
-window parts by their ends, against the two walks it replaced, which
-located each part's midpoint and tested every vertex for straight-through;
-and the room view and `visible` from a room's open rectangle, against the
-sweep and the segment cutter they bypass; and the pocket test, which
-decides a room guarded from its open rectangle with no view at all,
-against the window test."""
+Fraction versions; the one walk of `_visibility`, which tells window
+parts by their ends, against the two walks it replaced, which located
+each part's midpoint and tested every vertex for straight-through; the
+room view and `visible` from a room's open rectangle, against the sweep
+and the segment cutter they bypass; and the pocket test, which decides a
+room guarded from its open rectangle with no view at all, against the
+window test."""
 
 import random
 from collections import Counter
@@ -24,7 +24,7 @@ from math import ceil, floor
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from topogallery import geom, verifier
+from topogallery import cli, geom, verifier
 from topogallery.complexes import (
     circle_complex,
     complex_to_dnf,
@@ -40,6 +40,7 @@ from topogallery.compiler import (
     compile_surface,
     embed,
 )
+from topogallery.files import write_complex, write_gallery
 from topogallery.formulas import dnf_to_cnf, eval_formula, grid_axes, simplify_cnf
 from topogallery.gadgets import build_copy_strip
 from topogallery.geom import (
@@ -224,37 +225,10 @@ def _sweep_reference(poly: SimplePolygon, p: Point) -> list[FanPiece | None]:
 
 def _cut_windows(windows):
     """Every window (guard index, a, b), ends as hpoint triples, cut by
-    `geom._cut_window` against its candidates: the cuts a window test
-    that cut every window would make."""
-    _, cand = geom._window_candidates(windows)
+    `geom._cut_window` against its candidates: the cuts the window test
+    makes."""
+    cand = geom._window_candidates(windows)
     return [geom._cut_window(ha, hb, c) for (_, ha, hb), c in zip(windows, cand)]
-
-
-def _window_test_eager(poly, guards):
-    """`geom.window_test` as it was before whole windows were dismissed:
-    cut every window, then decide each piece in turn at its midpoint
-    against every other guard, with the same run rule.  Returns the
-    number of pieces tested and the first uncovered piece as a pair of
-    Points, or None."""
-    views = [geom._visibility(poly, hpoint(g)) for g in guards]
-    vps = [vp for vp, _ in views]
-    windows = [(gi, ha, hb) for gi, (_, ws) in enumerate(views) for ha, hb in ws]
-    tested = 0
-    for (gi, _, _), (hs, masks, opposite) in zip(windows, _cut_windows(windows)):
-        carried = -1
-        for k in range(len(hs) - 1):
-            tested += 1
-            if carried >= 0 and not masks[k] >> carried & 1:
-                continue
-            carried = -1
-            hm = geom._hmid(hs[k], hs[k + 1])
-            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
-                continue
-            carried = next((j for j in range(len(vps))
-                            if j != gi and vps[j]._locate_h(hm) == "in"), -1)
-            if carried < 0:
-                return tested, (hpoint_to_point(hs[k]), hpoint_to_point(hs[k + 1]))
-    return tested, None
 
 
 def _cut_windows_reference(windows):
@@ -618,30 +592,42 @@ def test_window_test_matches_reference_on_mobius():
     assert not _agree(g.polygon, list(embed(g, x_off).guards)).covered
 
 
+def _genus_2_band_points(g):
+    """Two points of band 0 of the orientable genus-2 gallery g, as in
+    test_compiler: one that satisfies the formula and one that does not."""
+    fc1, _ = canonical_removed_faces(torus_complex())
+    rim = next(f for f in face_with_boundary(torus_complex(), fc1).faces
+               if f.count(None) == 1)
+    ks = g.formula.band_constants
+    mid = (ks[0] + ks[1]) / 2
+    return ([mid] + [_q(1, 2) if v is None else Fraction(v) for v in rim],
+            [mid] + [_q(1, 2) if v is None else Fraction(v) for v in fc1])
+
+
 @pytest.mark.parametrize("make_complex",
-                         [circle_complex, sphere_complex, mobius_complex],
-                         ids=["circle", "sphere", "mobius"])
+                         [circle_complex, sphere_complex, mobius_complex, None],
+                         ids=["circle", "sphere", "mobius", "genus-2"])
 def test_clause_certificate_agrees_with_window_test(make_complex):
-    # a gallery is first screened at its clause witness points; the plain
-    # polygon goes straight to the pocket test, whose verdict the window
-    # test shares
-    k = make_complex()
-    g = _gallery(k)
-    rng = random.Random(3)
-    configs = on_face_samples(k, 3, rng) + off_samples_for(g.formula, 3, rng)
-    for x, on in zip(configs, [True] * 3 + [False] * 3):
+    # a gallery is read as its polygon, with no clause certificate before
+    # the exact test: the same report on on-face and off-cell
+    # configurations, and every off-cell witness is certified
+    if make_complex is None:
+        g = compile_surface(2, True)
+        configs = list(zip(_genus_2_band_points(g), [True, False]))
+    else:
+        k = make_complex()
+        g = _gallery(k)
+        rng = random.Random(3)
+        configs = list(zip(on_face_samples(k, 3, rng)
+                           + off_samples_for(g.formula, 3, rng),
+                           [True] * 3 + [False] * 3))
+    for x, on in configs:
         cfg = embed(g, x)
-        rep_g, rep_p = covers(g, cfg), covers(g.polygon, cfg)
-        assert rep_g.covered == rep_p.covered == on, x
-        assert (geom.window_test(g.polygon, cfg.guards)[1] is None) == on, x
-        if on:
-            assert rep_g.witness_count == \
-                len(g.clause_gadgets) + rep_p.witness_count
-            continue
-        _assert_certified(g.polygon, cfg.guards, rep_p.uncovered_witness)
-        w = rep_g.uncovered_witness
-        assert g.polygon.locate(w) != "out"
-        assert not any(visible(g.polygon, q, w) for q in cfg.guards)
+        rep = covers(g, cfg)
+        assert rep == covers(g.polygon, cfg)
+        assert rep.covered == on, x
+        if not on:
+            _assert_certified(g.polygon, cfg.guards, rep.uncovered_witness)
 
 
 # --- dense rational sampling -------------------------------------------------
@@ -780,6 +766,27 @@ def test_sample_solution_space_views_no_guard_point(monkeypatch):
     assert calls == []
 
 
+def test_cli_verify_of_moebius_takes_no_window_path(tmp_path, monkeypatch):
+    # the benchmark's mobius-verify command: every coverage check is a
+    # pocket test, so no window is tested or cut and no guard is swept
+    calls = Counter()
+    for module, name in ((verifier, "window_test"), (geom, "_cut_window"),
+                         (geom, "_sweep")):
+        def counted(*args, _name=name, _orig=getattr(module, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(module, name, counted)
+    gpath, cpath = tmp_path / "mobius.gallery", tmp_path / "mobius.complex"
+    gpath.write_text(write_gallery(_gallery(mobius_complex())))
+    cpath.write_text(write_complex(mobius_complex()))
+    out = tmp_path / "report.txt"
+    assert cli.main(["verify", str(gpath), "--complex", str(cpath),
+                     "--seed", "1", "--on-samples", "4", "--off-samples", "8",
+                     "--pair-samples", "50", "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "RESULT PASS"
+    assert calls == {}
+
+
 def test_window_layer_makes_points_only_at_the_edge(monkeypatch):
     # one Moebius on-face configuration: each guard is made a triple once,
     # and the sweeps, windows, cuts and piece tests of a covered
@@ -847,7 +854,7 @@ CROSS_TOUCH_OVERLAP = [
 def test_cut_windows_at_crossings_touches_and_overlap_ends():
     windows = CROSS_TOUCH_OVERLAP
     cut = _cut_windows(_hwindows(windows))
-    stops = [[geom.hpoint_to_point(h) for h in hs] for hs, _, _ in cut]
+    stops = [[geom.hpoint_to_point(h) for h in hs] for hs, _ in cut]
     assert stops[0] == [pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0), pt(4, 0)]
     assert stops[1] == [pt(3, 0), pt(2, 0), pt(1, 0)]
     assert stops[2] == [pt(2, 1), pt(2, 0), pt(2, -1)]
@@ -855,18 +862,12 @@ def test_cut_windows_at_crossings_touches_and_overlap_ends():
     assert stops[4] == [pt(0, 0), pt(_q(1, 2), 0)] + stops[0][1:]
     assert stops[5] == [pt(_q(1, 2), 1), pt(_q(1, 2), 0), pt(_q(1, 2), -1)]
     # the stops are hpoint's triples
-    assert [hs for hs, _, _ in cut] == [[geom.hpoint(p) for p in ps] for ps in stops]
+    assert [hs for hs, _ in cut] == [[geom.hpoint(p) for p in ps] for ps in stops]
     assert _stops_and_opposite(cut) == _hpoint_stops(_cut_windows_reference(windows))
     hs = [(geom.hpoint(a), geom.hpoint(b)) for _, a, b in windows]
-    assert sorted(cut[0][2]) == sorted([hs[1], hs[3]])
-    assert sorted(cut[1][2]) == sorted([hs[0], hs[4]])
-    assert sorted(cut[4][2]) == sorted([hs[1], hs[3]])
-    # the guards (bit gi for guard gi) whose windows pass through each cut;
-    # a collinear window sets its bit along the whole overlap
-    b0, b1, b2, b3 = 1, 2, 4, 8
-    assert cut[0][1] == [b3, b1 | b3, b1 | b2 | b3, b1 | b2 | b3, b2 | b3]
-    assert cut[2][1] == [0, b0 | b1 | b3, 0]
-    assert cut[4][1] == [b0, b0, b0 | b1, b0 | b1 | b2, b0 | b1 | b2, b0 | b2]
+    assert sorted(cut[0][1]) == sorted([hs[1], hs[3]])
+    assert sorted(cut[1][1]) == sorted([hs[0], hs[4]])
+    assert sorted(cut[4][1]) == sorted([hs[1], hs[3]])
 
 
 def test_cut_windows_on_a_falling_line():
@@ -880,7 +881,7 @@ def test_cut_windows_on_a_falling_line():
     ]
     cut = _cut_windows(_hwindows(windows))
     hs = [(geom.hpoint(a), geom.hpoint(b)) for _, a, b in windows]
-    assert sorted(cut[2][2]) == sorted([hs[0], hs[1]])
+    assert sorted(cut[2][1]) == sorted([hs[0], hs[1]])
     assert _stops_and_opposite(cut) == _hpoint_stops(_cut_windows_reference(windows))
 
 
@@ -973,8 +974,8 @@ def _hwindows(windows):
 
 def _stops_and_opposite(cut):
     """`_cut_windows`'s stops and its `opposite` lists, sorted (they
-    carry no order), without the guard masks."""
-    return [(stops, sorted(opp)) for stops, _, opp in cut]
+    carry no order)."""
+    return [(stops, sorted(opp)) for stops, opp in cut]
 
 
 def _hpoint_stops(cut):
@@ -1004,56 +1005,6 @@ def test_cut_windows_matches_reference_on_mobius():
         windows = _windows_of(g.polygon, embed(g, x).guards)
         assert _stops_and_opposite(_cut_windows(_hwindows(windows))) == \
             _hpoint_stops(_cut_windows_reference(windows))
-
-
-def _brute_force_masks(windows, cut):
-    """For each cut point of each window, the bitmask of the other guards
-    that have a window through it: every window of another guard whose
-    integer box meets the window's box is tested at every cut point."""
-    ends = [(hpoint_to_point(ha), hpoint_to_point(hb)) for _, ha, hb in windows]
-    boxes = [(floor(min(a.x, b.x)), floor(min(a.y, b.y)),
-              ceil(max(a.x, b.x)), ceil(max(a.y, b.y))) for a, b in ends]
-    out = []
-    for (gi, _, _), bi, (stops, _, _) in zip(windows, boxes, cut):
-        near = [(gj, hc, hd) for (gj, hc, hd), bj in zip(windows, boxes)
-                if gj != gi and bj[0] <= bi[2] and bi[0] <= bj[2]
-                and bj[1] <= bi[3] and bi[1] <= bj[3]]
-        out.append([sum({1 << gj for gj, hc, hd in near
-                         if orient_h(hc, hd, h) == 0
-                         and _on_segment_collinear(hc, hd, h)})
-                    for h in stops])
-    return out
-
-
-def _provenance_configs():
-    """(name, windows): the hand-built crossings, touches and overlaps, and
-    the windows of on-face and off-cell configurations of the circle,
-    sphere and Moebius galleries."""
-    yield "hand", CROSS_TOUCH_OVERLAP + [
-        (1, pt(4, 0), pt(4, 2)),   # touches window 0 at its end
-        (3, pt(2, 2), pt(2, 1)),   # stops on window 2's end
-    ]
-    for make_complex, n in ((circle_complex, 2), (sphere_complex, 2),
-                            (mobius_complex, 1)):
-        k = make_complex()
-        g = _gallery(k)
-        rng = random.Random(7)
-        for x in on_face_samples(k, n, rng) + off_samples_for(g.formula, 1, rng):
-            yield make_complex.__name__, _windows_of(g.polygon, embed(g, x).guards)
-
-
-def test_cut_windows_records_the_guards_through_each_cut():
-    # every cut point of every window, ends included, carries exactly the
-    # guards other than its own whose windows pass through it: the window
-    # test's run rule is sound only if no such guard is missing
-    seen = Counter()
-    for name, windows in _provenance_configs():
-        cut = _cut_windows(_hwindows(windows))
-        masks = [m for _, m, _ in cut]
-        assert masks == _brute_force_masks(_hwindows(windows), cut), name
-        seen[name] += sum(len(m) - 2 for m in masks)
-    assert all(seen[name] > 0 for name in
-               ("hand", "circle_complex", "sphere_complex", "mobius_complex"))
 
 
 @st.composite
@@ -1197,23 +1148,7 @@ def test_visible_matches_reference_on_galleries(make_complex):
     _same_visible(g.polygon, pairs)
 
 
-# --- whole-window dismissal against the eager window test ---------------------
-
-def _same_as_eager(poly, gpts):
-    """`window_test` returns the eager test's uncovered piece, or None
-    with it, and tests no more pieces."""
-    tested, bad = geom.window_test(poly, gpts)
-    eager_tested, eager_bad = _window_test_eager(poly, gpts)
-    assert bad == eager_bad
-    assert tested <= eager_tested
-    return bad
-
-
-@settings(max_examples=200)
-@given(histograms())
-def test_window_test_matches_eager_on_histograms(case):
-    _same_as_eager(*case)
-
+# --- the window test on star polygons and a crossed window ---------------------
 
 @st.composite
 def star_polygon_guards(draw):
@@ -1226,43 +1161,17 @@ def star_polygon_guards(draw):
 
 @settings(max_examples=100)
 @given(star_polygon_guards())
-def test_window_test_matches_eager_on_star_polygons(case):
-    _same_as_eager(*case)
+def test_window_test_matches_reference_on_star_polygons(case):
+    _agree(*case)
 
 
-@pytest.mark.parametrize("make_complex, n",
-                         [(circle_complex, 3), (sphere_complex, 3),
-                          (mobius_complex, 1)],
-                         ids=["circle", "sphere", "mobius"])
-def test_window_test_matches_eager_on_galleries(make_complex, n):
-    k = make_complex()
-    g = _gallery(k)
-    rng = random.Random(11)
-    for x in on_face_samples(k, n, rng):
-        assert _same_as_eager(g.polygon, list(embed(g, x).guards)) is None
-    for x in off_samples_for(g.formula, n, rng):
-        assert _same_as_eager(g.polygon, list(embed(g, x).guards)) is not None
-
-
-def test_window_test_matches_eager_on_genus_2():
-    # a point of band 0 on the orientable genus-2 surface, as in
-    # test_compiler's band coverage test
-    g = compile_surface(2, True)
-    fc1, _ = canonical_removed_faces(torus_complex())
-    rim = next(f for f in face_with_boundary(torus_complex(), fc1).faces
-               if f.count(None) == 1)
-    ks = g.formula.band_constants
-    x = [(ks[0] + ks[1]) / 2] + [_q(1, 2) if v is None else Fraction(v) for v in rim]
-    assert _same_as_eager(g.polygon, list(embed(g, x).guards)) is None
-
-
-def test_near_guard_holding_the_midpoint_does_not_dismiss():
+def test_window_test_returns_the_hidden_stretch_of_a_crossed_window():
     # histogram of column heights 5, 4, 1, 2.  Guard a sees past the reflex
     # corner (3, 1) along its window w to (0, 0); guard b's visibility
     # polygon holds w's midpoint (3/2, 1/2), but b's window from (2, 1)
     # crosses w at (5/2, 5/6), and the stretch of w between (3, 1) and that
-    # point has no guard on its hidden side.  b is near w, so w is cut and
-    # its pieces are decided one by one.
+    # point has no guard on its hidden side.  w is cut there, and that
+    # stretch is the uncovered piece.
     poly = SimplePolygon([pt(x, y) for x, y in (
         (0, 0), (4, 0), (4, 2), (3, 2), (3, 1), (2, 1), (2, 4), (1, 4),
         (1, 5), (0, 5))])
@@ -1271,26 +1180,10 @@ def test_near_guard_holding_the_midpoint_does_not_dismiss():
     windows = [(gi, ha, hb) for gi, (_, ws) in enumerate(views) for ha, hb in ws]
     w = windows.index((0, hpoint(pt(3, 1)), hpoint(pt(0, 0))))
     assert views[1][0].locate(pt(_q(3, 2), _q(1, 2))) == "in"
-    near, _ = geom._window_candidates(windows)
-    assert near[w] == 0b10
     stops = [hpoint_to_point(h) for h in _cut_windows(windows)[w][0]]
     assert stops == [pt(3, 1), pt(_q(5, 2), _q(5, 6)), pt(0, 0)]
-    assert _same_as_eager(poly, gpts) == (pt(3, 1), pt(_q(5, 2), _q(5, 6)))
-
-
-def test_most_moebius_windows_are_dismissed_whole(monkeypatch):
-    # the on-face configurations `verify --seed 1 --on-samples 4` draws
-    counts = Counter()
-    candidates, cut = geom._window_candidates, geom._cut_window
-    monkeypatch.setattr(geom, "_window_candidates",
-                        lambda ws: counts.update(windows=len(ws)) or candidates(ws))
-    monkeypatch.setattr(geom, "_cut_window",
-                        lambda ha, hb, c: counts.update(cut=1) or cut(ha, hb, c))
-    k = mobius_complex()
-    g = _gallery(k)
-    for x in on_face_samples(k, 4, random.Random(1)):
-        assert geom.window_test(g.polygon, embed(g, x).guards)[1] is None
-    assert 0 < counts["cut"] < counts["windows"] / 4
+    assert geom.window_test(poly, gpts)[1] == (pt(3, 1), pt(_q(5, 2), _q(5, 6)))
+    assert not _agree(poly, gpts).covered
 
 
 # --- the one-walk visibility polygon and windows against the two walks ---------
@@ -1692,13 +1585,7 @@ def test_pocket_test_matches_window_test_on_genus_2():
     # a point of band 0 on the orientable genus-2 surface that satisfies
     # the formula and one that does not, as in test_compiler
     g = compile_surface(2, True)
-    fc1, _ = canonical_removed_faces(torus_complex())
-    rim = next(f for f in face_with_boundary(torus_complex(), fc1).faces
-               if f.count(None) == 1)
-    ks = g.formula.band_constants
-    mid = (ks[0] + ks[1]) / 2
-    x_on = [mid] + [_q(1, 2) if v is None else Fraction(v) for v in rim]
-    x_off = [mid] + [_q(1, 2) if v is None else Fraction(v) for v in fc1]
+    x_on, x_off = _genus_2_band_points(g)
     assert _same_as_window_test(g.polygon, embed(g, x_on).guards)
     assert not _same_as_window_test(g.polygon, embed(g, x_off).guards)
 

@@ -3,13 +3,20 @@ reads, unless `__all__` exports it; and no module under src/ other than
 `geom` imports a private name of `geom` or reads a private slot of a
 `SimplePolygon`, so the homogeneous-triple kernel stays behind geom's
 public functions and properties; and no private function or class
-defined under src/ goes unreferenced there."""
+defined under src/ goes unreferenced there; and every code name that
+README.md puts in backticks still resolves in the package."""
 
 import ast
+import importlib
+import re
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+
+import topogallery
+from topogallery.geom import SimplePolygon
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
@@ -140,3 +147,62 @@ def test_unreferenced_private_def_scan():
 def test_no_unreferenced_private_defs():
     assert _unreferenced_private_defs(
         [ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE]) == []
+
+
+# README's backticked names that are no attribute of the package: CLI
+# commands, the clearance environment variable, and a BENCH file key
+NOT_ATTRIBUTES = {"compile", "verify", "TOPOGALLERY_EPSILON", "notes"}
+
+
+def _readme_code_names(text: str) -> list[str]:
+    """The backticked spans of text that are Python names or dotted
+    paths, a trailing "()" dropped."""
+    return sorted(set(re.findall(r"`([A-Za-z_][\w.]*?)(?:\(\))?`", text)))
+
+
+# the package and its modules by name, and every dataclass field in them
+NAMESPACE = {"topogallery": topogallery} | {
+    p.stem: importlib.import_module(f"topogallery.{p.stem}")
+    for p in PACKAGE if p.stem != "__init__"}
+FIELDS = {f.name for m in NAMESPACE.values() for v in vars(m).values()
+          if isinstance(v, type) and is_dataclass(v) for f in fields(v)}
+
+
+def _resolves(name: str) -> bool:
+    """True iff name, after an optional "topogallery." prefix, is the
+    package or one of its modules, or an attribute of one of them or of
+    `SimplePolygon`, followed by attributes of that; or a dataclass field
+    of the package."""
+    head, *rest = name.removeprefix("topogallery.").split(".")
+    if head in NAMESPACE:
+        obj = NAMESPACE[head]
+    else:
+        owner = next((o for o in [*NAMESPACE.values(), SimplePolygon]
+                      if hasattr(o, head)), None)
+        if owner is None:
+            return not rest and head in FIELDS
+        obj = getattr(owner, head)
+    for attr in rest:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_code_name_scan():
+    text = ("`geom._cut_window` and `_locate_h`, `covers()`, "
+            "`topogallery.verifier`, `witness_count`, `--epsilon`, "
+            "`tests/test_rooms.py`, `geom._gone`, `SimplePolygon.nothing`, "
+            "`_gone()`")
+    names = _readme_code_names(text)
+    assert names == ["SimplePolygon.nothing", "_gone", "_locate_h", "covers",
+                     "geom._cut_window", "geom._gone", "topogallery.verifier",
+                     "witness_count"]
+    assert [n for n in names if not _resolves(n)] == [
+        "SimplePolygon.nothing", "_gone", "geom._gone"]
+
+
+def test_readme_code_names_resolve():
+    names = _readme_code_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert NOT_ATTRIBUTES <= set(names)
+    assert [n for n in names if n not in NOT_ATTRIBUTES and not _resolves(n)] == []

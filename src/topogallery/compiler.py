@@ -43,8 +43,8 @@ from .gadgets import (
     assemble_room,
     make_clause_gadget,
     make_copy_gadget,
-    make_variable_gadget,
     make_wedge_segments,
+    variable_frame,
 )
 from .geom import (
     GeometryError,
@@ -350,24 +350,24 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
             copy_pairs.append(CopyPair(v, upper_idx, lower_idx, cg))
             ab_mouth_floor[upper_idx] = cg.D.y
 
-    # variable gadgets per row; the forcing apex J must sit low enough that
-    # its wedge exits the right wall before descending to the next row
+    # variable gadgets per row, from one frame per column; the forcing
+    # apex J must sit low enough that its wedge exits the right wall
+    # before descending to the next row: rise <= gap_min * (col_l -
+    # wall_x) / (2 (gw - col_l)), whose factor is the column's
     depth = Fraction(1, 4)
+    frames = {v: (variable_frame(lo, hi, depth, wall_x, gw),
+                  (lo - wall_x) / (2 * (gw - lo)))
+              for v, (lo, hi) in col.items()}
     var_gadgets: list[VariableGadget] = []
     for idx, rec in enumerate(records):
-        y = rec.segment.a.y
-        col_l = rec.segment.a.x
+        frame, rise_factor = frames[rec.var]
         gap_min = min(gap_above[idx], gap_below[idx])
         drop = gap_min / 8
         rise = gap_above[idx] / 8
         if idx in ab_mouth_floor:
-            rise = min(rise, (ab_mouth_floor[idx] - y) / 2)
-        rise = min(rise, gap_min * (col_l - wall_x) / (2 * (gw - col_l)))
-        vg = make_variable_gadget(
-            rec.segment, scale=depth,
-            left_wall_x=wall_x, right_wall_x=gw,
-            sliver_drop=drop, forcing_rise=rise, label=f"row{idx}")
-        var_gadgets.append(vg)
+            rise = min(rise, (ab_mouth_floor[idx] - rec.segment.a.y) / 2)
+        rise = min(rise, gap_min * rise_factor)
+        var_gadgets.append(frame.gadget(rec.segment, drop, rise, f"row{idx}"))
 
     niches: list[Niche] = []
     for cg in gadgets:

@@ -82,15 +82,18 @@ class CubicalComplex:
             raise ComplexError(_face_fault(min(bad, key=face_string), self.n))
 
     def maximal_faces(self) -> list[Face]:
-        maxi = []
-        for f in self.faces:
-            contained = False
-            for g in self.faces:
-                if g is not f and _face_subset(f, g):
-                    contained = True
-                    break
-            if not contained:
-                maxi.append(f)
+        """The faces that lie in no other face, in `face_string` order.
+
+        Needs a downward-closed face set (`validate_complex`; every caller
+        validates first).  There a face f lies in another face g iff one
+        of f's cofacets, f with one fixed coordinate freed, is present: g
+        frees some coordinate that f fixes, and freeing it in f gives a
+        face of g, which the closure holds.  So each face is tested
+        against its at most n cofacets."""
+        faces = self.faces
+        maxi = [f for f in faces
+                if not any(f[:i] + (None,) + f[i + 1:] in faces
+                           for i, v in enumerate(f) if v is not None)]
         return sorted(maxi, key=face_string)
 
     def contains_point(self, x: Sequence) -> bool:
@@ -99,12 +102,6 @@ class CubicalComplex:
 
     def dimension(self) -> int:
         return max((face_dim(f) for f in self.faces), default=-1)
-
-
-def _face_subset(f: Face, g: Face) -> bool:
-    """Face f is contained in face g (g fixes a subset of f's coordinates,
-    consistently)."""
-    return all(gv is None or gv == fv for fv, gv in zip(f, g))
 
 
 def _face_fault(face: Face, n: int) -> str | None:

@@ -147,60 +147,99 @@ def make_variable_gadget(guard_segment: Segment, scale=Fraction(1, 2),
     scale bounds the slit depth beyond the walls.  sliver_drop is the
     half-height of the forced slivers at the far wall; forcing_rise the
     height of the J apex above the guard line.  Walls default to a small
-    standalone harness around the segment.
+    standalone harness around the segment.  The gadget is the row of a
+    one-off `VariableFrame` (`variable_frame`), so it is built exactly as
+    a compiled gallery builds each row of a column.
     """
     g, h = guard_segment.a, guard_segment.b
     if g.y != h.y:
         raise GadgetError("guard segment must be horizontal")
     if g.x > h.x:
         g, h = h, g
-    if g.x == h.x:
+    frame = variable_frame(g.x, h.x, scale, left_wall_x, right_wall_x)
+    drop = rat(sliver_drop) if sliver_drop is not None else frame.depth
+    rise = rat(forcing_rise) if forcing_rise is not None else frame.depth / 2
+    return frame.gadget(Segment(g, h), drop, rise, label)
+
+
+@dataclass(frozen=True)
+class VariableFrame:
+    """What every variable gadget of one column shares.
+
+    The column runs from gx to hx; lw < gx and hx < rw are the walls and
+    depth the slit depth beyond them.  A row at height y0, with sliver
+    half-height drop and forcing rise rise, puts F and I at (fx, y0) and
+    (ix, y0), fx = lw - depth and ix = rw + depth, and gives the F and I
+    mouths the half-height drop * mouth, mouth = depth / (rw - lw + depth),
+    so that the slivers reach exactly +-drop at the opposite wall.  J is
+    (fx, y0 + rise).  The ray from J through G = (gx, y0) runs right by
+    gx - lw + depth and falls by rise; it meets the left wall after depth
+    of that run, at y0 + rise * c_g with c_g = (gx - lw) / (gx - lw +
+    depth), and the ray through H = (hx, y0) at y0 + rise * c_h.  As
+    t / (t + depth) grows with t > 0, lw < gx < hx gives 0 < c_g < c_h, so
+    the J mouth corners are in order on every row with rise > 0.
+    `_check_variable_gadget` tests each row's J corners for collinearity
+    with J and G or H, so a slip in these factors cannot pass.
+    """
+    lw: Fraction
+    rw: Fraction
+    depth: Fraction
+    fx: Fraction
+    ix: Fraction
+    mouth: Fraction
+    c_g: Fraction
+    c_h: Fraction
+
+    def gadget(self, guard_segment: Segment, drop: Fraction, rise: Fraction,
+               label: str = "") -> VariableGadget:
+        """The gadget of the row guard_segment, running left to right
+        from (gx, y0) to (hx, y0)."""
+        if drop <= 0 or rise <= 0:
+            raise GadgetError("sliver_drop and forcing_rise must be positive")
+        y0 = guard_segment.a.y
+        lw, rw = self.lw, self.rw
+        f = Point(self.fx, y0)
+        i = Point(self.ix, y0)
+        m = drop * self.mouth
+        tag = (label + ".") if label else ""
+        notch_f = Niche("left", (Point(lw, y0), f, Point(lw, y0 - m)),
+                        tag + "F")
+        notch_i = Niche("right", (Point(rw, y0), i, Point(rw, y0 + m)),
+                        tag + "I")
+        j = Point(self.fx, y0 + rise)
+        notch_j = Niche("left", (Point(lw, y0 + rise * self.c_h), j,
+                                 Point(lw, y0 + rise * self.c_g)), tag + "J")
+        k = Point(rw, y0 - drop)
+        e = Point(lw, y0 + drop)
+        gadget = VariableGadget(
+            guard_segment=guard_segment,
+            F=f, I=i, J=j, E=e, K=k,
+            notch_F=notch_f, notch_I=notch_i, notch_J=notch_j,
+            forced_zone=(f, i, k), sliver_above=(e, f, i))
+        _check_variable_gadget(gadget)
+        return gadget
+
+
+def variable_frame(gx, hx, depth, left_wall_x=None,
+                   right_wall_x=None) -> VariableFrame:
+    """The frame of the column from gx to hx, gx <= hx, with slit depth
+    depth; walls default to a small standalone harness around it."""
+    if gx >= hx:
         raise GadgetError("guard segment must have positive length")
-    scale = rat(scale)
-    if scale <= 0:
+    depth = rat(depth)
+    if depth <= 0:
         raise GadgetError("scale must be positive")
-    w = h.x - g.x
-    y0 = g.y
-    margin = 2 * (w + scale)
-    lw = rat(left_wall_x) if left_wall_x is not None else g.x - margin
-    rw = rat(right_wall_x) if right_wall_x is not None else h.x + margin
-    if not (lw < g.x and h.x < rw):
+    margin = 2 * (hx - gx + depth)
+    lw = rat(left_wall_x) if left_wall_x is not None else gx - margin
+    rw = rat(right_wall_x) if right_wall_x is not None else hx + margin
+    if not (lw < gx and hx < rw):
         raise GadgetError("walls must strictly flank the guard segment")
-    drop = rat(sliver_drop) if sliver_drop is not None else scale
-    rise = rat(forcing_rise) if forcing_rise is not None else scale / 2
-    if drop <= 0 or rise <= 0:
-        raise GadgetError("sliver_drop and forcing_rise must be positive")
-
-    depth = scale
-    span = rw - lw
-    f = Point(lw - depth, y0)
-    i = Point(rw + depth, y0)
-    # mouth half-heights chosen so the slivers reach exactly +-drop at the
-    # opposite wall
-    m_f = m_i = drop * depth / (span + depth)
-    k = Point(rw, y0 - drop)
-    e = Point(lw, y0 + drop)
-
-    tag = (label + ".") if label else ""
-    notch_f = Niche("left", (Point(lw, y0), f, Point(lw, y0 - m_f)),
-                    tag + "F")
-    notch_i = Niche("right", (Point(rw, y0), i, Point(rw, y0 + m_i)),
-                    tag + "I")
-
-    j = Point(lw - depth, y0 + rise)
-    jm_g = Point(lw, y_at(j, g, lw))
-    jm_h = Point(lw, y_at(j, h, lw))
-    if not (y0 < jm_g.y < jm_h.y):
+    dg, dh = gx - lw, hx - lw
+    c_g, c_h = dg / (dg + depth), dh / (dh + depth)
+    if not (0 < c_g < c_h):
         raise GadgetError("J mouth corners out of order")
-    notch_j = Niche("left", (jm_h, j, jm_g), tag + "J")
-
-    gadget = VariableGadget(
-        guard_segment=Segment(g, h),
-        F=f, I=i, J=j, E=e, K=k,
-        notch_F=notch_f, notch_I=notch_i, notch_J=notch_j,
-        forced_zone=(f, i, k), sliver_above=(e, f, i))
-    _check_variable_gadget(gadget)
-    return gadget
+    return VariableFrame(lw, rw, depth, lw - depth, rw + depth,
+                         depth / (rw - lw + depth), c_g, c_h)
 
 
 def _check_variable_gadget(vg: VariableGadget):

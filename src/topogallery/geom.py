@@ -1560,6 +1560,9 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point]
         vps.append(vp)
         windows += [(gi, ha, hb) for ha, hb in ws]
     tested = 0
+    # the view that held the last piece is tried first: the pieces of one
+    # window are consecutive, so it usually holds the next one too
+    holder = None
     for (gi, ha, hb), cand in zip(windows, _window_candidates(windows)):
         hs, opposite = _cut_window(ha, hb, cand)
         for h0, h1 in zip(hs, hs[1:]):
@@ -1567,8 +1570,12 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point]
             hm = _hmid(h0, h1)
             if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
                 continue
-            if not any(j != gi and vp._locate_h(hm) == "in"
-                       for j, vp in enumerate(vps)):
+            if holder not in (None, gi) and vps[holder]._locate_h(hm) == "in":
+                continue
+            holder = next((j for j, vp in enumerate(vps)
+                           if j != gi and j != holder
+                           and vp._locate_h(hm) == "in"), None)
+            if holder is None:
                 return tested, (hpoint_to_point(h0), hpoint_to_point(h1))
     return tested, None
 

@@ -572,28 +572,33 @@ def _on_x0(lit) -> bool:
 
 
 def classify_surface(c: CellComplex2) -> SurfaceType:
-    """Closed-surface test, orientability, and genus from the cell data."""
-    # edge-to-face incidence
-    inc: dict = {e: [] for e in c.cells1}
-    for f in c.cells2:
-        for e in c.bnd2[f]:
-            inc[e].append(f)
+    """Closed-surface test, orientability, and genus from the cell data.
+
+    The cells are numbered once, by their places in c.cells0, c.cells1 and
+    c.cells2 (`_CellIds`), and every check runs on those numbers: the
+    incidence of 1-cells and 2-cells, connectivity, vertex links,
+    orientability and the boundary circles.  A cell's id is read back only
+    to name it in an error.  Every check walks the cells in cells order,
+    so the first failure is the one a walk over the ids would find.
+    """
+    cells = _CellIds(c)
     boundary_edges = []
-    for e, fs in inc.items():
+    for e, fs in enumerate(cells.inc):
         if len(fs) > 2:
-            raise VerifyError(f"non-pseudomanifold: 1-cell {e} in {len(fs)} 2-cells")
+            raise VerifyError(f"non-pseudomanifold: 1-cell {c.cells1[e]} "
+                              f"in {len(fs)} 2-cells")
         if len(fs) == 1:
             boundary_edges.append(e)
         if len(fs) == 0:
-            raise VerifyError(f"dangling 1-cell {e}")
+            raise VerifyError(f"dangling 1-cell {c.cells1[e]}")
     closed = not boundary_edges
 
-    _check_connected(c, inc)
-    _check_vertex_links(c)
+    _check_connected(cells)
+    _check_vertex_links(cells)
 
-    orientable = _orientable(c, inc)
+    orientable = _orientable(cells)
     chi = c.euler_characteristic()
-    circles = _boundary_circle_count(c, boundary_edges)
+    circles = _boundary_circle_count(cells, boundary_edges)
     genus = None
     if closed:
         if orientable:
@@ -605,11 +610,31 @@ def classify_surface(c: CellComplex2) -> SurfaceType:
     return SurfaceType(closed, orientable, chi, genus, circles)
 
 
-def _check_connected(c: CellComplex2, inc):
-    if not c.cells2:
+class _CellIds:
+    """A `CellComplex2` on integer ids: the 0-, 1- and 2-cell numbered i is
+    c.cells0[i], c.cells1[i] and c.cells2[i].  ends[e] holds the 0-cells
+    of 1-cell e, cycles[f] the 1-cells of 2-cell f in cycle order, and
+    inc[e] the 2-cells whose cycle holds e, in cells2 order, once per
+    occurrence."""
+
+    def __init__(self, c: CellComplex2):
+        self.c = c
+        vid = {v: i for i, v in enumerate(c.cells0)}
+        eid = {e: i for i, e in enumerate(c.cells1)}
+        self.cycles = [tuple(eid[e] for e in c.bnd2[f]) for f in c.cells2]
+        self.inc: list[list[int]] = [[] for _ in c.cells1]
+        for f, cyc in enumerate(self.cycles):
+            for e in cyc:
+                self.inc[e].append(f)
+        self.ends = [tuple(vid[v] for v in c.bnd1[e]) for e in c.cells1]
+
+
+def _check_connected(cells: _CellIds):
+    if not cells.cycles:
         raise VerifyError("no 2-cells to classify")
-    adj = {f: [f2 for e in c.bnd2[f] for f2 in inc[e]] for f in c.cells2}
-    if _component_count(c.cells2, adj) != 1:
+    inc = cells.inc
+    adj = [[f2 for e in cyc for f2 in inc[e]] for cyc in cells.cycles]
+    if _component_count(range(len(adj)), adj) != 1:
         raise VerifyError("surface is not connected")
 
 
@@ -632,72 +657,80 @@ def _component_count(nodes, nbrs) -> int:
     return count
 
 
-def _check_vertex_links(c: CellComplex2):
+def _check_vertex_links(cells: _CellIds):
     # the link of each 0-cell must be a single cycle (interior) or path
-    edges_at: dict = {v: set() for v in c.cells0}
-    for e in c.cells1:
-        for v in c.bnd1[e]:
-            edges_at[v].add(e)
-    # 2-cells at each 0-cell, in cells2 order
-    faces_at: dict = {v: {} for v in c.cells0}
-    for f in c.cells2:
-        for e in c.bnd2[f]:
-            for v in c.bnd1[e]:
-                faces_at[v][f] = None
-    for v in c.cells0:
+    c, ends, cycles = cells.c, cells.ends, cells.cycles
+    edges_at: list[list[int]] = [[] for _ in c.cells0]
+    for e, vs in enumerate(ends):
+        for v in vs:
+            edges_at[v].append(e)
+    # 2-cells at each 0-cell, in cells2 order: a 2-cell's entries are
+    # appended one after another, so a repeat is the last entry
+    faces_at: list[list[int]] = [[] for _ in c.cells0]
+    for f, cyc in enumerate(cycles):
+        for e in cyc:
+            for v in ends[e]:
+                at = faces_at[v]
+                if not at or at[-1] != f:
+                    at.append(f)
+    for v, faces in enumerate(faces_at):
         link_adj: dict = {e: set() for e in edges_at[v]}
-        for f in faces_at[v]:
-            cyc = c.bnd2[f]
-            local = [e for e in cyc if v in c.bnd1[e]]
+        for f in faces:
+            local = [e for e in cycles[f] if v in ends[e]]
             if len(local) != 2:
-                raise VerifyError(f"2-cell {f} touches vertex {v} oddly")
+                raise VerifyError(
+                    f"2-cell {c.cells2[f]} touches vertex {c.cells0[v]} oddly")
             a, b = local
             link_adj[a].add(b)
             link_adj[b].add(a)
         if not link_adj:
-            raise VerifyError(f"isolated vertex {v}")
+            raise VerifyError(f"isolated vertex {c.cells0[v]}")
         if _component_count(link_adj, link_adj) != 1:
-            raise VerifyError(f"pinched vertex {v}: link is disconnected")
+            raise VerifyError(
+                f"pinched vertex {c.cells0[v]}: link is disconnected")
 
 
-def _orientable(c: CellComplex2, inc) -> bool:
+def _orientable(cells: _CellIds) -> bool:
     # propagate 2-cell orientations; adjacent cells must induce opposite
     # directions on their shared edge
+    c, ends, cycles, inc = cells.c, cells.ends, cells.cycles, cells.inc
+
     def edge_sense(f, e, flipped):
-        cyc = c.bnd2[f]
+        cyc = cycles[f]
         # traversal of the 4-cycle visits vertices in order; edge at pos
         # runs from corner pos to corner pos+1.  We recover its sense by
         # matching shared vertices of consecutive edges: the start corner
         # is shared with the previous edge and, if that leaves two
         # candidates, not with the next one.
         pos = cyc.index(e)
-        shared = set(c.bnd1[e]) & set(c.bnd1[cyc[pos - 1]])
+        shared = set(ends[e]) & set(ends[cyc[pos - 1]])
         if not shared:
             raise VerifyError("broken 2-cell boundary cycle")
         if len(shared) > 1:
-            shared -= set(c.bnd1[cyc[(pos + 1) % len(cyc)]])
+            shared -= set(ends[cyc[(pos + 1) % len(cyc)]])
         if len(shared) != 1:
-            raise VerifyError(f"ambiguous corner of edge {e} in 2-cell {f}")
+            raise VerifyError(f"ambiguous corner of edge {c.cells1[e]} "
+                              f"in 2-cell {c.cells2[f]}")
         (start,) = shared
-        sense = (c.bnd1[e][0] == start)
+        sense = (ends[e][0] == start)
         return sense != flipped
 
-    flip: dict = {}
-    for root in c.cells2:
-        if root in flip:
+    flip: list = [None] * len(cycles)
+    for root in range(len(cycles)):
+        if flip[root] is not None:
             continue
         flip[root] = False
         todo = [root]
         while todo:
             f = todo.pop()
-            for e in c.bnd2[f]:
+            for e in cycles[f]:
                 for f2 in inc[e]:
                     if f2 == f:
                         continue
                     want = not edge_sense(f, e, flip[f])
                     have = edge_sense(f2, e, False)
                     need_flip = (have != want)
-                    if f2 not in flip:
+                    if flip[f2] is None:
                         flip[f2] = need_flip
                         todo.append(f2)
                     elif flip[f2] != need_flip:
@@ -705,10 +738,11 @@ def _orientable(c: CellComplex2, inc) -> bool:
     return True
 
 
-def _boundary_circle_count(c: CellComplex2, boundary_edges) -> int:
+def _boundary_circle_count(cells: _CellIds, boundary_edges) -> int:
+    ends = cells.ends
     at: dict = {}
     for e in boundary_edges:
-        for v in c.bnd1[e]:
+        for v in ends[e]:
             at.setdefault(v, []).append(e)
-    adj = {e: [e2 for v in c.bnd1[e] for e2 in at[v]] for e in boundary_edges}
+    adj = {e: [e2 for v in ends[e] for e2 in at[v]] for e in boundary_edges}
     return _component_count(boundary_edges, adj)

@@ -417,7 +417,7 @@ from topogallery import (circle_complex, compile_gallery, covers, embed,
 from topogallery.cli import main
 from topogallery.complexes import complex_to_dnf
 from topogallery.formulas import cnf_of_dnf_pruned
-from topogallery.verifier import CellComplex2, _orientable, on_face_samples
+from topogallery.verifier import CellComplex2, _CellIds, _orientable, on_face_samples
 main(["compile", sys.argv[1]])
 main(["classify", sys.argv[2]])
 g = compile_gallery(cnf_of_dnf_pruned(complex_to_dnf(circle_complex())))
@@ -429,7 +429,7 @@ print("mobius on-face", r.covered, r.witness_count)
 bnd1 = {"e0": ("a", "b"), "e1": ("b", "a"), "e2": ("a", "d"), "e3": ("d", "a")}
 bnd2 = {"f": ("e0", "e1", "e2", "e3"), "g": ("e3", "e2", "e1", "e0")}
 c = CellComplex2(("a", "b", "d"), tuple(bnd1), ("f", "g"), bnd1, bnd2)
-print("pinched cells orientable", _orientable(c, {e: ["f", "g"] for e in bnd1}))
+print("pinched cells orientable", _orientable(_CellIds(c)))
 """
 
 

@@ -1186,6 +1186,51 @@ def test_window_test_returns_the_hidden_stretch_of_a_crossed_window():
     assert not _agree(poly, gpts).covered
 
 
+def _window_test_plain(poly, gpts):
+    """`geom.window_test` with each piece's views tried in index order
+    only, as it was before the last piece's holder came first."""
+    vps, windows = [], []
+    for gi, g in enumerate(gpts):
+        vp, ws = geom._visibility(poly, hpoint(g))
+        vps.append(vp)
+        windows += [(gi, ha, hb) for ha, hb in ws]
+    tested = 0
+    for (gi, ha, hb), cand in zip(windows, geom._window_candidates(windows)):
+        hs, opposite = geom._cut_window(ha, hb, cand)
+        for h0, h1 in zip(hs, hs[1:]):
+            tested += 1
+            hm = geom._hmid(h0, h1)
+            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
+                continue
+            if not any(j != gi and vp._locate_h(hm) == "in"
+                       for j, vp in enumerate(vps)):
+                return tested, (hpoint_to_point(h0), hpoint_to_point(h1))
+    return tested, None
+
+
+@pytest.mark.parametrize("make_complex",
+                         [circle_complex, sphere_complex, mobius_complex, None],
+                         ids=["circle", "sphere", "mobius", "genus-2"])
+def test_window_test_matches_the_plain_loop(make_complex):
+    # the same count of pieces tested and the same uncovered piece, or
+    # None, on two covered and two uncovered configurations
+    if make_complex is None:
+        g = compile_surface(2, True)
+        configs = _genus_2_band_points(g)
+    else:
+        k = make_complex()
+        g = _gallery(k)
+        rng = random.Random(5)
+        configs = on_face_samples(k, 1, rng) + off_samples_for(g.formula, 1, rng)
+    verdicts = []
+    for x in configs:
+        gpts = embed(g, x).guards
+        found = geom.window_test(g.polygon, gpts)
+        assert found == _window_test_plain(g.polygon, gpts), x
+        verdicts.append(found[1] is None)
+    assert verdicts == [True, False]
+
+
 # --- the one-walk visibility polygon and windows against the two walks ---------
 
 def _star_polygon_reference(hp, raw):

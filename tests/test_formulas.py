@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from topogallery.compiler import canonical_removed_faces
 from topogallery.complexes import (
     ComplexError,
     CubicalComplex,
@@ -12,8 +14,14 @@ from topogallery.complexes import (
     complex_from_faces,
     complex_to_dnf,
     face_closure,
+    face_string,
+    face_with_boundary,
     mobius_complex,
     parse_face,
+    projective_plane_complex,
+    remove_face,
+    sphere_complex,
+    torus_complex,
     validate_complex,
 )
 from topogallery.formulas import (
@@ -101,6 +109,38 @@ def test_complex_to_dnf_single_vertex():
     d = complex_to_dnf(k)
     assert len(d.clauses) == 1
     assert len(d.clauses[0]) == 2
+
+
+def _maximal_by_definition(k: CubicalComplex) -> list:
+    # all pairs: f is maximal iff no other face g fixes a subset of f's
+    # fixed coordinates, to f's values
+    def inside(f, g):
+        return all(gv is None or gv == fv for fv, gv in zip(f, g))
+    return sorted((f for f in k.faces
+                   if not any(g != f and inside(f, g) for g in k.faces)),
+                  key=face_string)
+
+
+@pytest.mark.parametrize("make", [circle_complex, mobius_complex,
+                                  sphere_complex, torus_complex,
+                                  projective_plane_complex])
+def test_maximal_faces_match_the_definition_on_fixtures(make):
+    k = make()
+    assert k.maximal_faces() == _maximal_by_definition(k)
+    # the four subcomplexes surface_formula takes of a surface fixture
+    if k.dimension() == 2:
+        for f in canonical_removed_faces(k):
+            for sub in (remove_face(k, f), face_with_boundary(k, f)):
+                assert sub.maximal_faces() == _maximal_by_definition(sub)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.sampled_from((0, 1, None))] * n),
+                         max_size=8))))
+def test_maximal_faces_match_the_definition_on_closed_complexes(case):
+    n, gen = case
+    k = complex_from_faces(n, gen)
+    assert k.maximal_faces() == _maximal_by_definition(k)
 
 
 def test_membership_matches_dnf():

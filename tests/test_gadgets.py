@@ -7,10 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topogallery import compiler
+from topogallery.compiler import compile_gallery, compile_surface
+from topogallery.complexes import complex_to_dnf, mobius_complex
+from topogallery.formulas import cnf_of_dnf_pruned
 from topogallery.gadgets import (
     CopyGadget,
     GadgetError,
     Niche,
+    VariableGadget,
     _check_copy_gadget,
     _check_variable_gadget,
     Wedge,
@@ -20,6 +25,7 @@ from topogallery.gadgets import (
     make_copy_gadget,
     make_variable_gadget,
     make_wedge_segments,
+    variable_frame,
     variable_gadget_harness,
 )
 from topogallery.geom import (
@@ -34,6 +40,7 @@ from topogallery.geom import (
     pt,
     visible,
     x_at,
+    y_at,
 )
 
 
@@ -134,6 +141,91 @@ def test_variable_gadget_flank_check_matches_the_orientations(f_x, k_dy, e_dy):
     except GadgetError as exc:
         message = str(exc)
     assert (message == _FLANK) == (not (orient(f, i, k) < 0 < orient(f, i, e)))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((Segment(pt(0, 0), pt(1, 1)),), "guard segment must be horizontal"),
+    ((Segment(pt(0, 0), pt(1, 0)), 0), "scale must be positive"),
+    ((Segment(pt(0, 0), pt(1, 0)), 1, 0), "walls must strictly flank the guard segment"),
+    ((Segment(pt(0, 0), pt(1, 0)), 1, -1, 1), "walls must strictly flank the guard segment"),
+    ((Segment(pt(0, 0), pt(1, 0)), 1, -1, 2, 0), "sliver_drop and forcing_rise must be positive"),
+    ((Segment(pt(0, 0), pt(1, 0)), 1, -1, 2, 1, -1), "sliver_drop and forcing_rise must be positive"),
+], ids=["sloped", "scale", "left-wall", "right-wall", "drop", "rise"])
+def test_variable_gadget_names_each_bad_argument(args, message):
+    with pytest.raises(GadgetError) as exc:
+        make_variable_gadget(*args)
+    assert str(exc.value) == message
+
+
+def test_variable_frame_needs_a_column_of_positive_length():
+    # a Segment is never a point, so make_variable_gadget cannot get here
+    with pytest.raises(GadgetError, match="^guard segment must have positive length$"):
+        variable_frame(Fraction(1), Fraction(1), Fraction(1, 4))
+
+
+def test_variable_gadget_of_a_reversed_segment_is_the_same():
+    assert make_variable_gadget(Segment(pt(1, 0), pt(0, 0))) == unit_gadget()
+
+
+def _variable_gadget_per_row(seg, depth, lw, rw, drop, rise, label):
+    """The variable gadget of one row built from its own points, each J
+    mouth corner on the line through J and G or H."""
+    g, h = seg.a, seg.b
+    y0 = g.y
+    f, i = Point(lw - depth, y0), Point(rw + depth, y0)
+    m = drop * depth / (rw - lw + depth)
+    j = Point(lw - depth, y0 + rise)
+    k, e = Point(rw, y0 - drop), Point(lw, y0 + drop)
+    tag = label + "."
+    return VariableGadget(
+        guard_segment=seg, F=f, I=i, J=j, E=e, K=k,
+        notch_F=Niche("left", (Point(lw, y0), f, Point(lw, y0 - m)), tag + "F"),
+        notch_I=Niche("right", (Point(rw, y0), i, Point(rw, y0 + m)), tag + "I"),
+        notch_J=Niche("left", (Point(lw, y_at(j, h, lw)), j,
+                               Point(lw, y_at(j, g, lw))), tag + "J"),
+        forced_zone=(f, i, k), sliver_above=(e, f, i))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: compile_gallery(cnf_of_dnf_pruned(complex_to_dnf(mobius_complex()))),
+    lambda: compile_surface(2, True), lambda: compile_surface(2, False)],
+    ids=["mobius", "orientable-2", "non-orientable-2"])
+def test_framed_variable_gadgets_match_the_per_row_construction(make):
+    # each row's walls, drop and rise read off its gadget; every other
+    # point recomputed from them
+    g = make()
+    for idx, (rec, vg) in enumerate(zip(g.segments, g.variable_gadgets)):
+        y0 = rec.segment.a.y
+        ref = _variable_gadget_per_row(
+            rec.segment, Fraction(1, 4), vg.notch_F.points[0].x,
+            vg.notch_I.points[0].x, vg.E.y - y0, vg.J.y - y0, f"row{idx}")
+        assert vg == ref, idx
+
+
+def test_compile_builds_one_frame_per_column(monkeypatch):
+    built = []
+
+    def counted(gx, hx, *args):
+        built.append((gx, hx))
+        return variable_frame(gx, hx, *args)
+    monkeypatch.setattr(compiler, "variable_frame", counted)
+    g = compile_surface(8, False)
+    assert sorted(built) == sorted(g.columns.values())
+    assert len(g.variable_gadgets) == len(g.segments) > len(built)
+
+
+@pytest.mark.parametrize("field", ["c_g", "c_h"])
+def test_variable_gadget_check_catches_a_slipped_frame(field):
+    # a J mouth factor off by one part in 2^20 puts that corner off its
+    # ray, and the row's check says which one
+    frame = variable_frame(Fraction(4), Fraction(5), Fraction(1, 4),
+                           Fraction(-30), Fraction(40))
+    seg = Segment(pt(4, 10), pt(5, 10))
+    assert frame.gadget(seg, Fraction(1, 8), Fraction(1, 16)).guard_segment == seg
+    slipped = replace(frame, **{field: getattr(frame, field) * (1 + Fraction(1, 2 ** 20))})
+    ray = "J->G" if field == "c_g" else "J->H"
+    with pytest.raises(GadgetError, match=f"J mouth corner not on ray {ray}"):
+        slipped.gadget(seg, Fraction(1, 8), Fraction(1, 16))
 
 
 # --- copy gadget -------------------------------------------------------------

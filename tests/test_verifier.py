@@ -39,6 +39,7 @@ from topogallery.verifier import (
     off_samples_for,
     sample_solution_space,
     verify_copy_gadget,
+    _CellIds,
     _orientable,
 )
 
@@ -313,7 +314,7 @@ def test_orientable_rejects_ambiguous_corner():
     bnd2 = {"f": ("e0", "e1", "e2", "e3"), "g": ("e3", "e2", "e1", "e0")}
     c = CellComplex2(("a", "b"), tuple(bnd1), ("f", "g"), bnd1, bnd2)
     with pytest.raises(VerifyError, match="ambiguous corner"):
-        _orientable(c, {e: ["f", "g"] for e in bnd1})
+        _orientable(_CellIds(c))
 
 
 def _pinched_strip():
@@ -341,6 +342,102 @@ def test_classify_rejects_isolated_vertex():
                           c.bnd1, c.bnd2)
     with pytest.raises(VerifyError, match="isolated vertex lonely"):
         classify_surface(lonely)
+
+
+# The classifier's refusals, each pinned by its exact message: the cell it
+# names is the first offending one in cells order.
+
+def _refusal(c: CellComplex2) -> str:
+    with pytest.raises(VerifyError) as exc:
+        classify_surface(c)
+    return str(exc.value)
+
+
+def _relabelled(c: CellComplex2, name) -> CellComplex2:
+    """c with every cell id x of dimension d renamed name(d, x)."""
+    n0, n1, n2 = ({x: name(d, x) for x in cells}
+                  for d, cells in enumerate((c.cells0, c.cells1, c.cells2)))
+    return CellComplex2(
+        tuple(n0.values()), tuple(n1.values()), tuple(n2.values()),
+        {n1[e]: tuple(n0[v] for v in c.bnd1[e]) for e in c.cells1},
+        {n2[f]: tuple(n1[e] for e in c.bnd2[f]) for f in c.cells2})
+
+
+def _union(c: CellComplex2, d: CellComplex2) -> CellComplex2:
+    return CellComplex2(c.cells0 + d.cells0, c.cells1 + d.cells1,
+                        c.cells2 + d.cells2, {**c.bnd1, **d.bnd1},
+                        {**c.bnd2, **d.bnd2})
+
+
+def test_classify_rejects_an_edge_in_three_cells():
+    # three squares hinged on the 1-cell h; a second such hinge k comes
+    # later in cells1 and is not the one named
+    bnd1 = {"h": ("p", "q"), "k": ("r", "t")}
+    bnd2 = {}
+    for sq in "ABC":
+        bnd1.update({sq + "0": ("q", sq + "q"), sq + "1": (sq + "q", sq + "p"),
+                     sq + "2": (sq + "p", "p")})
+        bnd2[sq] = ("h", sq + "0", sq + "1", sq + "2")
+    for sq in "DEF":
+        bnd1.update({sq + "0": ("t", sq + "t"), sq + "1": (sq + "t", sq + "r"),
+                     sq + "2": (sq + "r", "r")})
+        bnd2[sq] = ("k", sq + "0", sq + "1", sq + "2")
+    cells0 = tuple(sorted({v for ends in bnd1.values() for v in ends}))
+    c = CellComplex2(cells0, tuple(bnd1), tuple(bnd2), bnd1, bnd2)
+    assert _refusal(c) == "non-pseudomanifold: 1-cell h in 3 2-cells"
+
+
+def test_classify_rejects_a_dangling_edge():
+    c = complex_to_cell_complex(torus_complex())
+    v, w = c.cells0[:2]
+    strays = (("stray", 2), ("stray", 1))
+    loose = CellComplex2(c.cells0, c.cells1[:5] + strays + c.cells1[5:],
+                         c.cells2, {**c.bnd1, **{s: (v, w) for s in strays}},
+                         c.bnd2)
+    assert _refusal(loose) == "dangling 1-cell ('stray', 2)"
+
+
+def test_classify_rejects_a_disconnected_complex():
+    c = complex_to_cell_complex(sphere_complex())
+    twice = _union(c, _relabelled(c, lambda d, x: ("copy", x)))
+    assert _refusal(twice) == "surface is not connected"
+
+
+def test_classify_rejects_a_cell_touching_a_vertex_oddly():
+    # an open cycle: a lies on one edge of f
+    bnd1 = {"e0": ("a", "b"), "e1": ("b", "c"), "e2": ("c", "d"),
+            "e3": ("d", "e")}
+    bnd2 = {"f": ("e0", "e1", "e2", "e3")}
+    path = CellComplex2(("a", "b", "c", "d", "e"), tuple(bnd1), ("f",),
+                        bnd1, bnd2)
+    assert _refusal(path) == "2-cell f touches vertex a oddly"
+    # corners a, b, a, b: a lies on all four edges of f
+    bnd1 = {"e0": ("a", "b"), "e1": ("b", "a"), "e2": ("a", "b"),
+            "e3": ("b", "a")}
+    bnd2 = {"f": ("e0", "e1", "e2", "e3"), "g": ("e3", "e2", "e1", "e0")}
+    folded = CellComplex2(("a", "b"), tuple(bnd1), ("f", "g"), bnd1, bnd2)
+    assert _refusal(folded) == "2-cell f touches vertex a oddly"
+
+
+def test_classify_rejects_no_two_cells():
+    assert _refusal(CellComplex2(("a",), (), (), {}, {})) == \
+        "no 2-cells to classify"
+    circle = complex_to_cell_complex(circle_complex())
+    assert _refusal(circle) == f"dangling 1-cell {circle.cells1[0]}"
+
+
+@pytest.mark.parametrize("name", [lambda d, x: f"{d}:{x}",
+                                  lambda d, x: (d, (x,))],
+                         ids=["strings", "tuples"])
+def test_classify_ignores_how_cells_are_named(name):
+    rp2 = projective_plane_complex()
+    f1, f2 = canonical_removed_faces(rp2)
+    for c in (complex_to_cell_complex(mobius_complex()),
+              complex_to_cell_complex(torus_complex()),
+              build_cell_complex(surface_formula(rp2, f1, f2, 2))):
+        assert classify_surface(_relabelled(c, name)) == classify_surface(c)
+    assert _refusal(_relabelled(_pinched_strip(), name)) == \
+        f"pinched vertex {name(0, 'p')}: link is disconnected"
 
 
 def test_build_cell_complex_empty_slice():

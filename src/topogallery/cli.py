@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 from .compiler import (
+    DEFAULT_EPSILON,
     CompileError,
     GenusError,
     _assemble,
@@ -75,7 +76,7 @@ def _count(raw: str) -> int:
 def _default_epsilon() -> Fraction:
     raw = os.environ.get(EPSILON_ENV)
     if not raw:
-        return Fraction(1, 4)
+        return DEFAULT_EPSILON
     try:
         return _positive_frac(raw)
     except argparse.ArgumentTypeError as exc:

@@ -22,7 +22,9 @@ from .complexes import (
     CubicalComplex,
     complex_to_dnf,
     face_dim,
+    face_with_boundary,
     projective_plane_complex,
+    remove_face,
     sphere_complex,
     torus_complex,
 )
@@ -41,6 +43,7 @@ from .gadgets import (
     Niche,
     VariableGadget,
     assemble_room,
+    clause_family_disjoint,
     make_clause_gadget,
     make_copy_gadget,
     make_wedge_segments,
@@ -72,6 +75,7 @@ class GenusError(CompileError):
 
 
 SAT_SCREEN_LIMIT = 250_000
+DEFAULT_EPSILON = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,6 @@ class GuardSegmentRecord:
     designation: str            # 'left' | 'right' | 'band'
     band: int | None
     segment: Segment
-    endpoint: Point | None      # designated endpoint for left/right
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def embed(g: Gallery, x) -> GuardConfig:
 # --- layout -------------------------------------------------------------
 
 
-def compile_gallery(f: CnfFormula, epsilon=Fraction(1, 4)) -> Gallery:
+def compile_gallery(f: CnfFormula, epsilon=DEFAULT_EPSILON) -> Gallery:
     """Compile a plain CNF formula (no band literals) into a gallery."""
     if f.band_constants:
         raise CompileError("compile_gallery takes band-free formulas; "
@@ -287,7 +290,7 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
         cg = gadgets[j]
         for pos, lit in enumerate(clause):
             if isinstance(lit, Band):
-                v, designation, band, endpoint = 0, "band", lit.index, None
+                v, designation, band = 0, "band", lit.index
                 y = mouth_y[j] + ruler_offsets[lit.index + 1]
             else:
                 v, band = lit.var, None
@@ -296,12 +299,11 @@ def _assemble(f: CnfFormula, epsilon: Fraction) -> Gallery:
                 else:
                     designation, x, line = "left", col[v][0], cg.up_line()
                 y = y_at(*line, x)
-                endpoint = Point(x, y)
             lo, hi = col[v]
             records.append(GuardSegmentRecord(
                 index=len(records), clause=j, literal_pos=pos, var=v,
                 designation=designation, band=band,
-                segment=Segment(Point(lo, y), Point(hi, y)), endpoint=endpoint))
+                segment=Segment(Point(lo, y), Point(hi, y))))
 
     order, ys, _ = _rows_by_height(records)
     if any(y0 == y1 for y0, y1 in zip(ys, ys[1:])):
@@ -468,7 +470,6 @@ def _audit(g: Gallery):
     # clause regions pairwise disjoint: a region is the wedge clipped by
     # the floor, so disjointness need only hold until its upper boundary
     # exits through y = 0
-    from .gadgets import clause_family_disjoint
     span = Fraction(0)
     for cg, (low, _) in zip(g.clause_gadgets, lines):
         span = max(span, cg.witness_point.x - x_on_line(low, 0))
@@ -692,8 +693,6 @@ def surface_formula(complex_: CubicalComplex, f1, f2, n: int) -> CnfFormula:
         if face not in complex_.faces or face_dim(face) != 2:
             raise CompileError("removed faces must be 2-faces of the complex")
     ks = _default_constants(n)
-
-    from .complexes import face_with_boundary, remove_face
     c1 = remove_face(complex_, f1)
     c2 = remove_face(complex_, f2)
     b1 = face_with_boundary(complex_, f1)
@@ -756,7 +755,7 @@ def canonical_removed_faces(complex_: CubicalComplex):
     return faces2[0], faces2[1]
 
 
-def compile_surface(n: int, orientable: bool, epsilon=Fraction(1, 4)) -> Gallery:
+def compile_surface(n: int, orientable: bool, epsilon=DEFAULT_EPSILON) -> Gallery:
     """Gallery whose solution space is the closed surface of genus n."""
     if n < 0:
         raise GenusError("genus must be nonnegative")

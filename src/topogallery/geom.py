@@ -718,18 +718,14 @@ class _Room:
     shape `gadgets.assemble_room` gives every gallery.
 
     - `lo` and `hi`: the triples of the corners (xl, yb) and (xr, yt);
-    - `plan`: the boundary, ccw from the corner (xr, yb).  Each vertex on
-      a wall line (a corner, a wall vertex or a mouth corner) is its index;
-      between the two corners of a pocket's mouth stands the pocket, the
-      tuple of its vertex indices from one mouth corner to the other, both
-      included;
-    - `straight`: the indices of the vertices where the boundary runs
-      straight on;
-    - `walls`: for the right wall, then the left, the triple of a corner
-      on it and its pockets as (lower corner, upper corner, pocket), in
-      order of height."""
+    - `walls`: for the right wall, then the left, the triple of the corner
+      where the boundary enters it, (xr, yb) and (xl, yt), and its pockets
+      as (lower corner, upper corner, pocket), in order of height.  A
+      pocket is the tuple of its vertex indices in boundary order, from
+      one mouth corner to the other, both included; a mouth corner may be
+      a corner of the room."""
 
-    __slots__ = ("lo", "hi", "plan", "straight", "walls")
+    __slots__ = ("lo", "hi", "walls")
 
     def holds(self, hp) -> bool:
         """True iff the point hp lies in the open rectangle."""
@@ -796,10 +792,9 @@ def _room_of(poly: SimplePolygon) -> _Room | None:
     between two wall edges the boundary runs straight on; at a corner or
     a mouth corner it turns, as its neighbours lie on different lines (a
     pocket vertex at a corner's height next to it would make a second
-    bottom or top edge); and the pockets check their runs.  So `straight`
-    holds the wall vertices between two wall edges and the run vertices
-    where a pocket runs straight on.  The bottom edge runs towards +x at
-    the least y, with the polygon above it, so the polygon is ccw.
+    bottom or top edge); and the pockets check their runs.  The bottom
+    edge runs towards +x at the least y, with the polygon above it, so
+    the polygon is ccw.
 
     On a simple ccw polygon the rule reads a room iff the levels and
     walls are as above, no two pockets share a mouth corner, and each run
@@ -853,16 +848,11 @@ def _room_plan(hv, fx, fy) -> _Room | None:
     b, d = (a + 1) % n, (c + 1) % n
     if cmp(a, b, fx, 0) >= 0 or cmp(a, d, fx, 0) or cmp(b, c, fx, 0):
         return None
-    plan: list = []
     walls = []
-    straight = set()
     for start, end, side in ((b, c, 1), (d, a, -1)):
         pockets = []
-        i, along = start, False
-        while True:
-            plan.append(i)
-            if i == end:
-                break
+        i = start
+        while i != end:
             j = i + 1 if i + 1 < n else 0
             s = side * cmp(j, start, fx, 0)  # > 0 beyond the wall
             if s < 0:
@@ -870,9 +860,7 @@ def _room_plan(hv, fx, fy) -> _Room | None:
             if s == 0:
                 if side * cmp(j, i, fy, 1) <= 0:
                     return None
-                if along:
-                    straight.add(i)
-                i, along = j, True
+                i = j
                 continue
             run = [i]
             while s > 0:
@@ -887,17 +875,14 @@ def _room_plan(hv, fx, fy) -> _Room | None:
                 o = turn(u, v, w)
                 if o < 0 or o == 0 and _dot_h(hv[u], hv[v], hv[w]) <= 0:
                     return None
-                if o == 0:
-                    straight.add(v)
                 dx = side * cmp(w, v, fx, 0)
                 if dx > step:
                     return None
                 step = dx
             pocket = tuple(run)
-            plan.append(pocket)
             m0, m1 = hv[i], hv[j]
             pockets.append((m0, m1, pocket) if side > 0 else (m1, m0, pocket))
-            i, along = j, False
+            i = j
         # the pockets in order of their least y key, each against those
         # before it whose greatest y key is not below that
         active: list = []  # (greatest y key, pocket)
@@ -911,74 +896,49 @@ def _room_plan(hv, fx, fy) -> _Room | None:
         walls.append((hv[start], pockets if side > 0 else pockets[::-1]))
     room = _Room()
     room.lo, room.hi = hv[a], hv[c]
-    room.plan = plan
-    room.straight = straight
     room.walls = walls
     return room
 
 
 def _room_view(poly: SimplePolygon, room: _Room, hp):
     """`_visibility(poly, hp)` for a viewpoint hp in the room's open
-    rectangle, pocket by pocket; see `_visibility` for the proof and the
-    order."""
+    rectangle, pocket by pocket: the rectangle and each pocket clipped to
+    its mouth's wedge, ccw from the corner (xr, yb), with the windows in
+    that walk's order; see `_visibility` for the proof."""
     hv = poly._h
     lines = poly.edge_lines()
-    straight = room.straight
     vs: list = []  # the view's boundary from the corner (xr, yb), ccw
-    flat = []  # the places in vs of vertices where poly runs straight on
     windows = []
-    for item in room.plan:
-        if item.__class__ is int:
-            if item in straight:
-                flat.append(len(vs))
-            vs.append(hv[item])
-            continue
-        # a pocket between the mouth corners m0 (just added to vs) and m1
-        # (added next), clipped to the wedge from p through its mouth: a
-        # point is kept when l0 . h >= 0 >= l1 . h
-        hs = [hv[v] for v in item]
-        l0, l1 = _hline(hp, hs[0]), _hline(hp, hs[-1])
-        s0 = [l0[0] * h[0] + l0[1] * h[1] + l0[2] * h[2] for h in hs]
-        s1 = [l1[0] * h[0] + l1[1] * h[1] + l1[2] * h[2] for h in hs]
-        first = len(vs)
-        k = len(hs) - 1
-        for t in range(1, k + 1):
-            if s0[t - 1] < 0 < s0[t]:
-                vs.append(_hcanon(_hmeet(l0, lines[item[t - 1]])))
-            if s1[t - 1] < 0 < s1[t]:
-                vs.append(_hcanon(_hmeet(l1, lines[item[t - 1]])))
-            if t < k and s0[t] >= 0 >= s1[t]:
-                if item[t] in straight:
-                    flat.append(len(vs))
-                vs.append(hs[t])
-        if s0[1] < 0:
-            windows.append((hs[0], vs[first]))
-        if s1[k - 1] > 0:
-            windows.append((vs[-1], hs[-1]))
-    if flat:
-        m = len(vs)
-        drop = {i for i in flat
-                if orient_h(vs[i - 1], vs[i], vs[(i + 1) % m]) == 0}
-        vs = [h for i, h in enumerate(vs) if i not in drop]
-    # the view vertex of least direction: the first with angle 0 or more,
-    # all on the right wall or beyond it
-    X, Y, W = hp
-    j = next(i for i, h in enumerate(vs)
-             if h[0] * W > X * h[2] and h[1] * W >= Y * h[2])
-    h = vs[j]
-    if orient_h(hp, h, vs[j + 1]) == 0:
-        # a radial pair: the view starts at its second vertex when no
-        # vertex of poly lies at a direction below it
-        dx, dy = h[0] * W - X * h[2], h[1] * W - Y * h[2]
-        if dy == 0 or not any(  # at angle 0 nothing lies below
-                (uy > 0 or (uy == 0 and ux > 0)) and ux * dy > uy * dx
-                for ux, uy in ((v[0] * W - X * v[2], v[1] * W - Y * v[2])
-                               for v in hv)):
-            j += 1
-    view = vs[j:] + vs[:j]
-    place = {h: i for i, h in enumerate(view)}
-    windows.sort(key=lambda w: place[w[0]])
-    return SimplePolygon._of_h(view, hp), windows
+    # the pockets in boundary order: up the right wall, down the left
+    for (corner, pockets), end, step in zip(room.walls, (room.hi, room.lo), (1, -1)):
+        vs.append(corner)
+        for _, _, pocket in pockets[::step]:
+            # the pocket from its mouth corner m0 to m1, clipped to the
+            # wedge from p through its mouth: a point is kept when
+            # l0 . h >= 0 >= l1 . h
+            hs = [hv[v] for v in pocket]
+            if hs[0] != vs[-1]:  # a mouth may start at a corner
+                vs.append(hs[0])
+            l0, l1 = _hline(hp, hs[0]), _hline(hp, hs[-1])
+            s0 = [l0[0] * h[0] + l0[1] * h[1] + l0[2] * h[2] for h in hs]
+            s1 = [l1[0] * h[0] + l1[1] * h[1] + l1[2] * h[2] for h in hs]
+            first = len(vs)
+            k = len(hs) - 1
+            for t in range(1, k + 1):
+                if s0[t - 1] < 0 < s0[t]:
+                    vs.append(_hcanon(_hmeet(l0, lines[pocket[t - 1]])))
+                if s1[t - 1] < 0 < s1[t]:
+                    vs.append(_hcanon(_hmeet(l1, lines[pocket[t - 1]])))
+                if t < k and s0[t] >= 0 >= s1[t]:
+                    vs.append(hs[t])
+            if s0[1] < 0:
+                windows.append((hs[0], vs[first]))
+            if s1[k - 1] > 0:
+                windows.append((vs[-1], hs[-1]))
+            vs.append(hs[-1])
+        if vs[-1] != end:  # a mouth may end at a corner
+            vs.append(end)
+    return SimplePolygon._of_h(vs, hp), windows
 
 
 def _room_sees(poly: SimplePolygon, room: _Room, hp, hq) -> bool:
@@ -1389,17 +1349,19 @@ def visibility_polygon(poly: SimplePolygon, p: Point) -> SimplePolygon:
 
 
 def _visibility(poly: SimplePolygon, hp):
-    """The visibility polygon of poly around p (the `hpoint` triple hp),
-    from the first visible cone's start, and its windows in the sweep's
-    order: the parts of its boundary inside poly's interior, as pairs of
-    triples with the visible side on their left.
+    """The visibility polygon of poly around p (the `hpoint` triple hp)
+    and its windows: the parts of its boundary inside poly's interior, as
+    pairs of triples with the visible side on their left, in the order of
+    the walk that found them.
 
     A room (`_room_of`) seen from its open rectangle takes the room view
-    (`_room_view`), which returns exactly what the sweep would: the same
-    triples in the same order, and the same windows in the same order.
+    (`_room_view`), which walks the room's boundary ccw from (xr, yb).
     Every other viewpoint, including a room's boundary points and points
     beyond its walls, and every polygon that is not a room, takes the
-    sweep.
+    sweep, whose polygon starts at its first visible cone's start.  From
+    a point of the open rectangle both walks give the same region and the
+    same windows; the room view may start at another vertex and keeps
+    the pocket vertices where poly runs straight on.
 
     The room view.  Let R be the closed rectangle and p a point of its
     open interior; a pocket Q means the convex polygon of its vertices,
@@ -1421,31 +1383,17 @@ def _visibility(poly: SimplePolygon, hp):
       a half-disc beyond the middle of M, which lies inside W), as R has
       interior: the view is the closure of its interior, with no
       whiskers, the region whose boundary the sweep walks.
-    The view's boundary, ccw from (xr, yb), runs along R and, at each
-    mouth, through the clipped pocket: m0; where the chain's first edge
-    lies right of the ray from p through m0, that ray's far end A in Q;
-    the chain vertices in W; where the chain leaves W across the ray
-    through m1, its far end B; then m1.  The windows are (m0, A) and
-    (B, m1): on a wedge line and not edges of poly (when the chain runs
-    along the ray, the pair is an edge of poly instead).  The sweep keeps
-    no vertex where the boundary runs straight on.  A and B turn, and so
-    do m0 and m1 where a window meets them; every other view vertex has
-    its neighbours on the edges of poly at it, so only vertices where
-    poly itself runs straight on are tested.
-
-    The order.  The sweep's cones start at dirs[0], the least direction
-    from p of any vertex of poly (`_dir_cmp`: angle 0 up to 2 pi).  So its
-    polygon starts at the view vertex of least direction and runs ccw,
-    and its windows come in increasing direction; but the walk splits a
-    radial pair (two view vertices on one ray, in ccw order) on dirs[0]:
-    the polygon starts at its second vertex, and a window there comes
-    last.  View vertices of angle in [0, pi/2) lie on the right wall or
-    beyond, where the walk from (xr, yb) meets them by increasing angle,
-    so the least is the first at p's height or above.  A radial pair
-    there lies on dirs[0] when its angle is 0 (every row guard of a
-    gallery has its own I slit's mouth corner at angle 0), or else when
-    no vertex of poly lies at a smaller angle; only then are all vertices
-    tested.
+    The view's boundary, ccw from (xr, yb), runs along R, through the
+    room's corners and mouth corners, and, at each mouth, through the
+    clipped pocket: m0; where the chain's first edge lies right of the
+    ray from p through m0, that ray's far end A in Q; the chain vertices
+    in W; where the chain leaves W across the ray through m1, its far end
+    B; then m1.  The windows are (m0, A) and (B, m1): on a wedge line and
+    not edges of poly (when the chain runs along the ray, the pair is an
+    edge of poly instead).  A and B turn, and so do the corners and m0
+    and m1; every other view vertex has its neighbours on the edges of
+    poly at it, so the view runs straight on only at pocket vertices
+    where poly does.
 
     The sweep.  One walk over the junctions of consecutive cones of one
     `_sweep` reads off the polygon and its windows.
@@ -1551,7 +1499,7 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point]
     are made only for the uncovered piece returned.  A guard in a room's
     open rectangle gets its view pocket by pocket; any other guard, or a
     polygon that is not a room, is swept (`_visibility`); both give the
-    same view.
+    same region and windows.
     """
     vps = []
     windows = []
@@ -1560,9 +1508,6 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point]
         vps.append(vp)
         windows += [(gi, ha, hb) for ha, hb in ws]
     tested = 0
-    # the view that held the last piece is tried first: the pieces of one
-    # window are consecutive, so it usually holds the next one too
-    holder = None
     for (gi, ha, hb), cand in zip(windows, _window_candidates(windows)):
         hs, opposite = _cut_window(ha, hb, cand)
         for h0, h1 in zip(hs, hs[1:]):
@@ -1570,12 +1515,8 @@ def window_test(poly: SimplePolygon, guards: Sequence[Point]
             hm = _hmid(h0, h1)
             if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
                 continue
-            if holder not in (None, gi) and vps[holder]._locate_h(hm) == "in":
-                continue
-            holder = next((j for j, vp in enumerate(vps)
-                           if j != gi and j != holder
-                           and vp._locate_h(hm) == "in"), None)
-            if holder is None:
+            if not any(j != gi and vp._locate_h(hm) == "in"
+                       for j, vp in enumerate(vps)):
                 return tested, (hpoint_to_point(h0), hpoint_to_point(h1))
     return tested, None
 

@@ -34,15 +34,7 @@ from topogallery.files import (
 )
 from topogallery.formulas import cnf
 
-
-def mobius_eq1():
-    return cnf(4, [
-        [(0, 0), (1, 0), (2, 1)],
-        [(1, 0), (2, 1), (3, 0)],
-        [(0, 0), (1, 0), (3, 1)],
-        [(2, 0), (2, 1), (3, 0), (3, 1)],
-        [(0, 0), (2, 0), (3, 0), (3, 1)],
-    ])
+from helpers import mobius_eq1
 
 
 def test_complex_roundtrip():

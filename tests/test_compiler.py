@@ -37,15 +37,7 @@ from topogallery.formulas import (
 )
 from topogallery.geom import Point, Segment, hausdorff_distance_sq_max, visible
 
-
-def mobius_eq1():
-    return cnf(4, [
-        [(0, 0), (1, 0), (2, 1)],
-        [(1, 0), (2, 1), (3, 0)],
-        [(0, 0), (1, 0), (3, 1)],
-        [(2, 0), (2, 1), (3, 0), (3, 1)],
-        [(0, 0), (2, 0), (3, 0), (3, 1)],
-    ])
+from helpers import mobius_eq1
 
 
 # --- compile -----------------------------------------------------------------

@@ -76,6 +76,8 @@ from topogallery.verifier import (
     on_face_samples,
 )
 
+from helpers import _without_room, comb_polygon, l_shape, square
+
 
 def _fragment_cover(poly, gpts):
     """The exact check that the window test replaced: subtract every fan
@@ -510,21 +512,6 @@ def _agree(poly, gpts):
     if not rep.covered:
         _assert_certified(poly, gpts, rep.uncovered_witness)
     return rep
-
-
-def square(side=4):
-    return SimplePolygon([pt(0, 0), pt(side, 0), pt(side, side), pt(0, side)])
-
-
-def l_shape():
-    return SimplePolygon(
-        [pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
-
-
-def comb_polygon():
-    return SimplePolygon([
-        pt(0, 0), pt(5, 0), pt(5, 2), pt(4, 2), pt(4, 1), pt(3, 1),
-        pt(3, 2), pt(2, 2), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
 
 
 def _q(a, b):
@@ -1186,51 +1173,6 @@ def test_window_test_returns_the_hidden_stretch_of_a_crossed_window():
     assert not _agree(poly, gpts).covered
 
 
-def _window_test_plain(poly, gpts):
-    """`geom.window_test` with each piece's views tried in index order
-    only, as it was before the last piece's holder came first."""
-    vps, windows = [], []
-    for gi, g in enumerate(gpts):
-        vp, ws = geom._visibility(poly, hpoint(g))
-        vps.append(vp)
-        windows += [(gi, ha, hb) for ha, hb in ws]
-    tested = 0
-    for (gi, ha, hb), cand in zip(windows, geom._window_candidates(windows)):
-        hs, opposite = geom._cut_window(ha, hb, cand)
-        for h0, h1 in zip(hs, hs[1:]):
-            tested += 1
-            hm = geom._hmid(h0, h1)
-            if any(_on_segment_collinear(hc, hd, hm) for hc, hd in opposite):
-                continue
-            if not any(j != gi and vp._locate_h(hm) == "in"
-                       for j, vp in enumerate(vps)):
-                return tested, (hpoint_to_point(h0), hpoint_to_point(h1))
-    return tested, None
-
-
-@pytest.mark.parametrize("make_complex",
-                         [circle_complex, sphere_complex, mobius_complex, None],
-                         ids=["circle", "sphere", "mobius", "genus-2"])
-def test_window_test_matches_the_plain_loop(make_complex):
-    # the same count of pieces tested and the same uncovered piece, or
-    # None, on two covered and two uncovered configurations
-    if make_complex is None:
-        g = compile_surface(2, True)
-        configs = _genus_2_band_points(g)
-    else:
-        k = make_complex()
-        g = _gallery(k)
-        rng = random.Random(5)
-        configs = on_face_samples(k, 1, rng) + off_samples_for(g.formula, 1, rng)
-    verdicts = []
-    for x in configs:
-        gpts = embed(g, x).guards
-        found = geom.window_test(g.polygon, gpts)
-        assert found == _window_test_plain(g.polygon, gpts), x
-        verdicts.append(found[1] is None)
-    assert verdicts == [True, False]
-
-
 # --- the one-walk visibility polygon and windows against the two walks ---------
 
 def _star_polygon_reference(hp, raw):
@@ -1247,14 +1189,13 @@ def _star_polygon_reference(hp, raw):
                 out.append(h)
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
-    cleaned = []
-    nn = len(out)
-    for i in range(nn):
-        a, b, c = out[i - 1], out[i], out[(i + 1) % nn]
-        if orient_h(a, b, c) == 0 and geom._dot_h(a, b, c) > 0:
-            continue
-        cleaned.append(b)
-    return SimplePolygon._of_h(cleaned, hp)
+    return SimplePolygon._of_h(_straight_dropped(out), hp)
+
+
+def _straight_dropped(hs):
+    """The cycle of triples hs without its straight-through vertices."""
+    return [b for a, b, c in zip([hs[-1]] + hs[:-1], hs, hs[1:] + hs[:1])
+            if not (orient_h(a, b, c) == 0 and geom._dot_h(a, b, c) > 0)]
 
 
 def _windows_reference(poly, hp, raw, vdirs):
@@ -1287,8 +1228,14 @@ def _windows_reference(poly, hp, raw, vdirs):
 
 
 def _same_visibility(poly, pts):
-    """`_visibility` gives the two walks' vertex triples and windows, in
-    their order, or raises where they raise."""
+    """`_visibility` gives the two walks' vertex triples and windows, or
+    raises where they raise.  Where it takes the sweep, both come in the
+    walks' order.  The room view, from a point of the open rectangle,
+    walks the room from (xr, yb) and keeps the pocket vertices where poly
+    runs straight on: its polygon, without its straight-through vertices,
+    is the walks' as a cyclic sequence, and its windows are theirs as a
+    set."""
+    room = geom._room_of(poly)
     for q in pts:
         hp = hpoint(q)
         vdirs = geom._vertex_dirs(poly, hp)
@@ -1301,7 +1248,13 @@ def _same_visibility(poly, pts):
                 geom._visibility(poly, hp)
             continue
         vp, windows = geom._visibility(poly, hp)
-        assert (vp._h, windows) == want, q
+        if room is None or not room.holds(hp):
+            assert (vp._h, windows) == want, q
+            continue
+        hs = _straight_dropped(vp._h)
+        k = hs.index(want[0][0])
+        assert hs[k:] + hs[:k] == want[0], q
+        assert sorted(windows) == sorted(want[1]), q
 
 
 def _vertices_and_midpoints(poly, step=1):
@@ -1389,14 +1342,6 @@ def _room_gallery(name):
         guards = list(dict.fromkeys(q for x in xs for q in embed(g, x).guards))
         _ROOM_GALLERIES[name] = g, guards
     return _ROOM_GALLERIES[name]
-
-
-def _without_room(poly):
-    """poly as a polygon that is not read as a room: its views take the
-    sweep and `visible` the segment cutter."""
-    ref = SimplePolygon._of_h(poly._h)
-    ref._room = False
-    return ref
 
 
 @st.composite

@@ -47,15 +47,11 @@ from topogallery.geom import (
     y_at,
 )
 
+from helpers import l_shape
+
 
 def square(side=1):
     return SimplePolygon([pt(0, 0), pt(side, 0), pt(side, side), pt(0, side)])
-
-
-def l_shape():
-    # L-shaped hexagon with reflex corner at (1,1)
-    return SimplePolygon(
-        [pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
 
 
 def rand_frac(rng, lo=-8, hi=8, den=16):

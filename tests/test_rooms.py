@@ -30,9 +30,10 @@ from topogallery.geom import (
     hpoint,
     hpoint_to_point,
     midpoint,
-    orient_h,
     pt,
 )
+
+from helpers import _without_room
 
 COMPLEXES = {"circle": circle_complex, "sphere": sphere_complex,
              "mobius": mobius_complex, "torus": torus_complex,
@@ -75,13 +76,6 @@ def _validate(verts):
     poly._validate()
 
 
-def _straight_reference(hv):
-    """The vertices where the boundary runs straight on, by one exact
-    orientation each."""
-    n = len(hv)
-    return {i for i in range(n) if orient_h(hv[i - 1], hv[i], hv[(i + 1) % n]) == 0}
-
-
 def _same_verdict(verts):
     """The room pass accepts verts only if `_validate` does, and
     `SimplePolygon(verts)` gives `_validate`'s verdict: the polygon, with
@@ -101,7 +95,6 @@ def _same_verdict(verts):
         assert poly._room is False
         return "simple"
     assert isinstance(poly._room, geom._Room)
-    assert poly._room.straight == _straight_reference(poly._h)
     return "room"
 
 
@@ -277,13 +270,6 @@ def test_room_pass_reads_named_rooms(name):
 # --- locate from a known room's open rectangle ------------------------------
 
 LOCATE_GALLERIES = ["circle", "sphere", "mobius", "o2"]
-
-
-def _without_room(poly):
-    """poly as a polygon whose points are all located by the bucket walk."""
-    ref = SimplePolygon._of_h(poly._h)
-    ref._room = False
-    return ref
 
 
 @st.composite

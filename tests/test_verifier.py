@@ -43,31 +43,7 @@ from topogallery.verifier import (
     _orientable,
 )
 
-
-def square(side=4):
-    return SimplePolygon([pt(0, 0), pt(side, 0), pt(side, side), pt(0, side)])
-
-
-def l_shape():
-    return SimplePolygon(
-        [pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
-
-
-def comb_polygon():
-    # three prongs of width 1 on a base of height 1; needs three guards
-    return SimplePolygon([
-        pt(0, 0), pt(5, 0), pt(5, 2), pt(4, 2), pt(4, 1), pt(3, 1),
-        pt(3, 2), pt(2, 2), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
-
-
-def mobius_eq1():
-    return cnf(4, [
-        [(0, 0), (1, 0), (2, 1)],
-        [(1, 0), (2, 1), (3, 0)],
-        [(0, 0), (1, 0), (3, 1)],
-        [(2, 0), (2, 1), (3, 0), (3, 1)],
-        [(0, 0), (2, 0), (3, 0), (3, 1)],
-    ])
+from helpers import comb_polygon, l_shape, mobius_eq1, square
 
 
 # --- covers -----------------------------------------------------------------
